@@ -46,8 +46,8 @@ ALIGNMENT = 64
 """Byte alignment of every slot offset.
 
 Cache-line/SIMD alignment, not just the 16-byte typical edge-runtime
-minimum: the interpreter hands executors arena slots as GEMM ``out=``
-destinations, and BLAS kernels measurably degrade (~15% on 1x1-conv
+minimum: a runtime executing out of the layout would hand slots to GEMMs
+as destinations, and BLAS kernels measurably degrade (~15% on 1x1-conv
 GEMMs) when the destination is 16- but not 64-byte aligned.
 """
 

@@ -47,7 +47,9 @@ def tanh(x: np.ndarray) -> np.ndarray:
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation, as in BERT)."""
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    # The np.float64 constant promotes float32 inputs; cast back once.
+    y = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    return y.astype(x.dtype, copy=False)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -40,10 +40,12 @@ def scaled_dot_product_attention(
     ``mask`` broadcasts against (..., Lq, Lk); masked positions get -inf.
     """
     d = q.shape[-1]
+    # np.sqrt returns an np.float64 scalar, which promotes float32 scores;
+    # the result is cast back to the input dtype once, at the end.
     scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(float(d))
     if mask is not None:
         scores = np.where(mask, scores, -1e30)
-    return softmax(scores, axis=-1) @ v
+    return (softmax(scores, axis=-1) @ v).astype(q.dtype, copy=False)
 
 
 def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:

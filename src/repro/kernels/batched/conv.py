@@ -30,7 +30,6 @@ from repro.kernels.common import (
     normalize_stride,
     resolve_padding,
 )
-from repro.kernels.conv import _gemm_dst
 from repro.util.errors import KernelError
 
 
@@ -57,7 +56,6 @@ def batched_conv2d(
     bias: np.ndarray | None = None,
     stride: int | tuple[int, int] = 1,
     padding: Padding = "same",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """2-D convolution over the whole batch; 1x1 filters skip im2col.
 
@@ -76,8 +74,7 @@ def batched_conv2d(
         # One patch tensor + one GEMM beats per-tap GEMM accumulation at
         # every zoo shape; reuse the builtin kernel outright.
         from repro.kernels.conv import conv2d as _im2col_conv2d
-        return _im2col_conv2d(x, weights, bias, stride=stride, padding=padding,
-                              out=out)
+        return _im2col_conv2d(x, weights, bias, stride=stride, padding=padding)
     if x.shape[-1] != cin:
         raise KernelError(
             f"input channels {x.shape[-1]} != filter channels {cin}")
@@ -89,12 +86,6 @@ def batched_conv2d(
     ow = conv_output_size(x.shape[2], 1, sw, pad[1])
     pixels = xp[:, ::sh, ::sw, :].reshape(n * oh * ow, cin)
     w2 = weights.reshape(cin, cout)
-    dst = _gemm_dst(out, (n, oh, ow, cout), np.result_type(pixels, w2))
-    if dst is not None:
-        np.matmul(pixels, w2, out=dst.reshape(n * oh * ow, cout))
-        if bias is not None:
-            dst += bias
-        return dst
     res = pixels @ w2
     res = res.reshape(n, oh, ow, cout)
     if bias is not None:
@@ -108,7 +99,6 @@ def batched_depthwise_conv2d(
     bias: np.ndarray | None = None,
     stride: int | tuple[int, int] = 1,
     padding: Padding = "same",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Depthwise convolution as kh*kw fused multiply-adds over the batch.
 
@@ -132,38 +122,27 @@ def batched_depthwise_conv2d(
 
     if mult == 1:
         taps = weights[..., 0]  # (kh, kw, C): per-channel scalars per tap
-        dst = _gemm_dst(out, (n, oh, ow, c), np.result_type(xp, taps))
         acc = None
         scratch = None
         for i in range(kh):
             for j in range(kw):
                 tap = _tap_view(xp, i, j, oh, ow, sh, sw)
                 if acc is None:
-                    acc = tap * taps[i, j] if dst is None \
-                        else np.multiply(tap, taps[i, j], out=dst)
+                    acc = tap * taps[i, j]
                     scratch = np.empty_like(acc)
                 else:
                     np.multiply(tap, taps[i, j], out=scratch)
                     acc += scratch
     else:
-        dst = _gemm_dst(out, (n, oh, ow, c * mult),
-                        np.result_type(xp, weights))
-        acc5 = None if dst is None else dst.reshape(n, oh, ow, c, mult)
-        first = True
+        acc5 = None
         for i in range(kh):
             for j in range(kw):
                 tap = _tap_view(xp, i, j, oh, ow, sh, sw)
-                if first:
-                    if acc5 is None:
-                        acc5 = tap[..., None] * weights[i, j]  # (N,oh,ow,C,mult)
-                    else:
-                        np.multiply(tap[..., None], weights[i, j], out=acc5)
-                    first = False
+                if acc5 is None:
+                    acc5 = tap[..., None] * weights[i, j]  # (N,oh,ow,C,mult)
                 else:
                     acc5 += tap[..., None] * weights[i, j]
-        # Return the caller's buffer itself, not a reshaped view of it, so
-        # `result is out` identity checks work.
-        acc = dst if dst is not None else acc5.reshape(n, oh, ow, c * mult)
+        acc = acc5.reshape(n, oh, ow, c * mult)
     if bias is not None:
         acc += bias
     return acc

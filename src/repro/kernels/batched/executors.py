@@ -27,7 +27,6 @@ from repro.kernels.batched.quantized import (
     batched_qconv2d,
     batched_qdepthwise_conv2d,
 )
-from repro.runtime.annotations import supports_out
 from repro.runtime.executors_quant import _in_params, _out_params
 from repro.runtime.executors_quant import dense as _builtin_qdense
 from repro.util.errors import GraphError
@@ -49,80 +48,48 @@ def _fused_inplace(node: Node, out: np.ndarray, key: str = "activation") -> np.n
             f"node {node.name!r}: unknown activation {fn!r}") from None
 
 
-def _usable_out(out: np.ndarray | None, shape: tuple,
-                dtype: np.dtype) -> np.ndarray | None:
-    if out is None or out.shape != tuple(shape) or out.dtype != dtype \
-            or not out.flags.c_contiguous:
-        return None
-    return out
-
-
-@supports_out
-def conv2d(node: Node, inputs: list[np.ndarray], ctx,
-           out: np.ndarray | None = None) -> np.ndarray:
-    res = batched_conv2d(
+def conv2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _fused_inplace(node, batched_conv2d(
         inputs[0],
         node.weights["weights"],
         node.weights.get("bias"),
         stride=node.attrs.get("stride", 1),
         padding=node.attrs.get("padding", "same"),
-        out=out,
-    )
-    return _fused_inplace(node, res)
+    ))
 
 
-@supports_out
-def depthwise_conv2d(node: Node, inputs: list[np.ndarray], ctx,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    res = batched_depthwise_conv2d(
+def depthwise_conv2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _fused_inplace(node, batched_depthwise_conv2d(
         inputs[0],
         node.weights["weights"],
         node.weights.get("bias"),
         stride=node.attrs.get("stride", 1),
         padding=node.attrs.get("padding", "same"),
-        out=out,
-    )
-    return _fused_inplace(node, res)
+    ))
 
 
-@supports_out
-def dense(node: Node, inputs: list[np.ndarray], ctx,
-          out: np.ndarray | None = None) -> np.ndarray:
+def dense(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
     w = node.weights["weights"]
     x = inputs[0]
     if x.shape[-1] != w.shape[0]:
         raise GraphError(
             f"node {node.name!r}: dense input dim {x.shape[-1]} != "
             f"weight rows {w.shape[0]}")
-    dst = _usable_out(out, x.shape[:-1] + (w.shape[1],), np.result_type(x, w))
-    if dst is not None:
-        res = np.matmul(x, w, out=dst)
-    else:
-        res = x @ w
+    res = x @ w
     bias = node.weights.get("bias")
     if bias is not None:
         res += bias
     return _fused_inplace(node, res)
 
 
-@supports_out
-def add(node: Node, inputs: list[np.ndarray], ctx,
-        out: np.ndarray | None = None) -> np.ndarray:
-    a, b = inputs[0], inputs[1]
-    dst = _usable_out(out, np.broadcast_shapes(a.shape, b.shape),
-                      np.result_type(a, b))
-    return _fused_inplace(node, np.add(a, b, out=dst))
+def add(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _fused_inplace(node, np.add(inputs[0], inputs[1]))
 
 
-@supports_out
-def mul(node: Node, inputs: list[np.ndarray], ctx,
-        out: np.ndarray | None = None) -> np.ndarray:
+def mul(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
     # Applies the fused activation attr, exactly as ``add`` does — the
     # seed silently dropped it here.
-    a, b = inputs[0], inputs[1]
-    dst = _usable_out(out, np.broadcast_shapes(a.shape, b.shape),
-                      np.result_type(a, b))
-    return _fused_inplace(node, np.multiply(a, b, out=dst))
+    return _fused_inplace(node, np.multiply(inputs[0], inputs[1]))
 
 
 def avg_pool2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:

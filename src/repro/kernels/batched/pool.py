@@ -69,7 +69,8 @@ def batched_avg_pool2d(
             tap = _tap_view(op, i, j, oh, ow, sh, sw)
             counts = tap.copy() if counts is None else counts + tap
     acc /= counts
-    return acc
+    # Accumulate in float64, hand back the input dtype.
+    return acc.astype(x.dtype, copy=False)
 
 
 def batched_max_pool2d(

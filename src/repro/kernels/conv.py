@@ -19,22 +19,12 @@ from repro.kernels.common import (
 from repro.util.errors import KernelError
 
 
-def _gemm_dst(out: np.ndarray | None, shape: tuple,
-              dtype: np.dtype) -> np.ndarray | None:
-    """``out`` if the GEMM can write it without a cast or copy, else None."""
-    if out is None or out.shape != shape or out.dtype != dtype \
-            or not out.flags.c_contiguous:
-        return None
-    return out
-
-
 def conv2d(
     x: np.ndarray,
     weights: np.ndarray,
     bias: np.ndarray | None = None,
     stride: int | tuple[int, int] = 1,
     padding: Padding = "same",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """2-D convolution.
 
@@ -48,10 +38,6 @@ def conv2d(
         Optional per-output-channel bias, shape (C_out,).
     stride, padding:
         Spatial stride and padding ("same", "valid", or explicit pads).
-    out:
-        Optional preallocated result buffer, shape (N, oh, ow, C_out). Used
-        (and returned) only when the GEMM can write it directly — same
-        dtype, C-contiguous — so the result is bit-identical either way.
     """
     if weights.ndim != 4:
         raise KernelError(f"conv2d weights must be 4-D (kh,kw,Cin,Cout), got {weights.shape}")
@@ -64,12 +50,6 @@ def conv2d(
     n, oh, ow = patches.shape[:3]
     cols = patches.reshape(n * oh * ow, kh * kw * cin)
     w2 = weights.reshape(kh * kw * cin, cout)
-    dst = _gemm_dst(out, (n, oh, ow, cout), np.result_type(cols, w2))
-    if dst is not None:
-        np.matmul(cols, w2, out=dst.reshape(n * oh * ow, cout))
-        if bias is not None:
-            np.add(dst, bias, out=dst)
-        return dst
     res = cols @ w2
     res = res.reshape(n, oh, ow, cout)
     if bias is not None:
@@ -83,7 +63,6 @@ def depthwise_conv2d(
     bias: np.ndarray | None = None,
     stride: int | tuple[int, int] = 1,
     padding: Padding = "same",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Depthwise 2-D convolution.
 
@@ -106,14 +85,6 @@ def depthwise_conv2d(
     pad = resolve_padding(padding, x.shape[1], x.shape[2], kh, kw, sh, sw)
     patches = extract_patches(x, kh, kw, sh, sw, pad)  # (N, oh, ow, kh, kw, C)
     n, oh, ow = patches.shape[:3]
-    dst = _gemm_dst(out, (n, oh, ow, c * mult),
-                    np.result_type(patches, weights))
-    if dst is not None:
-        np.einsum("nhwklc,klcm->nhwcm", patches, weights,
-                  out=dst.reshape(n, oh, ow, c, mult), optimize=True)
-        if bias is not None:
-            np.add(dst, bias, out=dst)
-        return dst
     res = np.einsum("nhwklc,klcm->nhwcm", patches, weights, optimize=True)
     res = res.reshape(n, oh, ow, c * mult)
     if bias is not None:

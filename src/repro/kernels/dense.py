@@ -11,7 +11,6 @@ def dense(
     x: np.ndarray,
     weights: np.ndarray,
     bias: np.ndarray | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fully-connected layer: ``y = x @ W + b``.
 
@@ -23,10 +22,6 @@ def dense(
         Weight matrix of shape (D, units).
     bias:
         Optional bias of shape (units,).
-    out:
-        Optional preallocated result buffer; used (and returned) only when
-        the GEMM can write it without a cast, so results are bit-identical
-        either way.
     """
     if weights.ndim != 2:
         raise KernelError(f"dense weights must be 2-D (in,out), got {weights.shape}")
@@ -34,13 +29,6 @@ def dense(
         raise KernelError(
             f"dense input dim {x.shape[-1]} != weight rows {weights.shape[0]}"
         )
-    shape = x.shape[:-1] + (weights.shape[1],)
-    if out is not None and out.shape == shape and out.flags.c_contiguous \
-            and out.dtype == np.result_type(x, weights):
-        np.matmul(x, weights, out=out)
-        if bias is not None:
-            np.add(out, bias, out=out)
-        return out
     res = x @ weights
     if bias is not None:
         res = res + bias

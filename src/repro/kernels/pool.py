@@ -40,7 +40,8 @@ def avg_pool2d(
     patches = extract_patches(x, kh, kw, sh, sw, pad)
     sums = patches.sum(axis=(3, 4))
     counts = _pool_counts(x.shape[1], x.shape[2], kh, kw, sh, sw, pad)
-    return sums / counts[None, :, :, None]
+    # The float64 counts promote the quotient; hand back the input dtype.
+    return (sums / counts[None, :, :, None]).astype(x.dtype, copy=False)
 
 
 def max_pool2d(

@@ -1,6 +1,6 @@
 """The edge inference runtime: interpreter, compiled plans, op resolvers."""
 
-from repro.runtime.annotations import aliases_input, supports_out
+from repro.runtime.annotations import aliases_input
 from repro.runtime.interpreter import (
     ExecContext,
     Interpreter,
@@ -8,11 +8,8 @@ from repro.runtime.interpreter import (
     node_is_quantized,
 )
 from repro.runtime.plan import (
-    CHAIN_OPS,
-    ExecUnit,
     ExecutionPlan,
     NodeBinding,
-    build_schedule,
     compile_plan,
     derive_bindings,
 )
@@ -33,9 +30,7 @@ __all__ = [
     "BackendDescriptor",
     "BaseOpResolver",
     "BatchedOpResolver",
-    "CHAIN_OPS",
     "ExecContext",
-    "ExecUnit",
     "ExecutionPlan",
     "Interpreter",
     "KERNEL_BUG_PRESETS",
@@ -45,12 +40,10 @@ __all__ = [
     "RESOLVERS",
     "ReferenceOpResolver",
     "aliases_input",
-    "build_schedule",
     "compile_plan",
     "derive_bindings",
     "make_resolver",
     "node_is_quantized",
     "register_resolver",
     "select_backend",
-    "supports_out",
 ]

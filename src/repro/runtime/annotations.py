@@ -1,24 +1,19 @@
 """Executor annotations: contracts the runtime may exploit, never trust.
 
-Executors are plain ``(node, inputs, ctx) -> ndarray`` callables; these
-decorators attach capability flags the plan compiler reads into
+Executors are plain ``(node, inputs, ctx) -> ndarray`` callables; this
+decorator attaches a capability flag the plan compiler reads into
 :class:`~repro.runtime.plan.NodeBinding`:
 
 * :func:`aliases_input` — the executor returns a numpy *view* of one of
   its inputs (reshape/flatten/channel_reverse). The refcounted memory
-  accounting charges the base buffer once, and the arena packer may merge
-  the output into its input's slot — but only after
-  :func:`~repro.analysis.arena.verify_layout` re-proves the aliasing from
-  the graph. The flag is an eligibility hint, never a proof.
-* :func:`supports_out` — the executor accepts an ``out=`` keyword and may
-  write its result into that preallocated buffer (returning either ``out``
-  or a fresh array; callers must check ``result is out``). Out-writing
-  must be bit-identical to the executor's out-of-place result — the
-  backend byte-identity tests pin that.
+  accounting charges the base buffer once, and the arena packer
+  (:func:`~repro.analysis.arena.pack_arena`) may merge the output into its
+  input's slot — but only after :func:`~repro.analysis.arena.verify_layout`
+  re-proves the aliasing from the graph. The flag is an eligibility hint,
+  never a proof.
 
-Annotating a function that does not honor the contract is a correctness
-bug; ``tools/check_repo_rules.py`` enforces the converse (view-returning
-executors *must* carry ``aliases_input``).
+``tools/check_repo_rules.py`` enforces that view-returning executors carry
+``aliases_input``.
 """
 
 from __future__ import annotations
@@ -34,10 +29,4 @@ def aliases_input(fn: F) -> F:
     return fn
 
 
-def supports_out(fn: F) -> F:
-    """Mark an executor as accepting an ``out=`` output buffer keyword."""
-    fn.supports_out = True
-    return fn
-
-
-__all__ = ["aliases_input", "supports_out"]
+__all__ = ["aliases_input"]

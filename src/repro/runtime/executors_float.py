@@ -6,69 +6,43 @@ import numpy as np
 
 from repro import kernels as K
 from repro.graph.node import Node
-from repro.runtime.annotations import aliases_input, supports_out
+from repro.runtime.annotations import aliases_input
 from repro.util.errors import GraphError
 
 
-def _fused(node: Node, out: np.ndarray, inplace: bool = False) -> np.ndarray:
+def _fused(node: Node, out: np.ndarray) -> np.ndarray:
     fn = node.attrs.get("activation", "linear")
     if fn == "linear":
         return out
-    if inplace:
-        # Bit-identical to the registry kernels (same ufunc, out= only).
-        if fn == "relu":
-            return np.maximum(out, 0.0, out=out)
-        if fn == "relu6":
-            return np.clip(out, 0.0, 6.0, out=out)
     try:
         return K.ACTIVATIONS[fn](out)
     except KeyError:
         raise GraphError(f"node {node.name!r}: unknown activation {fn!r}") from None
 
 
-def _usable_out(out: np.ndarray | None, shape: tuple,
-                dtype: np.dtype) -> np.ndarray | None:
-    """``out`` if it can receive the result without a cast, else ``None``."""
-    if out is None or out.shape != tuple(shape) or out.dtype != dtype \
-            or not out.flags.c_contiguous:
-        return None
-    return out
-
-
-@supports_out
-def conv2d(node: Node, inputs: list[np.ndarray], ctx,
-           out: np.ndarray | None = None) -> np.ndarray:
-    res = K.conv2d(
+def conv2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _fused(node, K.conv2d(
         inputs[0],
         node.weights["weights"],
         node.weights.get("bias"),
         stride=node.attrs.get("stride", 1),
         padding=node.attrs.get("padding", "same"),
-        out=out,
-    )
-    return _fused(node, res, inplace=res is out)
+    ))
 
 
-@supports_out
-def depthwise_conv2d(node: Node, inputs: list[np.ndarray], ctx,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    res = K.depthwise_conv2d(
+def depthwise_conv2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _fused(node, K.depthwise_conv2d(
         inputs[0],
         node.weights["weights"],
         node.weights.get("bias"),
         stride=node.attrs.get("stride", 1),
         padding=node.attrs.get("padding", "same"),
-        out=out,
-    )
-    return _fused(node, res, inplace=res is out)
+    ))
 
 
-@supports_out
-def dense(node: Node, inputs: list[np.ndarray], ctx,
-          out: np.ndarray | None = None) -> np.ndarray:
-    res = K.dense(inputs[0], node.weights["weights"], node.weights.get("bias"),
-                  out=out)
-    return _fused(node, res, inplace=res is out)
+def dense(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _fused(node, K.dense(inputs[0], node.weights["weights"],
+                                node.weights.get("bias")))
 
 
 def batch_norm(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
@@ -79,19 +53,10 @@ def batch_norm(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
     )
 
 
-@supports_out
-def activation(node: Node, inputs: list[np.ndarray], ctx,
-               out: np.ndarray | None = None) -> np.ndarray:
+def activation(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
     fn = node.attrs["fn"]
-    x = inputs[0]
-    dst = _usable_out(out, x.shape, x.dtype)
-    if dst is not None:
-        if fn == "relu":
-            return np.maximum(x, 0.0, out=dst)
-        if fn == "relu6":
-            return np.clip(x, 0.0, 6.0, out=dst)
     try:
-        return K.ACTIVATIONS[fn](x)
+        return K.ACTIVATIONS[fn](inputs[0])
     except KeyError:
         raise GraphError(f"node {node.name!r}: unknown activation {fn!r}") from None
 
@@ -122,35 +87,19 @@ def global_avg_pool(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
     return K.global_avg_pool(inputs[0], keepdims=node.attrs.get("keepdims", False))
 
 
-@supports_out
-def pad2d(node: Node, inputs: list[np.ndarray], ctx,
-          out: np.ndarray | None = None) -> np.ndarray:
+def pad2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
     return K.pad2d(inputs[0], node.attrs["paddings"],
-                   node.attrs.get("value", 0.0), out=out)
+                   node.attrs.get("value", 0.0))
 
 
-@supports_out
-def add(node: Node, inputs: list[np.ndarray], ctx,
-        out: np.ndarray | None = None) -> np.ndarray:
-    a, b = inputs[0], inputs[1]
-    dst = _usable_out(out, np.broadcast_shapes(a.shape, b.shape),
-                      np.result_type(a, b))
-    if dst is not None:
-        return _fused(node, np.add(a, b, out=dst), inplace=True)
-    return _fused(node, K.add(a, b))
+def add(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _fused(node, K.add(inputs[0], inputs[1]))
 
 
-@supports_out
-def mul(node: Node, inputs: list[np.ndarray], ctx,
-        out: np.ndarray | None = None) -> np.ndarray:
+def mul(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
     # Applies the fused activation attr, exactly as ``add`` does — the
     # seed silently dropped it here.
-    a, b = inputs[0], inputs[1]
-    dst = _usable_out(out, np.broadcast_shapes(a.shape, b.shape),
-                      np.result_type(a, b))
-    if dst is not None:
-        return _fused(node, np.multiply(a, b, out=dst), inplace=True)
-    return _fused(node, K.mul(a, b))
+    return _fused(node, K.mul(inputs[0], inputs[1]))
 
 
 def concat(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:

@@ -12,18 +12,19 @@ exposes exactly the observation surface ML-EXray needs:
   bytes under a reference-counted arena, the "memory footprint" metric of
   Tables 2/3/5.
 
-Execution runs off a compiled :class:`~repro.runtime.plan.ExecutionPlan`:
-executor bindings, quantized flags, output specs, op-class labels, and
-initial refcounts are resolved once per (graph, resolver) rather than per
-call, and the latency model's MAC/element counts are memoized per batch
-size. ``Interpreter(..., use_plan=False)`` keeps the original re-derive-
-per-call path for parity testing and overhead measurement.
+There is one execution path: a compiled
+:class:`~repro.runtime.plan.ExecutionPlan` (executor bindings, quantized
+flags, output specs, op-class labels, and initial refcounts resolved once
+per (graph, resolver)), executed node by node. Each node's inputs are freed
+after their last consumer runs, and the latency model's MAC/element counts
+are memoized per batch size. Static arena layouts are an analysis
+(:mod:`repro.analysis.arena`, ``repro analyze --arena``), not an execution
+mode.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,11 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.graph.node import Node
 from repro.graph.spec import TensorSpec
-from repro.perfmodel.device import CHARGED_RESOLVER_KINDS, Device
-from repro.perfmodel.work import node_work
+from repro.perfmodel.device import Device
 from repro.runtime.plan import (
-    ExecUnit,
     ExecutionPlan,
     NodeBinding,
     compile_plan,
-    derive_bindings,
     node_is_quantized,
 )
 from repro.runtime.resolver import BaseOpResolver, OpResolver
@@ -104,74 +102,6 @@ class _LiveTracker:
             del self._roots[key]
 
 
-class _ArenaState:
-    """One preallocated buffer plus per-tensor views at verified offsets.
-
-    Built from a verified :class:`~repro.analysis.arena.ArenaLayout` and
-    cached on the interpreter per layout (the buffer is reused across
-    invokes). Slots carrying ``alias_of`` get *no* view: their tensors are
-    served as whatever view the executor returns — the runtime never
-    copies into a shared slot, so even a misbehaving (copying) executor
-    cannot corrupt the root tensor's bytes.
-    """
-
-    __slots__ = ("layout", "buffer", "views", "aliased", "alias_roots",
-                 "out_safe")
-
-    def __init__(self, graph: Graph, layout, schedule=()):
-        self.layout = layout
-        # Slot offsets are 64-byte aligned by the packer; the buffer base
-        # must be too, or every slot inherits the base's misalignment and
-        # BLAS out= kernels lose their aligned fast path.
-        nbytes = int(layout.arena_bytes)
-        raw = np.empty(nbytes + 64, dtype=np.uint8)
-        shift = (-raw.ctypes.data) % 64
-        self.buffer = raw[shift:shift + nbytes]
-        batch = int(layout.batch)
-        views: dict[str, np.ndarray] = {}
-        aliased: set[str] = set()
-        alias_roots: set[str] = set()
-        spans: dict[str, tuple[int, int]] = {}
-        for slot in layout.slots:
-            spans[slot.tensor] = (int(slot.offset),
-                                  int(slot.offset) + int(slot.nbytes))
-            if slot.alias_of is not None:
-                aliased.add(slot.tensor)
-                alias_roots.add(slot.alias_of)
-                continue
-            spec = graph.spec(slot.tensor)
-            shape = tuple(batch if d is None else int(d) for d in spec.shape)
-            dtype = np.dtype(spec.dtype)
-            raw = self.buffer[slot.offset:slot.offset + slot.nbytes]
-            views[slot.tensor] = raw.view(dtype).reshape(shape)
-        self.views = views
-        self.aliased = frozenset(aliased)
-        self.alias_roots = frozenset(alias_roots)
-        # Tensors whose slot an executor may *write while the unit's inputs
-        # are still being read*. The verifier only proves slots disjoint for
-        # overlapping live ranges; a fused unit's output slot can legally
-        # share bytes with an input that dies mid-unit, so out=/in-place
-        # execution additionally requires byte-range disjointness from every
-        # input the unit consumes.
-        out_safe: set[str] = set()
-        for unit in schedule:
-            t = spans.get(unit.output)
-            if t is None:
-                continue
-            ok = True
-            for b in unit.bindings:
-                for inp in b.node.inputs:
-                    s = spans.get(inp)
-                    if s is not None and s[0] < t[1] and t[0] < s[1]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out_safe.add(unit.output)
-        self.out_safe = frozenset(out_safe)
-
-
 @dataclass(frozen=True)
 class LayerRecord:
     """Observation of one executed node, delivered to observers."""
@@ -213,23 +143,6 @@ class Interpreter:
     device:
         Optional simulated device. When given, per-layer latency comes from
         the device cost model; otherwise real wall-clock time is reported.
-    use_plan:
-        Execute through a compiled :class:`ExecutionPlan` (the default).
-        ``False`` re-derives all per-node state on every call — the
-        original, slower behaviour, kept for parity tests and benchmarks.
-    arena:
-        Compile the plan with a verified static arena layout and serve
-        activation tensors from preallocated offsets (one buffer, reused
-        across invokes). Invokes whose batch differs from ``arena_batch``
-        fall back to the refcount path with a one-time warning; outputs
-        are byte-identical either way.
-    fuse:
-        Fuse adjacent elementwise/activation chains into single execution
-        units at plan-compile time — intermediates are never materialized,
-        but per-layer observer/profile records are still emitted for every
-        logical node.
-    arena_batch:
-        The batch size the arena layout is packed and verified at.
     """
 
     def __init__(
@@ -237,29 +150,18 @@ class Interpreter:
         graph: Graph,
         resolver: BaseOpResolver | None = None,
         device: Device | None = None,
-        use_plan: bool = True,
-        arena: bool = False,
-        fuse: bool = False,
-        arena_batch: int = 1,
     ):
         graph.validate()
         self.graph = graph
         self.device = device
-        self.use_plan = use_plan
-        self.use_arena = bool(arena)
-        self.fuse = bool(fuse)
-        self.arena_batch = int(arena_batch)
         self._observers: list = []
         self._plan: ExecutionPlan | None = None
-        self._arena_cache: _ArenaState | None = None
-        self._warned_arena_batch = False
         self.resolver = resolver or OpResolver()  # property: builds the ctx
         # Results of the most recent invoke().
         self.last_latency_ms: float = 0.0
         self.last_wall_ms: float = 0.0
         self.last_peak_activation_bytes: int = 0
         self.last_profile: list[dict] = []
-        self.last_arena_status: str = "off"
 
     # --------------------------------------------------------------- resolver
     @property
@@ -285,43 +187,8 @@ class Interpreter:
     def plan(self) -> ExecutionPlan:
         """The compiled plan, (re)compiled on demand when stale."""
         if self._plan is None or self._plan.stale():
-            self._plan = compile_plan(
-                self.graph, self.resolver, arena=self.use_arena,
-                fuse=self.fuse, arena_batch=self.arena_batch)
+            self._plan = compile_plan(self.graph, self.resolver)
         return self._plan
-
-    def _arena_state(self, plan: ExecutionPlan, batch: int) -> _ArenaState | None:
-        """The cached arena for this invoke, or ``None`` (refcount path).
-
-        A verified layout is only served at the exact batch it was packed
-        and proven at — a mismatched invoke falls back to refcounting with
-        a one-time warning rather than ever serving an undersized slot.
-        """
-        layout = getattr(plan, "arena", None)
-        if layout is None:
-            self.last_arena_status = "off"
-            return None
-        if int(layout.batch) != int(batch):
-            self.last_arena_status = f"fallback:batch={batch}"
-            if not self._warned_arena_batch:
-                self._warned_arena_batch = True
-                warnings.warn(
-                    f"arena layout for {self.graph.name!r} was packed at "
-                    f"batch {layout.batch} but invoke got batch {batch}; "
-                    "falling back to the refcounted path (pass "
-                    "arena_batch= to Interpreter/compile_plan to match)",
-                    RuntimeWarning, stacklevel=3)
-            return None
-        state = self._arena_cache
-        if state is None or state.layout is not layout:
-            state = _ArenaState(self.graph, layout, plan.schedule)
-            self._arena_cache = state
-        self.last_arena_status = "arena"
-        return state
-
-    def _derived_bindings(self) -> list[NodeBinding]:
-        """Per-call binding derivation: the uncompiled (seed) path."""
-        return derive_bindings(self.graph, self.resolver)
 
     # ------------------------------------------------------------- observers
     def add_observer(self, fn) -> None:
@@ -347,62 +214,42 @@ class Interpreter:
         """Run the graph; returns a dict of output tensors by name."""
         values = self._prepare_feeds(feeds)
         batch = self._feed_batch(values)
-        if self.use_plan:
-            plan = self.plan
-            units: tuple[ExecUnit, ...] = plan.schedule
-            refcounts = dict(plan.initial_refcounts)
-            keep = plan.keep
-            arena = self._arena_state(plan, batch)
-        else:
-            plan = None
-            units = tuple(ExecUnit(head=b, stages=(), output=b.node.output)
-                          for b in self._derived_bindings())
-            refcounts = self._initial_refcounts()
-            keep = set(self.graph.outputs)
-            arena = None
-            self.last_arena_status = "off"
-
+        plan = self.plan
+        refcounts = dict(plan.initial_refcounts)
+        keep = plan.keep
         tracker = _LiveTracker()
-        if arena is None:
-            for name, arr in values.items():
-                tracker.add(name, arr)
-        else:
-            # Stage feeds into their arena slots so downstream view ops
-            # (reshape/flatten) alias arena memory, not caller arrays —
-            # only needed for inputs some view op actually roots at.
-            for name in self.graph.inputs:
-                if name not in arena.alias_roots:
-                    continue
-                view = arena.views.get(name)
-                arr = values[name]
-                if view is not None and view.dtype == arr.dtype \
-                        and view.shape == arr.shape:
-                    np.copyto(view, arr)
-                    values[name] = view
+        for name, arr in values.items():
+            tracker.add(name, arr)
 
         profile: list[dict] = []
         total_latency = 0.0
         observers = self._observers
         simulate = self.device is not None
-        # Arena slots are overwritten by later nodes; observers that retain
-        # records must see a stable snapshot of each layer's output.
-        copy_records = arena is not None and bool(observers)
+        ctx = self._ctx
         t_start = time.perf_counter()
 
-        def emit(binding: NodeBinding, out: np.ndarray,
-                 latency_ms: float, wall_ms: float) -> None:
-            rec_out = np.array(out, copy=True) if copy_records else out
+        for binding in plan.bindings:
+            node = binding.node
+            inputs = [values[t] for t in node.inputs]
+            t0 = time.perf_counter()
+            out = binding.executor(node, inputs, ctx)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            out = np.asarray(out)
+
+            latency_ms = self._simulated_latency(binding, batch, plan) \
+                if simulate else wall_ms
+            total_latency += latency_ms
             record = LayerRecord(
-                index=binding.index, node=binding.node, spec=binding.spec,
-                output=rec_out, latency_ms=latency_ms, wall_ms=wall_ms,
+                index=binding.index, node=node, spec=binding.spec,
+                output=out, latency_ms=latency_ms, wall_ms=wall_ms,
                 quantized=binding.quantized,
             )
             for observer in observers:
                 observer(record)
             profile.append({
                 "index": binding.index,
-                "name": binding.node.name,
-                "op": binding.node.op,
+                "name": node.name,
+                "op": node.op,
                 "op_class": binding.op_class,
                 "quantized": binding.quantized,
                 "latency_ms": latency_ms,
@@ -410,131 +257,23 @@ class Interpreter:
                 "output_bytes": int(out.nbytes),
             })
 
-        for unit in units:
-            head = unit.head
-            node = head.node
-            target = None
-            if arena is not None and unit.output not in arena.aliased:
-                target = arena.views.get(unit.output)
-
-            writable = target is not None and unit.output in arena.out_safe
-
-            inputs = [values[t] for t in node.inputs]
-            t0 = time.perf_counter()
-            if writable and head.out_aware:
-                out = head.executor(node, inputs, self._ctx, out=target)
-            else:
-                out = head.executor(node, inputs, self._ctx)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            out = np.asarray(out)
-
-            latency_ms = self._simulated_latency(head, batch, plan) \
-                if simulate else wall_ms
-            total_latency += latency_ms
-            emit(head, out, latency_ms, wall_ms)
-
-            cur = out
-            prev_name = node.output
-            for sb in unit.stages:
-                s_node = sb.node
-                s_inputs = [cur if t == prev_name else values[t]
-                            for t in s_node.inputs]
-                t0 = time.perf_counter()
-                s_out = None
-                if writable and cur is target:
-                    s_out = self._stage_inplace(sb, cur, s_inputs)
-                if s_out is None:
-                    s_out = np.asarray(sb.executor(s_node, s_inputs, self._ctx))
-                s_wall = (time.perf_counter() - t0) * 1e3
-                s_lat = self._simulated_latency(sb, batch, plan) \
-                    if simulate else s_wall
-                total_latency += s_lat
-                emit(sb, s_out, s_lat, s_wall)
-                cur = s_out
-                prev_name = s_node.output
-
-            if target is not None and cur is not target:
-                # Materialize into the verified slot — but never through a
-                # silent cast: a dtype/shape mismatch serves the fresh
-                # array instead of corrupting the slot. A result that is
-                # itself a view into the arena (identity/alias executors)
-                # may overlap the slot; snapshot it first.
-                if cur.dtype == target.dtype and cur.shape == target.shape:
-                    if np.may_share_memory(cur, target):
-                        cur = np.array(cur, copy=True)
-                    np.copyto(target, cur)
-                    cur = target
-            values[unit.output] = cur
-
-            if arena is None:
-                tracker.add(unit.output, cur)
-                # Reference-counted arena: free after the last consumer.
-                for b in unit.bindings:
-                    for t in b.node.inputs:
-                        refcounts[t] -= 1
-                        if refcounts[t] == 0 and t not in keep and t in values:
-                            tracker.free(t)
-                            del values[t]
+            values[node.output] = out
+            tracker.add(node.output, out)
+            # Reference-counted arena: free after the last consumer.
+            for t in node.inputs:
+                refcounts[t] -= 1
+                if refcounts[t] == 0 and t not in keep and t in values:
+                    tracker.free(t)
+                    del values[t]
 
         self.last_latency_ms = total_latency
         self.last_wall_ms = (time.perf_counter() - t_start) * 1e3
-        self.last_peak_activation_bytes = int(arena.layout.arena_bytes) \
-            if arena is not None else tracker.peak
+        self.last_peak_activation_bytes = tracker.peak
         self.last_profile = profile
         missing = [t for t in self.graph.outputs if t not in values]
         if missing:
             raise GraphError(f"outputs never produced: {missing}")
-        if arena is not None:
-            # The arena buffer is reused by the next invoke; hand callers
-            # their own copies, never views into it.
-            return {t: np.array(values[t], copy=True)
-                    for t in self.graph.outputs}
         return {t: values[t] for t in self.graph.outputs}
-
-    _INPLACE_FNS = frozenset({"linear", "relu", "relu6"})
-
-    def _stage_inplace(self, binding: NodeBinding, cur: np.ndarray,
-                       s_inputs: list[np.ndarray]) -> np.ndarray | None:
-        """Run a fused stage in place on an exclusively-owned arena slot.
-
-        Only transforms that are bit-identical to their out-of-place
-        kernels are attempted (relu/relu6 via out=, add/mul with a fused
-        linear/relu/relu6); anything else returns ``None`` — *before*
-        mutating ``cur`` — and the caller falls back to the executor.
-        """
-        if binding.quantized:
-            return None
-        node = binding.node
-        op = node.op
-        if op == "activation":
-            fn = node.attrs.get("fn", "linear")
-            if fn == "linear":
-                return cur
-            if fn == "relu":
-                return np.maximum(cur, 0.0, out=cur)
-            if fn == "relu6":
-                return np.clip(cur, 0.0, 6.0, out=cur)
-            return None
-        if op in ("add", "mul"):
-            fused = node.attrs.get("activation", "linear")
-            if fused not in self._INPLACE_FNS or len(s_inputs) != 2:
-                return None
-            other = s_inputs[0] if s_inputs[1] is cur else s_inputs[1]
-            if np.result_type(cur, other) != cur.dtype:
-                return None
-            try:
-                if op == "add":
-                    np.add(cur, other, out=cur)
-                else:
-                    np.multiply(cur, other, out=cur)
-            except ValueError:  # non-broadcastable into cur's shape
-                return None
-            if fused == "relu":
-                np.maximum(cur, 0.0, out=cur)
-            elif fused == "relu6":
-                np.clip(cur, 0.0, 6.0, out=cur)
-            return cur
-        return None
 
     def invoke_single(self, x: np.ndarray) -> np.ndarray:
         """Run the graph and return its (single) output tensor."""
@@ -567,13 +306,6 @@ class Interpreter:
             values[name] = arr
         return values
 
-    def _initial_refcounts(self) -> dict[str, int]:
-        counts: dict[str, int] = {t: 0 for t in self.graph.tensors}
-        for node in self.graph.nodes:
-            for t in node.inputs:
-                counts[t] += 1
-        return counts
-
     def _feed_batch(self, values: dict[str, np.ndarray]) -> int:
         """Batch size of this invoke, read from the graph-input feeds.
 
@@ -593,21 +325,13 @@ class Interpreter:
         return 1
 
     def _simulated_latency(
-        self, binding: NodeBinding, batch: int,
-        plan: ExecutionPlan | None,
+        self, binding: NodeBinding, batch: int, plan: ExecutionPlan
     ) -> float:
-        if plan is not None:
-            work = plan.work(binding.index, batch)
-            resolver_kind = plan.latency_resolver_kind
-        else:
-            work = node_work(self.graph, binding.node, batch=batch)
-            resolver_kind = self.resolver.kind \
-                if self.resolver.kind in CHARGED_RESOLVER_KINDS \
-                else "optimized"
+        work = plan.work(binding.index, batch)
         return self.device.layer_latency_ms(
             binding.latency_op_class,
             "int8" if binding.quantized else "float",
-            resolver_kind,
+            plan.latency_resolver_kind,
             work.macs,
             work.elements,
         )

@@ -1,11 +1,11 @@
 """Compiled execution plans: per-node bindings precomputed once per graph.
 
-``Interpreter.invoke`` used to re-derive, for every node of every call, the
-executor lookup, the quantized-domain flag, the output spec, the op-class
-label, and the activation refcounts — pure Python overhead on a hot path the
-paper sells as "cheap, always-on" (Table 2). An :class:`ExecutionPlan`
-hoists all of that to compile time: it is built once per (graph, resolver)
-pair and replayed on every invoke.
+Re-deriving, for every node of every call, the executor lookup, the
+quantized-domain flag, the output spec, the op-class label, and the
+activation refcounts would be pure Python overhead on a hot path the paper
+sells as "cheap, always-on" (Table 2). An :class:`ExecutionPlan` hoists all
+of that to compile time: it is built once per (graph, resolver) pair and
+replayed by every ``Interpreter.invoke``.
 
 Plans are invalidated automatically when the resolver registers new kernels
 (see :attr:`~repro.runtime.resolver.BaseOpResolver.version`), so the custom
@@ -43,9 +43,9 @@ def node_is_quantized(graph: Graph, node: Node) -> bool:
 class NodeBinding:
     """Everything invoke needs for one node, resolved at compile time.
 
-    ``alias`` and ``out_aware`` mirror the bound executor's annotations
+    ``alias`` mirrors the bound executor's ``aliases_input`` annotation
     (:mod:`repro.runtime.annotations`): whether it returns a view of its
-    input, and whether it accepts a preallocated ``out=`` buffer.
+    input, which the arena packer reads.
     """
 
     index: int
@@ -56,15 +56,13 @@ class NodeBinding:
     op_class: str                    # profile label (OP_CLASS, "other" default)
     latency_op_class: str            # latency-model class (OP_CLASS, "act" default)
     alias: bool = False              # executor returns a view of an input
-    out_aware: bool = False          # executor accepts an out= buffer
 
 
 def derive_bindings(graph: Graph, resolver: BaseOpResolver) -> list[NodeBinding]:
     """Derive the per-node bindings for a graph against a resolver.
 
     The single source of truth for binding semantics: the plan calls this
-    once at compile time; the uncompiled interpreter path calls it on every
-    invoke (the seed behaviour the parity tests compare against).
+    once at compile time.
     """
     bindings = []
     for index, node in enumerate(graph.nodes):
@@ -79,95 +77,8 @@ def derive_bindings(graph: Graph, resolver: BaseOpResolver) -> list[NodeBinding]
             op_class=OP_CLASS.get(node.op, "other"),
             latency_op_class=OP_CLASS.get(node.op, "act"),
             alias=bool(getattr(executor, "aliases_input", False)),
-            out_aware=bool(getattr(executor, "supports_out", False)),
         ))
     return bindings
-
-
-CHAIN_OPS = frozenset({"activation", "add", "mul"})
-"""Ops a fused chain may absorb as follow-on stages.
-
-Cheap elementwise transforms whose output shape/dtype equal their primary
-input's: the chain's stages run back-to-back on the head's output without
-the intermediate ever entering the value table (and, under an arena, in
-place in the final output's slot where that is exact).
-"""
-
-
-@dataclass(frozen=True)
-class ExecUnit:
-    """One schedule step: a head binding plus fused follow-on stages.
-
-    With fusion off every unit is a bare head. With fusion on, a unit's
-    stages are elementwise/activation bindings that each solely consume
-    their predecessor's output; intermediates are never materialized in
-    the interpreter's value table, but profile/observer records are still
-    emitted per logical binding so EXray logs are unchanged.
-    """
-
-    head: NodeBinding
-    stages: tuple[NodeBinding, ...]
-    output: str                      # the unit's final output tensor
-
-    @property
-    def bindings(self) -> tuple[NodeBinding, ...]:
-        return (self.head, *self.stages)
-
-
-def _chainable(prev: NodeBinding, cand: NodeBinding,
-               consumer_counts: dict[str, int], outputs: set[str]) -> bool:
-    node = cand.node
-    if node.op not in CHAIN_OPS or cand.alias:
-        return False
-    if len(node.outputs) != 1 or len(prev.node.outputs) != 1:
-        return False
-    pout = prev.node.outputs[0]
-    # The intermediate must be invisible outside the chain: not a graph
-    # output, and consumed exactly once — by this stage.
-    if pout in outputs or consumer_counts.get(pout, 0) != 1:
-        return False
-    if pout not in node.inputs:
-        return False
-    # Stages run on the head's buffer: shape and dtype must carry through.
-    if cand.spec.shape != prev.spec.shape or cand.spec.dtype != prev.spec.dtype:
-        return False
-    return True
-
-
-def build_schedule(graph: Graph, bindings: tuple[NodeBinding, ...] | list[NodeBinding],
-                   fuse: bool = False) -> tuple[ExecUnit, ...]:
-    """Group bindings into :class:`ExecUnit`\\ s, fusing eligible chains.
-
-    Fusion only ever groups *adjacent* bindings, so the logical execution
-    order (and therefore every observer/profile record sequence) is
-    exactly the unfused schedule's.
-    """
-    if not fuse:
-        return tuple(ExecUnit(head=b, stages=(), output=b.node.output)
-                     for b in bindings)
-    consumer_counts: dict[str, int] = {}
-    for node in graph.nodes:
-        for t in node.inputs:
-            consumer_counts[t] = consumer_counts.get(t, 0) + 1
-    outputs = set(graph.outputs)
-    units: list[ExecUnit] = []
-    i = 0
-    while i < len(bindings):
-        head = bindings[i]
-        stages: list[NodeBinding] = []
-        if not head.alias and len(head.node.outputs) == 1:
-            prev = head
-            j = i + 1
-            while j < len(bindings) and _chainable(
-                    prev, bindings[j], consumer_counts, outputs):
-                stages.append(bindings[j])
-                prev = bindings[j]
-                j += 1
-        tail = stages[-1] if stages else head
-        units.append(ExecUnit(head=head, stages=tuple(stages),
-                              output=tail.node.output))
-        i += 1 + len(stages)
-    return tuple(units)
 
 
 class ExecutionPlan:
@@ -190,16 +101,12 @@ class ExecutionPlan:
         The resolver kind handed to the device cost model ("optimized",
         "reference", or "batched" — the model charges batched as optimized;
         custom resolvers are charged as optimized too).
-    arena:
-        An :class:`~repro.analysis.arena.ArenaLayout` of verified static
-        tensor offsets, or ``None``. Attached by ``compile_plan(...,
-        arena=True)`` / :meth:`attach_arena`; only layouts that pass the
-        independent verifier are ever attached.
+    schedule:
+        The execution order, one binding per node: the same tuple as
+        ``bindings``.
     """
 
-    def __init__(self, graph: Graph, resolver: BaseOpResolver,
-                 arena: bool = False, fuse: bool = False,
-                 arena_batch: int = 1):
+    def __init__(self, graph: Graph, resolver: BaseOpResolver):
         self.graph = graph
         self.resolver = resolver
         self.resolver_version = resolver.version
@@ -217,34 +124,8 @@ class ExecutionPlan:
 
         self.bindings: tuple[NodeBinding, ...] = tuple(
             derive_bindings(graph, resolver))
-        self.fuse = bool(fuse)
-        self.schedule: tuple[ExecUnit, ...] = build_schedule(
-            graph, self.bindings, fuse=self.fuse)
+        self.schedule = self.bindings
         self._work_cache: dict[tuple[int, int], NodeWork] = {}
-        self.arena = None
-        if arena:
-            self.attach_arena(batch=arena_batch)
-
-    def attach_arena(self, batch: int = 1):
-        """Pack a static arena layout for this plan and prove it sound.
-
-        The layout is packed from the plan's own schedule/refcounts but
-        only attached after :func:`~repro.analysis.arena.verify_layout`
-        re-derives liveness from the graph and finds nothing — a plan can
-        never vouch for its own memory layout.
-        """
-        from repro.analysis.arena import pack_arena, verify_layout
-        from repro.util.errors import GraphError
-
-        layout = pack_arena(self.graph, self, batch)
-        problems = verify_layout(self.graph, layout)
-        if problems:
-            details = "\n".join(f"  {d.describe()}" for d in problems)
-            raise GraphError(
-                f"arena layout for {self.graph.name!r} failed "
-                f"verification:\n{details}")
-        self.arena = layout
-        return layout
 
     def __len__(self) -> int:
         return len(self.bindings)
@@ -263,18 +144,6 @@ class ExecutionPlan:
         return cached
 
 
-def compile_plan(graph: Graph, resolver: BaseOpResolver,
-                 *, arena: bool = False, fuse: bool = False,
-                 arena_batch: int = 1) -> ExecutionPlan:
-    """Compile an execution plan for a validated graph and a resolver.
-
-    With ``arena=True`` the plan also carries a verified static arena
-    layout (``plan.arena``) assigning every activation tensor a byte
-    offset, packed and proven at ``arena_batch`` — the interpreter serves
-    tensors straight out of the arena for invokes at that batch size and
-    falls back to refcounting otherwise. With ``fuse=True`` adjacent
-    elementwise/activation chains are grouped into single
-    :class:`ExecUnit`\\ s so intermediates never materialize.
-    """
-    return ExecutionPlan(graph, resolver, arena=arena, fuse=fuse,
-                         arena_batch=arena_batch)
+def compile_plan(graph: Graph, resolver: BaseOpResolver) -> ExecutionPlan:
+    """Compile an execution plan for a validated graph and a resolver."""
+    return ExecutionPlan(graph, resolver)

@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic RNG, hand-built graphs, and zoo access.
+"""Shared fixtures: deterministic RNG, hand-built graphs, zoo access, and
+the reference walk the compiled interpreter is pinned against.
 
 Zoo-backed fixtures rely on the on-disk training cache
 (``.cache/zoo``); the first test session trains the models it needs
@@ -7,11 +8,16 @@ Zoo-backed fixtures rely on the on-disk training cache
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.convert import convert_to_mobile, quantize_graph
 from repro.graph import GraphBuilder
+from repro.perfmodel.device import CHARGED_RESOLVER_KINDS
+from repro.perfmodel.work import node_work
+from repro.runtime import ExecContext, derive_bindings
 
 
 @pytest.fixture
@@ -71,3 +77,77 @@ def calib_batch(rng):
 @pytest.fixture
 def small_cnn_quantized(small_cnn_mobile, calib_batch):
     return quantize_graph(small_cnn_mobile, [calib_batch])
+
+
+@dataclass
+class ReferenceRun:
+    """What :func:`run_reference` observed: the interpreter's contract."""
+
+    outputs: dict[str, np.ndarray]
+    layers: dict[str, np.ndarray]    # every node's output, by node name
+    profile: list[dict]              # interpreter profile minus wall_ms
+    latency_ms: float                # 0.0 without a device
+    peak_bytes: int
+
+
+def _resident_bytes(values: dict[str, np.ndarray]) -> int:
+    """Bytes of the distinct buffers behind ``values`` (views count once)."""
+    roots = {}
+    for arr in values.values():
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        roots[id(arr)] = arr.nbytes
+    return sum(roots.values())
+
+
+def run_reference(graph, resolver, feeds, device=None) -> ReferenceRun:
+    """Execute ``graph`` with no plan: fresh bindings and a per-node loop.
+
+    Tensors are dropped after their last consumer; the peak is recomputed
+    from the live values after every node, and simulated latency from
+    uncached ``node_work`` counts.
+    """
+    if isinstance(feeds, np.ndarray):
+        feeds = {graph.inputs[0]: feeds}
+    values = dict(feeds)
+    batch = next((values[name].shape[axis] for name in graph.inputs
+                  for axis, dim in enumerate(graph.spec(name).shape)
+                  if dim is None), 1)
+    kind = resolver.kind if resolver.kind in CHARGED_RESOLVER_KINDS \
+        else "optimized"
+    consumers = {}
+    for node in graph.nodes:
+        for t in node.inputs:
+            consumers[t] = consumers.get(t, 0) + 1
+    ctx = ExecContext(graph=graph, resolver=resolver)
+    run = ReferenceRun({}, {}, [], 0.0, _resident_bytes(values))
+    for b in derive_bindings(graph, resolver):
+        node = b.node
+        out = np.asarray(b.executor(node, [values[t] for t in node.inputs],
+                                    ctx))
+        latency_ms = 0.0
+        if device is not None:
+            work = node_work(graph, node, batch=batch)
+            latency_ms = device.layer_latency_ms(
+                b.latency_op_class, "int8" if b.quantized else "float",
+                kind, work.macs, work.elements)
+        run.latency_ms += latency_ms
+        run.profile.append({
+            "index": b.index, "name": node.name, "op": node.op,
+            "op_class": b.op_class, "quantized": b.quantized,
+            "latency_ms": latency_ms, "output_bytes": int(out.nbytes)})
+        run.layers[node.name] = out
+        values[node.output] = out
+        run.peak_bytes = max(run.peak_bytes, _resident_bytes(values))
+        for t in node.inputs:
+            consumers[t] -= 1
+            if consumers[t] == 0 and t not in graph.outputs:
+                values.pop(t, None)
+    run.outputs = {t: values[t] for t in graph.outputs}
+    return run
+
+
+@pytest.fixture
+def reference_invoke():
+    """:func:`run_reference`, for tests that pin the interpreter to it."""
+    return run_reference

@@ -1,29 +1,23 @@
-"""Arena-backed fused execution: parity, aliasing, fusion, fallbacks.
+"""Runtime memory/dtype contract, zoo-wide parity, and arena soundness.
 
-PR 10's runtime contract, pinned from every side:
+Pinned from every side:
 
 * **alias accounting** — reshape/flatten executors return *views*; the
-  refcounted arena charges each base buffer once, so peak resident bytes
-  match reality instead of double-counting every view;
+  refcounted accounting charges each base buffer once, so peak resident
+  bytes match reality instead of double-counting every view;
 * **fused-activation consistency** — ``mul`` applies its fused activation
   attr on every backend (builtin float, batched, quantized), byte-identical
   across all of them;
-* **arena execution** — with a verified :class:`ArenaLayout` attached, the
-  interpreter serves tensors from preallocated static offsets and stays
-  byte-identical to both the refcount path and the uncompiled seed path,
-  zoo-wide, float and quantized, at every batch size;
-* **batch-mismatch fallback** — a layout packed at one batch never serves
-  another: the invoke falls back to refcounting (one warning, ever) and
-  remains byte-identical;
-* **compile-time fusion** — elementwise/activation chains collapse into
-  execution units, while observer/profile records stay per logical node so
-  EXray logs are unchanged;
+* **zoo parity** — the compiled interpreter is byte-identical to the
+  plan-free reference walk (``reference_invoke`` in ``conftest.py``) on
+  every zoo model, float and quantized, both resolvers, batch 1/4/32;
+* **spec conformance** — every layer's output carries its spec dtype, and
+  the runtime's peak activation bytes equal the static liveness peak;
 * **verifier skepticism** — ``verify_layout`` re-proves every alias claim
   from the graph; a layout asserting a false alias is rejected, never
   trusted.
 """
 
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,15 +25,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import pack_arena, verify_layout
+from repro.analysis.liveness import liveness_from_graph, peak_live_bytes
 from repro.graph import GraphBuilder
 from repro.instrument import EdgeMLMonitor, EXrayLog
 from repro.runtime import (
     BatchedOpResolver,
-    CHAIN_OPS,
     Interpreter,
     OpResolver,
     ReferenceOpResolver,
-    compile_plan,
 )
 from repro.zoo import get_model, list_models
 
@@ -76,15 +69,14 @@ class TestAliasAccounting:
         b.mark_output(h)
         return b.finish()
 
-    @pytest.mark.parametrize("use_plan", [False, True])
-    def test_view_not_double_counted(self, rng, use_plan):
+    def test_view_not_double_counted(self, rng):
         # flatten returns a view of its input: true resident bytes while
         # dense runs are input + logits, and nothing more. The old
         # per-array accounting charged the flattened view again (and
         # "freed" bytes that stayed resident through the view).
         graph = self._flatten_graph(rng)
         x = rng.normal(size=(2, 4, 4, 8)).astype(np.float32)
-        interp = Interpreter(graph, use_plan=use_plan)
+        interp = Interpreter(graph)
         out = interp.invoke(x)["logits"]
         true_resident = x.nbytes + out.nbytes
         assert interp.last_peak_activation_bytes == true_resident
@@ -146,192 +138,95 @@ class TestMulFusedActivation:
         assert (relu >= o_p.zero_point).all()
 
 
-# --------------------------------------------------- batch-mismatch fallback
-
-class TestBatchMismatchFallback:
-    def test_fallback_identical_and_warns_once(self, small_cnn, rng):
-        x4 = rng.normal(size=(4, 8, 8, 3)).astype(np.float32)
-        x2 = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
-        seed = Interpreter(small_cnn, use_plan=False)
-        interp = Interpreter(small_cnn, arena=True, arena_batch=4)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = interp.invoke_single(x2)
-        assert interp.last_arena_status == "fallback:batch=2"
-        relevant = [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-        assert len(relevant) == 1
-        assert "batch 4" in str(relevant[0].message)
-        np.testing.assert_array_equal(got, seed.invoke_single(x2))
-
-        # The warning fires once per interpreter, not once per invoke.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            interp.invoke_single(x2)
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-
-        # A matching batch still serves from the arena, byte-identically.
-        np.testing.assert_array_equal(
-            interp.invoke_single(x4), seed.invoke_single(x4))
-        assert interp.last_arena_status == "arena"
-
-    def test_layout_records_packed_batch(self, small_cnn):
-        plan = compile_plan(small_cnn, OpResolver(), arena=True,
-                            arena_batch=8)
-        assert plan.arena.batch == 8
-
-
 # ------------------------------------------------------- zoo parity matrix
 
+@pytest.fixture(scope="module")
+def stages():
+    cache = {}
+
+    def build(model, stage):
+        key = (model, stage)
+        if key not in cache:
+            cache[key] = get_model(model, stage)
+        return cache[key]
+
+    return build
+
+
+def model_stages(model, names=("checkpoint", "mobile", "quantized")):
+    return [s for s in names
+            if not (s == "quantized" and model in UNQUANTIZABLE)]
+
+
 class TestZooParityMatrix:
-    @pytest.fixture(scope="class")
-    def stages(self):
-        cache = {}
-
-        def build(model, stage):
-            key = (model, stage)
-            if key not in cache:
-                cache[key] = get_model(model, stage)
-            return cache[key]
-
-        return build
-
     @pytest.mark.parametrize("model", sorted(list_models()))
-    def test_paths_byte_identical(self, stages, model):
-        stage_names = ["mobile", "quantized"]
-        if model in UNQUANTIZABLE:
-            stage_names = ["mobile"]
-        for stage in stage_names:
+    def test_paths_byte_identical(self, stages, model, reference_invoke):
+        for stage in model_stages(model, ("mobile", "quantized")):
             graph = stages(model, stage)
             for resolver_cls in (OpResolver, BatchedOpResolver):
                 for batch in (1, 4, 32):
                     feeds = make_feeds(graph, batch)
-                    seed = Interpreter(graph, resolver_cls(),
-                                       use_plan=False).invoke(feeds)
-                    plan = Interpreter(graph, resolver_cls()).invoke(feeds)
-                    arena_interp = Interpreter(
-                        graph, resolver_cls(), arena=True, fuse=True,
-                        arena_batch=batch)
-                    arena = arena_interp.invoke(feeds)
-                    assert arena_interp.last_arena_status == "arena", \
-                        (model, stage, resolver_cls.__name__, batch)
-                    for t in seed:
-                        ctx = (model, stage, resolver_cls.__name__, batch, t)
+                    ref = reference_invoke(graph, resolver_cls(), feeds)
+                    interp = Interpreter(graph, resolver_cls())
+                    plan = interp.invoke(feeds)
+                    ctx = (model, stage, resolver_cls.__name__, batch)
+                    assert interp.last_peak_activation_bytes == \
+                        ref.peak_bytes, ctx
+                    for t in ref.outputs:
                         np.testing.assert_array_equal(
-                            seed[t], plan[t], err_msg=repr(ctx))
-                        np.testing.assert_array_equal(
-                            seed[t], arena[t], err_msg=repr(ctx))
+                            ref.outputs[t], plan[t], err_msg=repr((*ctx, t)))
 
     @pytest.mark.parametrize("stage", ["mobile", "quantized"])
-    def test_exray_layer_schedule_unchanged(self, stages, stage):
-        # Fusion must be invisible to EXray: same layers, same order, same
-        # per-layer tensors, whether the runtime fused/arena'd or not.
+    def test_exray_layer_schedule_unchanged(self, stages, stage,
+                                            reference_invoke):
+        # EXray sees every logical layer, in graph order, with the very
+        # tensors the reference walk computes (dequantized, as logged).
         graph = stages("micro_mobilenet_v1", stage)
         feeds = make_feeds(graph, 4)
-        frames = {}
-        for label, kwargs in (
-                ("seed", {"use_plan": False}),
-                ("plan", {}),
-                ("arena", {"arena": True, "fuse": True, "arena_batch": 4})):
-            interp = Interpreter(graph, **kwargs)
-            monitor = EdgeMLMonitor(name=label, per_layer=True)
-            monitor.attach(interp)
-            with monitor.frame(interp):
-                interp.invoke(feeds)
-            frames[label] = EXrayLog.from_monitor(monitor).frames[0]
-        ref = frames["seed"]
-        assert list(ref.layer_ops) == [n.name for n in graph.nodes]
-        for label in ("plan", "arena"):
-            frame = frames[label]
-            assert list(frame.layer_ops) == list(ref.layer_ops), label
-            assert frame.layer_ops == ref.layer_ops, label
-            for key, tensor in ref.tensors.items():
-                np.testing.assert_array_equal(
-                    tensor, frame.tensors[key], err_msg=f"{label}:{key}")
-
-
-# --------------------------------------------------------------- fusion
-
-class TestFusion:
-    def test_schedule_covers_every_node_once(self, small_cnn):
-        plan = compile_plan(small_cnn, OpResolver(), fuse=True)
-        names = [b.node.name
-                 for unit in plan.schedule for b in unit.bindings]
-        assert names == [n.name for n in small_cnn.nodes]
-        # small_cnn carries a res_add -> relu tail: at least one real chain.
-        assert len(plan.schedule) < len(plan.bindings)
-        for unit in plan.schedule:
-            assert unit.output == unit.bindings[-1].node.output
-            for stage in unit.stages:
-                assert stage.node.op in CHAIN_OPS
-                assert not stage.alias
-
-    def test_unfused_schedule_is_bare(self, small_cnn):
-        plan = compile_plan(small_cnn, OpResolver())
-        assert len(plan.schedule) == len(plan.bindings)
-        assert all(not unit.stages for unit in plan.schedule)
-
-    def test_profile_still_per_logical_node(self, small_cnn, rng):
-        x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
-        interp = Interpreter(small_cnn, arena=True, fuse=True, arena_batch=2)
-        interp.invoke(x)
-        assert [p["name"] for p in interp.last_profile] == \
-            [n.name for n in small_cnn.nodes]
-        assert all(p["output_bytes"] > 0 for p in interp.last_profile)
-
-
-# ------------------------------------------------------- arena runtime
-
-class TestArenaRuntime:
-    def test_outputs_survive_buffer_reuse(self, small_cnn, rng):
-        # Arena slots are recycled every invoke; returned outputs must be
-        # the caller's own copies, not views into the shared buffer.
-        interp = Interpreter(small_cnn, arena=True, arena_batch=1)
-        x1 = rng.normal(size=(1, 8, 8, 3)).astype(np.float32)
-        x2 = rng.normal(size=(1, 8, 8, 3)).astype(np.float32)
-        first = interp.invoke_single(x1)
-        snapshot = first.copy()
-        assert not np.shares_memory(first, interp._arena_cache.buffer)
-        second = interp.invoke_single(x2)
-        np.testing.assert_array_equal(first, snapshot)
-        assert not np.array_equal(first, second)
-
-    def test_observer_sees_stable_snapshots(self, small_cnn, rng):
-        # Arena slots are overwritten by later layers; records retained by
-        # an observer must hold each layer's output as it was emitted.
-        x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
-        expected = {}
-        ref = Interpreter(small_cnn, use_plan=False)
-        ref.add_observer(
-            lambda r: expected.__setitem__(r.node.name, r.output.copy()))
-        ref.invoke(x)
-
-        records = []
-        interp = Interpreter(small_cnn, arena=True, fuse=True, arena_batch=2)
-        interp.add_observer(records.append)
-        interp.invoke(x)
-        assert [r.node.name for r in records] == list(expected)
-        for record in records:
+        interp = Interpreter(graph)
+        monitor = EdgeMLMonitor(name="plan", per_layer=True)
+        monitor.attach(interp)
+        with monitor.frame(interp):
+            interp.invoke(feeds)
+        frame = EXrayLog.from_monitor(monitor).frames[0]
+        ref = reference_invoke(graph, OpResolver(), feeds)
+        assert list(frame.layer_ops) == [n.name for n in graph.nodes]
+        for entry in ref.profile:
+            name = entry["name"]
+            expected = ref.layers[name]
+            quant = graph.spec(graph.node(name).output).quant
+            if entry["quantized"] and quant:
+                expected = quant.dequantize(expected)
             np.testing.assert_array_equal(
-                record.output, expected[record.node.name],
-                err_msg=record.node.name)
+                frame.tensors[f"layer/{name}"], expected, err_msg=name)
 
-    def test_peak_bytes_is_arena_size(self, small_cnn, rng):
-        interp = Interpreter(small_cnn, arena=True, arena_batch=1)
-        interp.invoke_single(rng.normal(size=(1, 8, 8, 3)).astype(np.float32))
-        assert interp.last_arena_status == "arena"
-        assert interp.last_peak_activation_bytes == \
-            int(interp.plan.arena.arena_bytes)
 
-    def test_arena_buffer_reused_across_invokes(self, small_cnn, rng):
-        interp = Interpreter(small_cnn, arena=True, arena_batch=1)
-        x = rng.normal(size=(1, 8, 8, 3)).astype(np.float32)
-        interp.invoke_single(x)
-        state = interp._arena_cache
-        interp.invoke_single(x)
-        assert interp._arena_cache is state
+class TestZooSpecConformance:
+    """Runtime observations agree with the graph's declared specs."""
+
+    @pytest.mark.parametrize("model", sorted(list_models()))
+    def test_layer_dtypes_match_specs(self, stages, model):
+        for stage in model_stages(model):
+            graph = stages(model, stage)
+            for resolver_cls in (OpResolver, BatchedOpResolver):
+                drift = []
+                interp = Interpreter(graph, resolver_cls())
+                interp.add_observer(lambda r: drift.append(
+                    (r.node.name, str(r.output.dtype), r.spec.dtype))
+                    if r.output.dtype != np.dtype(r.spec.dtype) else None)
+                interp.invoke(make_feeds(graph, 2))
+                assert drift == [], (stage, resolver_cls.__name__)
+
+    @pytest.mark.parametrize("model", sorted(list_models()))
+    def test_peak_matches_static_liveness(self, stages, model):
+        for stage in model_stages(model):
+            graph = stages(model, stage)
+            interp = Interpreter(graph)
+            for batch in (1, 4):
+                interp.invoke(make_feeds(graph, batch))
+                static = peak_live_bytes(liveness_from_graph(graph, batch))
+                assert interp.last_peak_activation_bytes == static, \
+                    (stage, batch)
 
 
 # --------------------------------------------------- verifier skepticism
@@ -378,21 +273,6 @@ class TestVerifierAliasClaims:
             replace(s, alias_of="flat") if s.tensor == "logits" else s
             for s in layout.slots))
         assert verify_layout(graph, lying)
-
-    def test_runtime_refuses_unverified_layout(self, small_cnn, monkeypatch):
-        # attach_arena re-verifies; a corrupted layout never reaches the
-        # interpreter.
-        import repro.analysis.arena as arena_mod
-        from repro.analysis.arena import corrupt_layout_for_test
-        from repro.util.errors import GraphError
-        real = arena_mod.pack_arena
-
-        def corrupted(graph, plan=None, batch=1):
-            return corrupt_layout_for_test(real(graph, plan, batch))
-
-        monkeypatch.setattr(arena_mod, "pack_arena", corrupted)
-        with pytest.raises(GraphError):
-            compile_plan(small_cnn, OpResolver(), arena=True)
 
 
 # ------------------------------------------------- repo rule: view returns

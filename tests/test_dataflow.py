@@ -36,7 +36,7 @@ from repro.analysis.arena import ALIGNMENT, corrupt_layout_for_test
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.plan import compile_plan
 from repro.runtime.resolver import OpResolver
-from repro.util.errors import GraphError, QuantizationError, ValidationError
+from repro.util.errors import QuantizationError, ValidationError
 from repro.zoo import get_model, list_models
 
 INF = float("inf")
@@ -246,24 +246,6 @@ class TestArena:
         doc["schema_version"] = 99
         with pytest.raises(ValidationError, match="schema version"):
             ArenaLayout.from_doc(doc)
-
-    def test_compile_plan_attaches_verified_arena(self, small_cnn_mobile):
-        plan = compile_plan(small_cnn_mobile, OpResolver(), arena=True)
-        assert isinstance(plan.arena, ArenaLayout)
-        assert verify_layout(small_cnn_mobile, plan.arena) == []
-        # Default stays arena-free: packing is opt-in.
-        assert compile_plan(small_cnn_mobile, OpResolver()).arena is None
-
-    def test_attach_arena_refuses_unverifiable_layout(
-            self, small_cnn_mobile, monkeypatch):
-        import repro.analysis.arena as arena_mod
-        real_pack = arena_mod.pack_arena
-        monkeypatch.setattr(
-            arena_mod, "pack_arena",
-            lambda graph, plan=None, batch=1:
-                corrupt_layout_for_test(real_pack(graph, plan, batch)))
-        with pytest.raises(GraphError, match="failed verification"):
-            compile_plan(small_cnn_mobile, OpResolver(), arena=True)
 
 
 class TestAnalysisReport:

@@ -1,9 +1,10 @@
-"""Execution-plan tests: compilation, caching, staleness, seed parity.
+"""Execution-plan tests: compilation, caching, staleness, reference parity.
 
-The parity tests pin the refactor's contract: a plan-compiled interpreter
-must be *bit-identical* to the seed (re-derive-per-call) interpreter in
-outputs, profile, simulated latency, and peak-memory accounting — wall-clock
-fields excepted, as they are measured, not computed.
+The parity tests pin the plan's contract: a plan-compiled interpreter must
+be *bit-identical* to a plan-free reference walk (``reference_invoke`` in
+``conftest.py``: freshly derived bindings and a per-node loop) in outputs,
+profile, simulated latency, and peak-memory accounting — wall-clock fields
+excepted, as they are measured, not computed.
 """
 
 import numpy as np
@@ -25,20 +26,18 @@ def strip_wall(profile):
             for entry in profile]
 
 
-def assert_invoke_parity(graph, x, resolver_fn=OpResolver, device=PIXEL4_CPU):
-    """Planned and unplanned interpreters must agree bit-for-bit."""
+def assert_invoke_parity(reference_invoke, graph, x, resolver_fn=OpResolver,
+                         device=PIXEL4_CPU):
+    """The planned interpreter and the reference walk agree bit-for-bit."""
     planned = Interpreter(graph, resolver_fn(), device=device)
-    unplanned = Interpreter(graph, resolver_fn(), device=device,
-                            use_plan=False)
-    out_p = planned.invoke(x)
-    out_u = unplanned.invoke(x)
-    assert sorted(out_p) == sorted(out_u)
-    for name in out_p:
-        np.testing.assert_array_equal(out_p[name], out_u[name])
-    assert planned.last_latency_ms == unplanned.last_latency_ms
-    assert planned.last_peak_activation_bytes == \
-        unplanned.last_peak_activation_bytes
-    assert strip_wall(planned.last_profile) == strip_wall(unplanned.last_profile)
+    out = planned.invoke(x)
+    ref = reference_invoke(graph, resolver_fn(), x, device)
+    assert sorted(out) == sorted(ref.outputs)
+    for name in out:
+        np.testing.assert_array_equal(out[name], ref.outputs[name])
+    assert planned.last_latency_ms == ref.latency_ms
+    assert planned.last_peak_activation_bytes == ref.peak_bytes
+    assert strip_wall(planned.last_profile) == ref.profile
 
 
 class TestCompile:
@@ -138,28 +137,30 @@ class TestStaleness:
 
 
 class TestSeedParity:
-    def test_small_cnn_float(self, small_cnn_mobile, rng):
+    def test_small_cnn_float(self, small_cnn_mobile, rng, reference_invoke):
         x = rng.normal(size=(3, 8, 8, 3)).astype(np.float32)
-        assert_invoke_parity(small_cnn_mobile, x)
+        assert_invoke_parity(reference_invoke, small_cnn_mobile, x)
 
-    def test_small_cnn_quantized(self, small_cnn_quantized, rng):
+    def test_small_cnn_quantized(self, small_cnn_quantized, rng,
+                                 reference_invoke):
         x = rng.normal(size=(3, 8, 8, 3)).astype(np.float32)
-        assert_invoke_parity(small_cnn_quantized, x)
+        assert_invoke_parity(reference_invoke, small_cnn_quantized, x)
 
-    def test_wall_clock_mode_outputs_match(self, small_cnn, rng):
+    def test_wall_clock_mode_outputs_match(self, small_cnn, rng,
+                                           reference_invoke):
         # No device: latency is wall-clock and cannot be compared, but
         # outputs and memory accounting still must match.
         x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
         planned = Interpreter(small_cnn)
-        unplanned = Interpreter(small_cnn, use_plan=False)
+        ref = reference_invoke(small_cnn, OpResolver(), x)
         np.testing.assert_array_equal(
-            planned.invoke_single(x), unplanned.invoke_single(x))
-        assert planned.last_peak_activation_bytes == \
-            unplanned.last_peak_activation_bytes
+            planned.invoke_single(x), ref.outputs["probs"])
+        assert planned.last_peak_activation_bytes == ref.peak_bytes
 
     @pytest.mark.parametrize("stage", ["mobile", "quantized"])
-    def test_zoo_model_parity(self, stage):
+    def test_zoo_model_parity(self, stage, reference_invoke):
         from repro.zoo import eval_data, get_model
         graph = get_model("micro_mobilenet_v1", stage=stage)
         x, _ = eval_data("micro_mobilenet_v1", 4, "plan-parity")
-        assert_invoke_parity(graph, np.asarray(x, dtype=np.float32))
+        assert_invoke_parity(reference_invoke, graph,
+                             np.asarray(x, dtype=np.float32))

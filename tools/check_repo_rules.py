@@ -18,12 +18,11 @@ Four rules:
   the exception (at minimum ``except Exception:``).
 * **alias-annotation** (executor modules only, ``executors*.py``): a
   top-level executor that returns ``something.reshape(...)`` hands the
-  runtime a *view* of its input.  The arena planner merges the slot of a
+  runtime a *view* of its input.  The arena packer merges the slot of a
   view op with its input's slot only when the executor is decorated with
-  ``@aliases_input``; an undecorated reshape-return silently double-counts
-  memory at best and, under an arena layout that was verified against the
-  declared aliases, corrupts data at worst.  Either decorate the executor
-  or materialize a copy.
+  ``@aliases_input``; an undecorated reshape-return gets a slot of its own,
+  so the packed layout over-allocates.  Either decorate the executor or
+  materialize a copy.
 
 Stdlib only (``ast``) so CI can run it before any dependency install.
 
@@ -140,8 +139,8 @@ def _check_executor_view_annotations(
                 violations.append((
                     path, node.lineno,
                     f"executor {fn.name!r} returns a .reshape(...) view "
-                    "without an @aliases_input annotation; the runtime "
-                    "would double-count (or arena-corrupt) the buffer — "
+                    "without an @aliases_input annotation; the arena "
+                    "packer would give the view a slot of its own — "
                     "decorate the executor or return a copy"))
     return violations
 
