@@ -54,7 +54,6 @@ from repro.pipelines import (
     make_preprocess,
 )
 from repro.runtime import (
-    BatchedOpResolver,
     Interpreter,
     OpResolver,
     ReferenceOpResolver,
@@ -82,7 +81,6 @@ __all__ = [
     "KernelBugs",
     "MLEXray",
     "NO_BUGS",
-    "BatchedOpResolver",
     "OpResolver",
     "PAPER_OPTIMIZED_BUGS",
     "PAPER_REFERENCE_BUGS",

@@ -13,8 +13,8 @@ package is the static complement — ``repro lint``. A registry of
 * **dataflow** rules (D001–D004): proofs from the interval abstract
   interpreter — accumulator overflow, guaranteed requant saturation,
   constant-foldable subgraphs, range contradictions;
-* **plan** rules (P001–P003): kernel-binding completeness, arena refcount
-  consistency, silent backend fallbacks (perf warnings);
+* **plan** rules (P001–P002): kernel-binding completeness, arena refcount
+  consistency;
 * **arena** rules (A001): the static memory layout's independent
   soundness proof (no two live tensors share bytes);
 * **pipeline** rules (S001–S005): preprocess-recipe contract vs the input

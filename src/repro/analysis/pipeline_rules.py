@@ -129,19 +129,18 @@ def variant_registry_names(ctx: RuleContext) -> Iterator[Diagnostic]:
     from repro.validate.variants import STAGES
 
     checks = (
-        ("stage", variant.stage, STAGES, False),
-        ("resolver", variant.resolver, tuple(RESOLVERS), True),
-        ("kernel_bugs", variant.kernel_bugs, tuple(KERNEL_BUG_PRESETS), False),
-        ("device", variant.device, tuple(DEVICES), False),
+        ("stage", variant.stage, STAGES),
+        ("resolver", variant.resolver, tuple(RESOLVERS)),
+        ("kernel_bugs", variant.kernel_bugs, tuple(KERNEL_BUG_PRESETS)),
+        ("device", variant.device, tuple(DEVICES)),
     )
-    for fieldname, value, options, allow_auto in checks:
-        if value in options or (allow_auto and value == "auto"):
+    for fieldname, value, options in checks:
+        if value in options:
             continue
-        extra = " (or 'auto')" if allow_auto else ""
         yield ctx.diag(
             f"variant {variant.name!r}: unknown {fieldname} {value!r}"
             f"{did_you_mean(value, options)}; available: "
-            f"{sorted(options)}{extra}",
+            f"{sorted(options)}",
             evidence={"field": fieldname, "value": value,
                       "available": sorted(options)})
 

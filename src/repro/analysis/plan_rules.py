@@ -1,12 +1,10 @@
-"""Execution-plan rules (P001–P003): bindings, refcounts, backend fallbacks.
+"""Execution-plan rules (P001–P002): bindings and refcounts.
 
 These compile (or accept) an :class:`~repro.runtime.plan.ExecutionPlan` and
 verify the properties the runtime silently assumes: every node has a kernel
-under the chosen backend (P001), the activation-arena refcounts match the
-graph's actual consumer counts — the safety precondition the ROADMAP's
-arena planner needs (P002) — and no op silently falls back from the chosen
-backend to the generic optimized kernels (P003, a perf warning keyed on
-the backend's advertised native op set).
+under the chosen backend (P001), and the activation-arena refcounts match
+the graph's actual consumer counts — the safety precondition the ROADMAP's
+arena planner needs (P002).
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.registry import RuleContext, register_rule
 from repro.runtime.plan import node_is_quantized
 from repro.util.errors import GraphError
-
-_BRIDGE_OPS = ("quantize", "dequantize")
 
 
 @register_rule("P001", severity="error", category="plan",
@@ -94,36 +90,3 @@ def refcount_consistency(ctx: RuleContext) -> Iterator[Diagnostic]:
                     node=node.name,
                     evidence={"index": binding.index,
                               "bound": binding.node.name})
-
-
-@register_rule("P003", severity="warning", category="plan",
-               title="silent backend fallback")
-def backend_fallbacks(ctx: RuleContext) -> Iterator[Diagnostic]:
-    """An op the chosen backend does not accelerate falls back silently.
-
-    Backends that advertise native op sets (``resolver.batched_ops`` /
-    ``resolver.batched_quant_ops`` for the batched backend) execute
-    everything else through the generic optimized kernels. That is correct but slow — exactly the
-    silently-unsupported-op deployment surprise the paper warns about — so
-    each fallback is reported as a perf warning, not an error.
-    """
-    resolver = ctx.get_resolver()
-    native = getattr(resolver, "batched_ops", None)
-    if native is None:
-        return  # backend has no declared native set; nothing to compare
-    native_quant = frozenset(getattr(resolver, "batched_quant_ops", ()) or ())
-    backend = ctx.backend or type(resolver).__name__
-    for node in ctx.graph.nodes:
-        if node.op in _BRIDGE_OPS:
-            continue  # domain bridges are infrastructure on every backend
-        quantized = node_is_quantized(ctx.graph, node)
-        if node.op not in (native_quant if quantized else native):
-            domain = "quantized" if quantized else "float"
-            yield ctx.diag(
-                f"op {node.op!r} (node {node.name!r}, {domain}) is not in "
-                f"backend {backend!r}'s native op set; it falls back to "
-                "the generic optimized kernel",
-                node=node.name,
-                evidence={"op": node.op, "quantized": quantized,
-                          "backend": backend,
-                          "native_ops": sorted(native)})

@@ -76,8 +76,7 @@ class RuleContext:
         if self.resolver is None:
             from repro.runtime.resolver import make_resolver
 
-            self.resolver = make_resolver(self.backend or "optimized",
-                                          device=self.device)
+            self.resolver = make_resolver(self.backend or "optimized")
         return self.resolver
 
     def get_plan(self):

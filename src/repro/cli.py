@@ -6,7 +6,7 @@ its operational surface::
     python -m repro list-models
     python -m repro export micro_mobilenet_v2 --stage quantized -o v2.rpm
     python -m repro lint micro_mobilenet_v2 --stage quantized
-    python -m repro lint v2.rpm --backend batched --format json
+    python -m repro lint v2.rpm --backend reference --format json
     python -m repro lint --explain D001
     python -m repro analyze micro_mobilenet_v1 --stage quantized --arena
     python -m repro validate micro_mobilenet_v2 --bug channel_order=bgr
@@ -199,8 +199,7 @@ def cmd_validate(args, out) -> int:
     device = DEVICES["pixel4_cpu"]  # EdgeApp's default simulated device
     sink = DirectorySink(args.log_dir) if args.log_dir else None
     edge = EdgeApp(graph, preprocess=preprocess, device=device,
-                   resolver=make_resolver(args.resolver, args.kernel_bugs,
-                                          device=device),
+                   resolver=make_resolver(args.resolver, args.kernel_bugs),
                    monitor=MLEXray("edge", per_layer=True, sink=sink))
     edge.run(frames, labels, log_raw=entry.task == "classification")
     edge.monitor.close()
@@ -608,8 +607,7 @@ def cmd_profile(args, out) -> int:
     frames, _ = eval_data(args.model, args.frames, "cli-profile")
     device = DEVICES[args.device]
     app = EdgeApp(graph,
-                  resolver=make_resolver(args.resolver, args.kernel_bugs,
-                                         device=device),
+                  resolver=make_resolver(args.resolver, args.kernel_bugs),
                   device=device, monitor=MLEXray("edge"))
     app.run_batched(frames[:1])  # warm validation
     app.run(frames)
@@ -654,12 +652,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deployment stage to lint (zoo models only; a .rpm "
                         "file already is a stage)")
     p.add_argument("--backend", default=None,
-                   choices=sorted(RESOLVERS) + ["auto"],
+                   choices=sorted(RESOLVERS),
                    help="lint plan/binding rules against this kernel "
                         "backend (default: optimized)")
     p.add_argument("--device", default=None, choices=sorted(DEVICES),
-                   help="simulated device, for per-device backend selection "
-                        "with --backend auto")
+                   help="simulated device the deployment targets (handed to "
+                        "the rules' context; no builtin rule reads it yet)")
     p.add_argument("--format", default="text", choices=("text", "json"),
                    help="text report or the versioned LintReport JSON")
     p.add_argument("--fail-on", default="error", choices=SEVERITIES,
@@ -700,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject a preprocessing bug (repeatable), e.g. "
                         "channel_order=bgr, normalization=[0,1], rotation_k=1")
     p.add_argument("--resolver", default="optimized",
-                   choices=sorted(RESOLVERS) + ["auto"])
+                   choices=sorted(RESOLVERS))
     p.add_argument("--kernel-bugs", default="none", choices=sorted(KERNEL_BUG_PRESETS))
     p.add_argument("--always-assert", action="store_true",
                    help="run assertions even when accuracy looks healthy")
@@ -729,9 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backends", default=None, metavar="NAME,NAME,...",
                    help="fan the lineup across kernel backends (one clone "
                         "per variant per backend, named variant@backend): "
-                        "comma-separated registry names, 'auto' (per-device "
-                        "selection), or 'all' — e.g. "
-                        "--backends optimized,reference,batched")
+                        "comma-separated registry names or 'all' — e.g. "
+                        "--backends optimized,reference")
     p.add_argument("--executor", default="process",
                    choices=("process", "thread", "serial"))
     p.add_argument("--workers", type=int, default=None,
@@ -850,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=4)
     p.add_argument("--device", default="pixel4_cpu", choices=sorted(DEVICES))
     p.add_argument("--resolver", default="optimized",
-                   choices=sorted(RESOLVERS) + ["auto"])
+                   choices=sorted(RESOLVERS))
     p.add_argument("--kernel-bugs", default="none", choices=sorted(KERNEL_BUG_PRESETS))
     return parser
 

@@ -1,4 +1,9 @@
-"""Shared kernel helpers: padding arithmetic and window extraction.
+"""Shared kernel helpers: padding arithmetic, window geometry and extraction.
+
+The float and int8 convolution kernels share their data movement here: the
+GEMM rows of a convolution (:func:`im2col_rows`), the per-tap strided views
+of a padded input (:func:`tap_view`) and the depthwise tap loop built on
+them (:func:`depthwise_taps`).
 
 All image kernels in this library use the NHWC layout (batch, height, width,
 channels) and TensorFlow-style padding semantics, because that is the layout
@@ -69,6 +74,106 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: tuple[int, int]) 
             f"window {kernel} larger than padded input {padded} (size={size}, pad={pad})"
         )
     return (padded - kernel) // stride + 1
+
+
+def check_filter_bank(x: np.ndarray, weights: np.ndarray, kind: str, layout: str) -> None:
+    """Reject a filter bank that is not 4-D or does not fit the input's channels.
+
+    Both the conv (kh, kw, Cin, Cout) and the depthwise (kh, kw, C, mult)
+    layouts carry the input channel count on axis 2.
+    """
+    if weights.ndim != 4:
+        raise KernelError(f"{kind} weights must be 4-D ({layout}), got {weights.shape}")
+    if x.shape[-1] != weights.shape[2]:
+        raise KernelError(
+            f"input channels {x.shape[-1]} != filter channels {weights.shape[2]}")
+
+
+def window_geometry(
+    x: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int | tuple[int, int],
+    padding: Padding,
+) -> tuple[int, int, tuple[tuple[int, int], tuple[int, int]], int, int]:
+    """Stride, resolved padding and output size of a kh x kw window over NHWC ``x``.
+
+    Returns ``(sh, sw, pad, oh, ow)``.
+    """
+    if x.ndim != 4:
+        raise KernelError(f"expected NHWC input, got shape {x.shape}")
+    sh, sw = normalize_stride(stride)
+    pad = resolve_padding(padding, x.shape[1], x.shape[2], kh, kw, sh, sw)
+    oh = conv_output_size(x.shape[1], kh, sh, pad[0])
+    ow = conv_output_size(x.shape[2], kw, sw, pad[1])
+    return sh, sw, pad, oh, ow
+
+
+def pad_spatial(
+    x: np.ndarray,
+    pad: tuple[tuple[int, int], tuple[int, int]],
+    value: float = 0.0,
+) -> np.ndarray:
+    """Pad the H and W axes of an NHWC tensor with ``value`` (no-op if unpadded)."""
+    (pt, pb), (pl, pr) = pad
+    if pt or pb or pl or pr:
+        return np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
+                      mode="constant", constant_values=value)
+    return x
+
+
+def tap_view(
+    xp: np.ndarray, i: int, j: int, oh: int, ow: int, sh: int, sw: int
+) -> np.ndarray:
+    """The (N, oh, ow, C) view of a padded input that window tap (i, j) reads."""
+    return xp[:, i:i + (oh - 1) * sh + 1:sh, j:j + (ow - 1) * sw + 1:sw, :]
+
+
+def im2col_rows(
+    x: np.ndarray,
+    kh: int,
+    kw: int,
+    sh: int,
+    sw: int,
+    pad: tuple[tuple[int, int], tuple[int, int]],
+) -> np.ndarray:
+    """The (N*oh*ow, kh*kw*C) left operand of a convolution GEMM.
+
+    A 1x1 window's rows are the strided pixels themselves, so they skip the
+    patch copy; the values and layout match :func:`extract_patches`, so the
+    GEMM over them is bit-identical.
+    """
+    if kh == 1 and kw == 1:
+        pixels = pad_spatial(x, pad)[:, ::sh, ::sw, :]
+        return np.ascontiguousarray(pixels.reshape(-1, x.shape[-1]))
+    patches = extract_patches(x, kh, kw, sh, sw, pad)
+    return patches.reshape(-1, kh * kw * x.shape[-1])
+
+
+def depthwise_taps(
+    xp: np.ndarray, weights: np.ndarray, oh: int, ow: int, sh: int, sw: int
+) -> np.ndarray:
+    """Depthwise window sums as one multiply-add per filter tap.
+
+    ``xp`` is the padded (N, H, W, C) input and ``weights`` the
+    (kh, kw, C, mult) filters, already in the accumulator dtype. Returns the
+    (N, oh, ow, C*mult) accumulator, summed over taps in row-major order.
+    """
+    kh, kw, c, mult = weights.shape
+    w = weights[..., 0] if mult == 1 else weights
+    acc = scratch = None
+    for i in range(kh):
+        for j in range(kw):
+            tap = tap_view(xp, i, j, oh, ow, sh, sw)
+            if mult != 1:
+                tap = tap[..., None]
+            if acc is None:
+                acc = tap * w[i, j]
+                scratch = np.empty_like(acc)
+            else:
+                np.multiply(tap, w[i, j], out=scratch)
+                acc += scratch
+    return acc.reshape(xp.shape[0], oh, ow, c * mult)
 
 
 def extract_patches(

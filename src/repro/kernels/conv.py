@@ -1,9 +1,13 @@
 """Float convolution kernels (NHWC, TF weight layouts).
 
-``conv2d`` uses the im2col + GEMM strategy; ``depthwise_conv2d`` contracts the
-window dimensions per channel with einsum. Both match TensorFlow semantics so
-that converted "mobile" models behave like their training-pipeline
-counterparts up to float associativity.
+``conv2d`` runs one GEMM over the whole batch: a 1x1 filter multiplies the
+flattened pixels directly (bit-identical to im2col, without the patch copy;
+MobileNet-family graphs are mostly pointwise convolutions), larger filters
+multiply the im2col patch matrix. ``depthwise_conv2d`` accumulates one
+multiply-add per filter tap over strided (N, oh, ow, C) views of the padded
+input instead of materializing an (N, oh, ow, kh, kw, C) patch tensor. Both
+match TensorFlow semantics so that converted "mobile" models behave like
+their training-pipeline counterparts up to float associativity.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ import numpy as np
 
 from repro.kernels.common import (
     Padding,
-    extract_patches,
-    normalize_stride,
-    resolve_padding,
+    check_filter_bank,
+    depthwise_taps,
+    im2col_rows,
+    pad_spatial,
+    window_geometry,
 )
-from repro.util.errors import KernelError
 
 
 def conv2d(
@@ -39,19 +44,12 @@ def conv2d(
     stride, padding:
         Spatial stride and padding ("same", "valid", or explicit pads).
     """
-    if weights.ndim != 4:
-        raise KernelError(f"conv2d weights must be 4-D (kh,kw,Cin,Cout), got {weights.shape}")
+    check_filter_bank(x, weights, "conv2d", "kh,kw,Cin,Cout")
     kh, kw, cin, cout = weights.shape
-    if x.shape[-1] != cin:
-        raise KernelError(f"input channels {x.shape[-1]} != filter channels {cin}")
-    sh, sw = normalize_stride(stride)
-    pad = resolve_padding(padding, x.shape[1], x.shape[2], kh, kw, sh, sw)
-    patches = extract_patches(x, kh, kw, sh, sw, pad)
-    n, oh, ow = patches.shape[:3]
-    cols = patches.reshape(n * oh * ow, kh * kw * cin)
-    w2 = weights.reshape(kh * kw * cin, cout)
-    res = cols @ w2
-    res = res.reshape(n, oh, ow, cout)
+    sh, sw, pad, oh, ow = window_geometry(x, kh, kw, stride, padding)
+    cols = im2col_rows(x, kh, kw, sh, sw, pad)
+    res = cols @ weights.reshape(kh * kw * cin, cout)
+    res = res.reshape(x.shape[0], oh, ow, cout)
     if bias is not None:
         res = res + bias
     return res
@@ -74,19 +72,10 @@ def depthwise_conv2d(
         Depthwise filters, shape (kh, kw, C, multiplier) — the TF layout.
         Output has C * multiplier channels, grouped per input channel.
     """
-    if weights.ndim != 4:
-        raise KernelError(
-            f"depthwise weights must be 4-D (kh,kw,C,mult), got {weights.shape}"
-        )
-    kh, kw, c, mult = weights.shape
-    if x.shape[-1] != c:
-        raise KernelError(f"input channels {x.shape[-1]} != filter channels {c}")
-    sh, sw = normalize_stride(stride)
-    pad = resolve_padding(padding, x.shape[1], x.shape[2], kh, kw, sh, sw)
-    patches = extract_patches(x, kh, kw, sh, sw, pad)  # (N, oh, ow, kh, kw, C)
-    n, oh, ow = patches.shape[:3]
-    res = np.einsum("nhwklc,klcm->nhwcm", patches, weights, optimize=True)
-    res = res.reshape(n, oh, ow, c * mult)
+    check_filter_bank(x, weights, "depthwise", "kh,kw,C,mult")
+    kh, kw = weights.shape[:2]
+    sh, sw, pad, oh, ow = window_geometry(x, kh, kw, stride, padding)
+    res = depthwise_taps(pad_spatial(x, pad), weights, oh, ow, sh, sw)
     if bias is not None:
         res = res + bias
     return res

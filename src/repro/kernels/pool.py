@@ -1,4 +1,11 @@
-"""Float pooling kernels (NHWC)."""
+"""Float pooling kernels (NHWC).
+
+``max_pool2d`` keeps a running elementwise maximum over the window taps
+(strided views of the -inf-padded input), so no patch tensor is built; max
+is order-independent, so this equals the patch reduction exactly.
+``avg_pool2d`` sums im2col patches: its float32 summation order is the one
+calibration and the quantized zoo graphs were built against.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,10 @@ from repro.kernels.common import (
     Padding,
     extract_patches,
     normalize_stride,
+    pad_spatial,
     resolve_padding,
+    tap_view,
+    window_geometry,
 )
 from repro.util.errors import KernelError
 
@@ -52,10 +62,15 @@ def max_pool2d(
 ) -> np.ndarray:
     """Max pooling over spatial windows (padding uses -inf, never wins)."""
     kh, kw = normalize_stride(pool_size)
-    sh, sw = normalize_stride(stride if stride is not None else (kh, kw))
-    pad = resolve_padding(padding, x.shape[1], x.shape[2], kh, kw, sh, sw)
-    patches = extract_patches(x, kh, kw, sh, sw, pad, pad_value=-np.inf)
-    return patches.max(axis=(3, 4))
+    sh, sw, pad, oh, ow = window_geometry(
+        x, kh, kw, stride if stride is not None else (kh, kw), padding)
+    xp = pad_spatial(x, pad, value=-np.inf)
+    out = tap_view(xp, 0, 0, oh, ow, sh, sw).copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                np.maximum(out, tap_view(xp, i, j, oh, ow, sh, sw), out=out)
+    return out
 
 
 def global_avg_pool(x: np.ndarray, keepdims: bool = False) -> np.ndarray:

@@ -7,6 +7,15 @@ configurations both paths produce **bit-identical** outputs, which is exactly
 the property the paper exploits ("any accuracy discrepancies in int8
 fully-quantized model between builtin op and builtin reference op should be
 treated as a bug").
+
+Convolutions run on *centered* float64 activations with the float kernels'
+strategies: ``qconv2d`` is one GEMM over the batch (a 1x1 filter multiplies
+the flattened pixels, larger filters the im2col patches) and
+``qdepthwise_conv2d`` is one multiply-add per filter tap. Centered int8
+activations and int8 weights are exact integers in float64 and every
+accumulator stays far below 2**53, so the sums are exact whatever the
+accumulation order — which is why these kernels stay bit-identical to the
+per-channel reference loops.
 """
 
 from __future__ import annotations
@@ -15,9 +24,14 @@ import numpy as np
 
 from repro.kernels.common import (
     Padding,
+    check_filter_bank,
+    depthwise_taps,
     extract_patches,
+    im2col_rows,
     normalize_stride,
+    pad_spatial,
     resolve_padding,
+    window_geometry,
 )
 from repro.kernels.quantized.bugs import NO_BUGS, KernelBugs
 from repro.kernels.quantized.requant import (
@@ -45,19 +59,17 @@ def qconv2d(
     activation: str = "linear",
     bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
-    """Quantized 2-D convolution (im2col + GEMM on centered integers).
+    """Quantized 2-D convolution (one GEMM on centered integers).
 
     Padding with the input zero point is implemented by centering first and
     zero-padding after, which is arithmetically identical.
     """
+    check_filter_bank(x_q, w_q, "conv2d", "kh,kw,Cin,Cout")
     kh, kw, cin, cout = w_q.shape
-    sh, sw = normalize_stride(stride)
-    pad = resolve_padding(padding, x_q.shape[1], x_q.shape[2], kh, kw, sh, sw)
-    patches = extract_patches(_centered(x_q, in_params), kh, kw, sh, sw, pad)
-    n, oh, ow = patches.shape[:3]
-    cols = patches.reshape(n * oh * ow, kh * kw * cin)
+    sh, sw, pad, oh, ow = window_geometry(x_q, kh, kw, stride, padding)
+    cols = im2col_rows(_centered(x_q, in_params), kh, kw, sh, sw, pad)
     acc = cols @ w_q.astype(np.float64).reshape(kh * kw * cin, cout)
-    acc = acc.reshape(n, oh, ow, cout)
+    acc = acc.reshape(x_q.shape[0], oh, ow, cout)
     if bias_q is not None:
         acc = acc + bias_q.astype(np.float64)
     mult = output_multiplier(in_params, w_params, out_params)
@@ -78,20 +90,16 @@ def qdepthwise_conv2d(
 ) -> np.ndarray:
     """Quantized depthwise convolution.
 
-    When :attr:`KernelBugs.dwconv_accumulator_bits` is set, the window dot
-    product wraps through a narrow accumulator before the bias add — the
+    When :attr:`KernelBugs.dwconv_accumulator_bits` is set, the full window
+    sum wraps through a narrow accumulator before the bias add — the
     overflow-behaviour bug class the paper discovered in TFLite's optimized
     kernel (§4.4, Figure 6 left).
     """
-    kh, kw, c, mult_ch = w_q.shape
-    sh, sw = normalize_stride(stride)
-    pad = resolve_padding(padding, x_q.shape[1], x_q.shape[2], kh, kw, sh, sw)
-    patches = extract_patches(_centered(x_q, in_params), kh, kw, sh, sw, pad)
-    acc = np.einsum(
-        "nhwklc,klcm->nhwcm", patches, w_q.astype(np.float64), optimize=True
-    )
-    n, oh, ow = acc.shape[:3]
-    acc = acc.reshape(n, oh, ow, c * mult_ch)
+    check_filter_bank(x_q, w_q, "depthwise", "kh,kw,C,mult")
+    kh, kw = w_q.shape[:2]
+    sh, sw, pad, oh, ow = window_geometry(x_q, kh, kw, stride, padding)
+    xc = pad_spatial(_centered(x_q, in_params), pad)
+    acc = depthwise_taps(xc, w_q.astype(np.float64), oh, ow, sh, sw)
     if bugs.dwconv_accumulator_bits is not None:
         acc = wrap_to_bits(acc, bugs.dwconv_accumulator_bits)
     if bias_q is not None:

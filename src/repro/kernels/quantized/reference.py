@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.kernels.common import (
     Padding,
+    check_filter_bank,
     extract_patches,
     normalize_stride,
     resolve_padding,
@@ -39,6 +40,7 @@ def qconv2d(
     bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Reference quantized convolution: loops over output channels."""
+    check_filter_bank(x_q, w_q, "conv2d", "kh,kw,Cin,Cout")
     kh, kw, cin, cout = w_q.shape
     sh, sw = normalize_stride(stride)
     pad = resolve_padding(padding, x_q.shape[1], x_q.shape[2], kh, kw, sh, sw)
@@ -77,6 +79,7 @@ def qdepthwise_conv2d(
     **not** exhibit the optimized kernel's overflow bug, matching the paper's
     account of differing overflow behaviour between the two kernels.
     """
+    check_filter_bank(x_q, w_q, "depthwise", "kh,kw,C,mult")
     kh, kw, c, mult_ch = w_q.shape
     sh, sw = normalize_stride(stride)
     pad = resolve_padding(padding, x_q.shape[1], x_q.shape[2], kh, kw, sh, sw)

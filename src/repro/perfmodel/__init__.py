@@ -1,7 +1,6 @@
 """Deterministic device performance model (latency + memory simulation)."""
 
 from repro.perfmodel.device import (
-    CHARGED_RESOLVER_KINDS,
     DEVICES,
     PIXEL3_CPU,
     PIXEL3_GPU,
@@ -14,7 +13,6 @@ from repro.perfmodel.device import (
 from repro.perfmodel.work import OP_CLASS, NodeWork, graph_work, node_work, total_macs
 
 __all__ = [
-    "CHARGED_RESOLVER_KINDS",
     "DEVICES",
     "Device",
     "NodeWork",

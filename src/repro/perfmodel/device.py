@@ -164,24 +164,6 @@ _X86_EMULATOR.update({
 })
 
 
-CHARGED_RESOLVER_KINDS: dict[str, str] = {
-    "optimized": "optimized",
-    "reference": "reference",
-    # The batched backend shares the optimized kernels' arithmetic (same
-    # MACs, same coefficient rows); its wall-clock win comes from fewer
-    # Python-level dispatches, which the per-node cost model already prices
-    # into per_node_overhead_ms rather than the coefficient table.
-    "batched": "optimized",
-}
-"""Resolver kinds the cost model understands, mapped to a coefficient row.
-
-:meth:`Device.layer_latency_ms` rejects kinds outside this table; callers
-with a custom resolver normalize its kind to ``"optimized"`` first (see
-``ExecutionPlan.latency_resolver_kind`` — a custom backend is presumed
-production-grade).
-"""
-
-
 @dataclass(frozen=True)
 class Device:
     """A simulated execution environment for the edge runtime.
@@ -221,12 +203,15 @@ class Device:
         macs: int,
         elements: int,
     ) -> float:
-        """Simulated latency of one node, in milliseconds."""
+        """Simulated latency of one node, in milliseconds.
+
+        ``resolver_kind`` is "optimized" or "reference" — the two coefficient
+        rows (see ``ExecutionPlan.latency_resolver_kind``).
+        """
         if dtype_class not in ("float", "int8"):
             raise ReproError(f"unknown dtype class {dtype_class!r}")
-        if resolver_kind not in CHARGED_RESOLVER_KINDS:
+        if resolver_kind not in ("optimized", "reference"):
             raise ReproError(f"unknown resolver kind {resolver_kind!r}")
-        resolver_kind = CHARGED_RESOLVER_KINDS[resolver_kind]
         if not self.supports(dtype_class):
             raise ReproError(
                 f"device {self.name!r} ({self.kind}) does not support "

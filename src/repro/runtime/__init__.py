@@ -16,20 +16,15 @@ from repro.runtime.plan import (
 from repro.runtime.resolver import (
     KERNEL_BUG_PRESETS,
     RESOLVERS,
-    BackendDescriptor,
     BaseOpResolver,
-    BatchedOpResolver,
     OpResolver,
     ReferenceOpResolver,
     make_resolver,
     register_resolver,
-    select_backend,
 )
 
 __all__ = [
-    "BackendDescriptor",
     "BaseOpResolver",
-    "BatchedOpResolver",
     "ExecContext",
     "ExecutionPlan",
     "Interpreter",
@@ -45,5 +40,4 @@ __all__ = [
     "make_resolver",
     "node_is_quantized",
     "register_resolver",
-    "select_backend",
 ]

@@ -11,9 +11,18 @@ from repro.util.errors import GraphError
 
 
 def _fused(node: Node, out: np.ndarray) -> np.ndarray:
+    """Apply a node's fused activation to its kernel's freshly allocated output.
+
+    relu/relu6 run in place: the same ufunc calls as the activation kernels,
+    so the result is bit-identical without a second output buffer.
+    """
     fn = node.attrs.get("activation", "linear")
     if fn == "linear":
         return out
+    if fn == "relu":
+        return np.maximum(out, 0.0, out=out)
+    if fn == "relu6":
+        return np.clip(out, 0.0, 6.0, out=out)
     try:
         return K.ACTIVATIONS[fn](out)
     except KeyError:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from repro.graph.graph import Graph
 from repro.graph.node import Node
 from repro.graph.spec import TensorSpec
-from repro.perfmodel.device import CHARGED_RESOLVER_KINDS
 from repro.perfmodel.work import OP_CLASS, NodeWork, node_work
 from repro.runtime.resolver import BaseOpResolver, Executor
 
@@ -98,9 +97,9 @@ class ExecutionPlan:
         at compile time; a mismatch means kernels were (re)registered and
         the plan must be recompiled.
     latency_resolver_kind:
-        The resolver kind handed to the device cost model ("optimized",
-        "reference", or "batched" — the model charges batched as optimized;
-        custom resolvers are charged as optimized too).
+        The resolver kind handed to the device cost model: "reference" for
+        reference kernels, "optimized" for every other resolver (a custom
+        backend is presumed production-grade).
     schedule:
         The execution order, one binding per node: the same tuple as
         ``bindings``.
@@ -111,9 +110,7 @@ class ExecutionPlan:
         self.resolver = resolver
         self.resolver_version = resolver.version
         self.latency_resolver_kind = (
-            resolver.kind if resolver.kind in CHARGED_RESOLVER_KINDS
-            else "optimized"
-        )
+            "reference" if resolver.kind == "reference" else "optimized")
         self.keep = frozenset(graph.outputs)
 
         counts: dict[str, int] = {t: 0 for t in graph.tensors}

@@ -1,24 +1,21 @@
-"""Op resolvers and kernel backends: which implementation executes each node.
+"""Op resolvers: which kernel implementation executes each node.
 
-Mirrors TFLite's design (§4.4), extended into a multi-backend registry:
+Mirrors TFLite's design (§4.4): one float kernel set, and two int8 kernel
+sets on the paper's reference-vs-optimized axis.
 
 * :class:`OpResolver` — the builtin resolver invoking **optimized kernels**
   (the production path);
 * :class:`ReferenceOpResolver` — the builtin resolver invoking **reference
   kernels** (the debugging path, drastically slower on-device);
-* :class:`BatchedOpResolver` — the **vectorized-batch backend**
-  (:mod:`repro.kernels.batched`): hot float ops run whole-batch numpy
-  kernels with in-place bias/activation fusion, every other op falls back
-  per-op to the optimized executors;
 * custom resolvers — "advanced users have the option to create their own
   OpResolver which could invoke their custom ops and kernels": construct a
-  resolver and call :meth:`BaseOpResolver.register`, or register a whole
-  backend with :func:`register_resolver`.
+  resolver and call :meth:`BaseOpResolver.register`, or register a named
+  backend factory with :func:`register_resolver`.
 
-Each registry entry is a :class:`BackendDescriptor` carrying the backend's
-device affinity and capability set, so :func:`make_resolver` can pick a
-backend for a :class:`~repro.perfmodel.device.Device` automatically
-(``make_resolver("auto", device=...)`` → :func:`select_backend`).
+:data:`RESOLVERS` maps backend names to factories. ``"batched"`` stays in it
+as an alias of :class:`OpResolver`: the batched backend's whole-batch
+kernels are now the optimized kernels, and existing sweep lineups and shard
+manifests still name it.
 
 Builtin resolvers accept a :class:`~repro.kernels.quantized.bugs.KernelBugs`
 configuration; the paper-era TFLite behaviour is obtained with
@@ -28,19 +25,12 @@ configuration; the paper-era TFLite behaviour is obtained with
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Callable
 from types import ModuleType
 
 import numpy as np
 
 from repro.graph.node import Node
-from repro.kernels.batched import (
-    BATCHED_EXECUTORS,
-    BATCHED_OPS,
-    BATCHED_QUANT_EXECUTORS,
-    BATCHED_QUANT_OPS,
-)
 from repro.kernels.quantized import optimized as _qopt
 from repro.kernels.quantized import reference as _qref
 from repro.kernels.quantized.bugs import (
@@ -62,9 +52,6 @@ KERNEL_BUG_PRESETS: dict[str, KernelBugs] = {
 }
 """Named kernel-bug configurations selectable from the CLI and sweeps."""
 
-DEVICE_KINDS = frozenset({"cpu", "gpu", "emulator"})
-"""All :attr:`~repro.perfmodel.device.Device.kind` values."""
-
 
 class BaseOpResolver:
     """Maps (op type, quantized?) to an executor function.
@@ -72,9 +59,9 @@ class BaseOpResolver:
     Attributes
     ----------
     kind:
-        "optimized", "reference", or "batched" — consumed by the
+        "optimized", "reference", or "custom" — consumed by the
         performance model, which charges reference kernels their on-device
-        slowdown (Table 4) and batched kernels the optimized coefficients.
+        slowdown (Table 4) and every other kind the optimized coefficients.
     bugs:
         Kernel-bug injection flags threaded into quantized kernels.
     version:
@@ -131,89 +118,17 @@ class ReferenceOpResolver(BaseOpResolver):
         super().__init__(bugs=bugs, qkernels=_qref)
 
 
-class BatchedOpResolver(OpResolver):
-    """Builtin resolver invoking vectorized-batch kernels for hot float ops.
+ResolverFactory = Callable[..., BaseOpResolver]
+"""``factory(bugs=KernelBugs) -> BaseOpResolver``."""
 
-    Ops in :data:`~repro.kernels.batched.BATCHED_OPS` execute through
-    :mod:`repro.kernels.batched` (whole-batch GEMM/tap-loop kernels with
-    in-place bias/activation fusion), and the quantized ops in
-    :data:`~repro.kernels.batched.BATCHED_QUANT_OPS` run the centered-GEMM
-    int8 fast paths; every other (op, domain) pair inherits the optimized
-    executors, so any graph the optimized backend runs, this backend runs
-    too. That per-op fallback is the analogue of a device-specific kernel
-    library shipping only the operators it accelerates.
-    """
-
-    kind = "batched"
-    batched_ops = BATCHED_OPS
-    batched_quant_ops = BATCHED_QUANT_OPS
-
-    def __init__(self, bugs: KernelBugs = NO_BUGS):
-        super().__init__(bugs=bugs)
-        # Direct registry writes, not register(): these are construction-time
-        # bindings, and version must stay 0 so fresh plans are never stale.
-        for op, fn in BATCHED_EXECUTORS.items():
-            self._registry[(op, False)] = fn
-        for op, fn in BATCHED_QUANT_EXECUTORS.items():
-            self._registry[(op, True)] = fn
-
-
-@dataclass(frozen=True)
-class BackendDescriptor:
-    """A registered kernel backend: factory plus deployment metadata.
-
-    Attributes
-    ----------
-    name:
-        Registry key (the ``--resolver`` / ``--backends`` name).
-    factory:
-        ``factory(bugs=...) -> BaseOpResolver``.
-    kind:
-        Resolver kind the performance model charges (see
-        :data:`repro.perfmodel.device.CHARGED_RESOLVER_KINDS`).
-    device_kinds:
-        :attr:`Device.kind` values this backend is suited to; consulted by
-        :func:`select_backend`.
-    capabilities:
-        Free-form capability tags (e.g. ``{"float", "int8", "batch"}``)
-        matchable via ``select_backend(require=...)``.
-    priority:
-        Higher wins when several backends fit a device; ties break on name
-        for determinism.
-    """
-
-    name: str
-    factory: Callable[..., BaseOpResolver]
-    kind: str = "custom"
-    device_kinds: frozenset[str] = DEVICE_KINDS
-    capabilities: frozenset[str] = frozenset()
-    priority: int = 0
-
-    def __call__(self, bugs: KernelBugs = NO_BUGS) -> BaseOpResolver:
-        return self.factory(bugs=bugs)
-
-    def supports_device(self, device) -> bool:
-        """Whether this backend targets ``device`` (by its ``kind``)."""
-        return device is None or device.kind in self.device_kinds
-
-    def supports(self, require: Iterable[str]) -> bool:
-        """Whether this backend advertises every required capability."""
-        return set(require) <= self.capabilities
-
-
-RESOLVERS: dict[str, BackendDescriptor] = {
-    "optimized": BackendDescriptor(
-        "optimized", OpResolver, kind="optimized",
-        capabilities=frozenset({"float", "int8"}), priority=10),
-    "reference": BackendDescriptor(
-        "reference", ReferenceOpResolver, kind="reference",
-        capabilities=frozenset({"float", "int8", "debug"}), priority=0),
-    "batched": BackendDescriptor(
-        "batched", BatchedOpResolver, kind="batched",
-        device_kinds=frozenset({"cpu", "emulator"}),
-        capabilities=frozenset({"float", "int8", "batch"}), priority=20),
+RESOLVERS: dict[str, ResolverFactory] = {
+    "optimized": OpResolver,
+    "reference": ReferenceOpResolver,
+    # The batched backend's kernels became the optimized kernels; lineups
+    # and shard manifests that name it still resolve.
+    "batched": OpResolver,
 }
-"""Named kernel backends (name -> :class:`BackendDescriptor`).
+"""Named kernel backends (name -> factory).
 
 The registry is the single source of truth for which backend names are
 valid: :func:`make_resolver`, the CLI ``--resolver``/``--backends``
@@ -228,77 +143,30 @@ picklable.
 _BUILTIN_BACKENDS = frozenset(RESOLVERS)
 
 
-def register_resolver(
-    name: str,
-    factory: Callable[..., BaseOpResolver] | BackendDescriptor,
-    *,
-    kind: str = "custom",
-    device_kinds: Iterable[str] | None = None,
-    capabilities: Iterable[str] = (),
-    priority: int = 0,
-) -> BackendDescriptor:
-    """Register a custom backend under ``name`` and return its descriptor.
+def register_resolver(name: str, factory: ResolverFactory) -> None:
+    """Register a custom backend under ``name`` — the custom-op hook.
 
     ``factory`` must accept a ``bugs=`` keyword (a :class:`KernelBugs`) and
-    return a :class:`BaseOpResolver`; pass a ready-made
-    :class:`BackendDescriptor` to control device affinity, capabilities,
-    and selection priority (it is re-keyed to ``name``).
+    return a :class:`BaseOpResolver`.
     """
     if not name or not isinstance(name, str):
         raise ValidationError(f"resolver name must be a non-empty string, got {name!r}")
-    if isinstance(factory, BackendDescriptor):
-        descriptor = BackendDescriptor(
-            name=name, factory=factory.factory, kind=factory.kind,
-            device_kinds=factory.device_kinds,
-            capabilities=factory.capabilities, priority=factory.priority)
-    else:
-        descriptor = BackendDescriptor(
-            name=name, factory=factory, kind=kind,
-            device_kinds=(frozenset(device_kinds) if device_kinds is not None
-                          else DEVICE_KINDS),
-            capabilities=frozenset(capabilities), priority=priority)
-    RESOLVERS[name] = descriptor
-    return descriptor
+    RESOLVERS[name] = factory
 
 
-def runtime_registrations() -> dict[str, BackendDescriptor]:
+def runtime_registrations() -> dict[str, ResolverFactory]:
     """Backends registered after import — the delta pool workers need."""
-    return {name: desc for name, desc in RESOLVERS.items()
+    return {name: factory for name, factory in RESOLVERS.items()
             if name not in _BUILTIN_BACKENDS}
 
 
-def install_registrations(entries: dict[str, BackendDescriptor]) -> None:
+def install_registrations(entries: dict[str, ResolverFactory]) -> None:
     """Pool-worker initializer: replay the parent's runtime registrations."""
     RESOLVERS.update(entries)
 
 
-def select_backend(
-    device=None, require: Iterable[str] = (),
-) -> BackendDescriptor:
-    """Pick the best registered backend for a device and capability set.
-
-    Filters the registry by device affinity (``device.kind``; ``None``
-    matches everything) and required capabilities, then returns the
-    highest-priority survivor (name-ordered on ties, so selection is
-    deterministic).
-    """
-    require = frozenset(require)
-    fits = [d for d in RESOLVERS.values()
-            if d.supports_device(device) and d.supports(require)]
-    if not fits:
-        target = f"device kind {device.kind!r}" if device is not None else "any device"
-        raise ValidationError(
-            f"no registered backend fits {target} with capabilities "
-            f"{sorted(require)}; available: {sorted(RESOLVERS)}")
-    return max(fits, key=lambda d: (d.priority, d.name))
-
-
-def make_resolver(kind: str, kernel_bugs: str = "none", device=None) -> BaseOpResolver:
-    """Build a registered backend by name, with a named kernel-bug preset.
-
-    ``kind="auto"`` defers the choice to :func:`select_backend`, which
-    matches the registry's backend descriptors against ``device``.
-    """
+def make_resolver(kind: str, kernel_bugs: str = "none") -> BaseOpResolver:
+    """Build a registered backend by name, with a named kernel-bug preset."""
     try:
         bugs = KERNEL_BUG_PRESETS[kernel_bugs]
     except KeyError:
@@ -307,14 +175,12 @@ def make_resolver(kind: str, kernel_bugs: str = "none", device=None) -> BaseOpRe
             f"{did_you_mean(kernel_bugs, KERNEL_BUG_PRESETS)}; "
             f"available: {sorted(KERNEL_BUG_PRESETS)}"
         ) from None
-    if kind == "auto":
-        return select_backend(device)(bugs=bugs)
     try:
-        descriptor = RESOLVERS[kind]
+        factory = RESOLVERS[kind]
     except KeyError:
         raise ValidationError(
             f"unknown resolver kind {kind!r}"
-            f"{did_you_mean(kind, [*RESOLVERS, 'auto'])}; "
-            f"available: {sorted(RESOLVERS)} (or 'auto')"
+            f"{did_you_mean(kind, RESOLVERS)}; "
+            f"available: {sorted(RESOLVERS)}"
         ) from None
-    return descriptor(bugs=bugs)
+    return factory(bugs=bugs)

@@ -187,8 +187,7 @@ def run_variant(
         graph,
         preprocess=preprocess,
         device=device,
-        resolver=make_resolver(variant.resolver, variant.kernel_bugs,
-                               device=device),
+        resolver=make_resolver(variant.resolver, variant.kernel_bugs),
         monitor=EdgeMLMonitor("edge", per_layer=True, sink=sink),
     )
     edge.run(raw, labels, log_raw=entry.task == "classification")

@@ -45,19 +45,17 @@ class SweepVariant:
         :func:`~repro.runtime.resolver.register_resolver` are sweepable
         without touching this module (process pools replay runtime
         registrations in their workers — see
-        :func:`~repro.validate.execution.make_pool`). ``resolver="auto"``
-        defers the choice to the registry's per-device backend selection
-        at execution time.
+        :func:`~repro.validate.execution.make_pool`).
         """
         if self.stage not in STAGES:
             raise ValidationError(
                 f"variant {self.name!r}: unknown stage {self.stage!r}"
                 f"{did_you_mean(self.stage, STAGES)}; use one of {STAGES}")
-        if self.resolver != "auto" and self.resolver not in RESOLVERS:
+        if self.resolver not in RESOLVERS:
             raise ValidationError(
                 f"variant {self.name!r}: unknown resolver {self.resolver!r}"
-                f"{did_you_mean(self.resolver, [*RESOLVERS, 'auto'])}; "
-                f"available: {sorted(RESOLVERS)} (or 'auto')")
+                f"{did_you_mean(self.resolver, RESOLVERS)}; "
+                f"available: {sorted(RESOLVERS)}")
         if self.kernel_bugs not in KERNEL_BUG_PRESETS:
             raise ValidationError(
                 f"variant {self.name!r}: unknown kernel-bug preset "
@@ -189,8 +187,7 @@ def parse_backends(spec: str | list[str] | tuple[str, ...]) -> list[str]:
     """Parse a ``--backends`` value: comma-separated names or ``all``.
 
     ``all`` selects every registered backend (sorted, for a stable lineup
-    order). Names are validated against the live registry; ``auto`` is
-    allowed and resolves per-variant against the variant's device.
+    order). Names are validated against the live registry.
     """
     if isinstance(spec, str):
         names = [b.strip() for b in spec.split(",") if b.strip()]
@@ -204,11 +201,11 @@ def parse_backends(spec: str | list[str] | tuple[str, ...]) -> list[str]:
     if dupes:
         raise ValidationError(f"duplicate backend name(s): {dupes}")
     for name in names:
-        if name != "auto" and name not in RESOLVERS:
+        if name not in RESOLVERS:
             raise ValidationError(
                 f"unknown backend {name!r}"
-                f"{did_you_mean(name, [*RESOLVERS, 'auto', 'all'])}; "
-                f"available: {sorted(RESOLVERS)} (or 'auto', 'all')")
+                f"{did_you_mean(name, [*RESOLVERS, 'all'])}; "
+                f"available: {sorted(RESOLVERS)} (or 'all')")
     return names
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from repro.convert import convert_to_mobile, quantize_graph
 from repro.graph import GraphBuilder
-from repro.perfmodel.device import CHARGED_RESOLVER_KINDS
 from repro.perfmodel.work import node_work
 from repro.runtime import ExecContext, derive_bindings
 
@@ -113,8 +112,7 @@ def run_reference(graph, resolver, feeds, device=None) -> ReferenceRun:
     batch = next((values[name].shape[axis] for name in graph.inputs
                   for axis, dim in enumerate(graph.spec(name).shape)
                   if dim is None), 1)
-    kind = resolver.kind if resolver.kind in CHARGED_RESOLVER_KINDS \
-        else "optimized"
+    kind = "reference" if resolver.kind == "reference" else "optimized"
     consumers = {}
     for node in graph.nodes:
         for t in node.inputs:

@@ -6,8 +6,7 @@ Pinned from every side:
   refcounted accounting charges each base buffer once, so peak resident
   bytes match reality instead of double-counting every view;
 * **fused-activation consistency** — ``mul`` applies its fused activation
-  attr on every backend (builtin float, batched, quantized), byte-identical
-  across all of them;
+  attr on every backend (float, quantized), byte-identical across them;
 * **zoo parity** — the compiled interpreter is byte-identical to the
   plan-free reference walk (``reference_invoke`` in ``conftest.py``) on
   every zoo model, float and quantized, both resolvers, batch 1/4/32;
@@ -28,12 +27,7 @@ from repro.analysis import pack_arena, verify_layout
 from repro.analysis.liveness import liveness_from_graph, peak_live_bytes
 from repro.graph import GraphBuilder
 from repro.instrument import EdgeMLMonitor, EXrayLog
-from repro.runtime import (
-    BatchedOpResolver,
-    Interpreter,
-    OpResolver,
-    ReferenceOpResolver,
-)
+from repro.runtime import Interpreter, OpResolver, ReferenceOpResolver
 from repro.zoo import get_model, list_models
 
 # Models whose mobile stage cannot be fully-integer quantized (embedding /
@@ -117,9 +111,8 @@ class TestMulFusedActivation:
         assert (raw < 0).any() and (ref >= 0).all()
         np.testing.assert_array_equal(
             ref, np.clip(raw, 0.0, 6.0 if activation == "relu6" else None))
-        for resolver in (OpResolver(), BatchedOpResolver()):
-            got = Interpreter(graph, resolver).invoke(feeds)["prod"]
-            np.testing.assert_array_equal(ref, got)
+        got = Interpreter(graph, OpResolver()).invoke(feeds)["prod"]
+        np.testing.assert_array_equal(ref, got)
 
     def test_quantized_mul_applies_activation(self, small_cnn_quantized, rng):
         # The quantized graph pins the end-to-end path; here we only need
@@ -163,18 +156,16 @@ class TestZooParityMatrix:
     def test_paths_byte_identical(self, stages, model, reference_invoke):
         for stage in model_stages(model, ("mobile", "quantized")):
             graph = stages(model, stage)
-            for resolver_cls in (OpResolver, BatchedOpResolver):
-                for batch in (1, 4, 32):
-                    feeds = make_feeds(graph, batch)
-                    ref = reference_invoke(graph, resolver_cls(), feeds)
-                    interp = Interpreter(graph, resolver_cls())
-                    plan = interp.invoke(feeds)
-                    ctx = (model, stage, resolver_cls.__name__, batch)
-                    assert interp.last_peak_activation_bytes == \
-                        ref.peak_bytes, ctx
-                    for t in ref.outputs:
-                        np.testing.assert_array_equal(
-                            ref.outputs[t], plan[t], err_msg=repr((*ctx, t)))
+            for batch in (1, 4, 32):
+                feeds = make_feeds(graph, batch)
+                ref = reference_invoke(graph, OpResolver(), feeds)
+                interp = Interpreter(graph, OpResolver())
+                plan = interp.invoke(feeds)
+                ctx = (model, stage, batch)
+                assert interp.last_peak_activation_bytes == ref.peak_bytes, ctx
+                for t in ref.outputs:
+                    np.testing.assert_array_equal(
+                        ref.outputs[t], plan[t], err_msg=repr((*ctx, t)))
 
     @pytest.mark.parametrize("stage", ["mobile", "quantized"])
     def test_exray_layer_schedule_unchanged(self, stages, stage,
@@ -208,14 +199,13 @@ class TestZooSpecConformance:
     def test_layer_dtypes_match_specs(self, stages, model):
         for stage in model_stages(model):
             graph = stages(model, stage)
-            for resolver_cls in (OpResolver, BatchedOpResolver):
-                drift = []
-                interp = Interpreter(graph, resolver_cls())
-                interp.add_observer(lambda r: drift.append(
-                    (r.node.name, str(r.output.dtype), r.spec.dtype))
-                    if r.output.dtype != np.dtype(r.spec.dtype) else None)
-                interp.invoke(make_feeds(graph, 2))
-                assert drift == [], (stage, resolver_cls.__name__)
+            drift = []
+            interp = Interpreter(graph, OpResolver())
+            interp.add_observer(lambda r: drift.append(
+                (r.node.name, str(r.output.dtype), r.spec.dtype))
+                if r.output.dtype != np.dtype(r.spec.dtype) else None)
+            interp.invoke(make_feeds(graph, 2))
+            assert drift == [], stage
 
     @pytest.mark.parametrize("model", sorted(list_models()))
     def test_peak_matches_static_liveness(self, stages, model):
@@ -318,4 +308,4 @@ class TestExecutorViewAnnotationRule:
         for path in sorted(root.rglob("executors*.py")):
             checked += 1
             assert self._check(path.read_text(), str(path)) == []
-        assert checked >= 3  # float, quant, batched
+        assert checked == 2  # float, quant

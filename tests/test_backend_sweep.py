@@ -2,7 +2,8 @@
 
 Covers the sweep-facing half of the multi-backend subsystem:
 
-* ``expand_backends`` / ``parse_backends`` lineup construction;
+* ``expand_backends`` / ``parse_backends`` lineup construction, and the
+  ``batched`` registry name kept as an alias of the optimized backend;
 * runtime resolver registrations crossing into process-pool workers via
   the pool initializer (the registry used to be invisible to spawned
   workers), including the thread fallback for unpicklable factories;
@@ -14,7 +15,12 @@ import multiprocessing
 
 import pytest
 
-from repro.runtime.resolver import RESOLVERS, OpResolver, register_resolver
+from repro.runtime.resolver import (
+    RESOLVERS,
+    OpResolver,
+    make_resolver,
+    register_resolver,
+)
 from repro.util.errors import ValidationError
 from repro.validate.execution import make_pool
 from repro.validate.sweep import (
@@ -41,8 +47,10 @@ class TestParseBackends:
     def test_all_selects_registry(self):
         assert parse_backends("all") == sorted(RESOLVERS)
 
-    def test_auto_allowed(self):
-        assert parse_backends("auto,optimized") == ["auto", "optimized"]
+    def test_auto_rejected(self):
+        # Per-device backend selection is gone; "auto" is no registry name.
+        with pytest.raises(ValidationError, match="available"):
+            parse_backends("auto,optimized")
 
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
@@ -75,8 +83,19 @@ class TestExpandBackends:
         for v in expand_backends([SweepVariant("clean")], "all"):
             v.check()
 
-    def test_auto_resolver_variant_checks(self):
-        SweepVariant("v", resolver="auto").check()
+
+class TestBatchedAlias:
+    def test_batched_name_builds_optimized_resolver(self):
+        # Lineups and shard manifests that name the old batched backend
+        # still resolve: its kernels are the optimized kernels now.
+        for bugs in ("none", "paper-optimized"):
+            resolver = make_resolver("batched", bugs)
+            assert type(resolver) is OpResolver
+            assert resolver.bugs == make_resolver("optimized", bugs).bugs
+
+    def test_unknown_kind_lists_available(self):
+        with pytest.raises(ValidationError, match="available"):
+            make_resolver("turbo9000")
 
 
 class TestPoolRegistration:
@@ -132,18 +151,12 @@ class TestBackendAxis:
             "clean@optimized", "clean@reference", "clean@batched"]
         assert report.healthy
         # Reference kernels are charged their Table-4 on-device slowdown;
-        # batched is charged as optimized.
+        # batched is the optimized backend under its old name.
         by_name = {r.variant.name: r for r in report.results}
         assert by_name["clean@reference"].mean_latency_ms > \
             10 * by_name["clean@optimized"].mean_latency_ms
         assert by_name["clean@batched"].mean_latency_ms == \
             by_name["clean@optimized"].mean_latency_ms
-
-    def test_auto_backend_variant_runs(self):
-        report = run_sweep(
-            MODEL, [SweepVariant("a", resolver="auto")], frames=8,
-            executor="serial")
-        assert report.healthy
 
     def test_triage_labels_backend_divergence(self):
         # The dwconv accumulator-overflow preset exists only in the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import kernels as K
+from repro.kernels.common import extract_patches, resolve_padding
 from repro.util.errors import KernelError
 
 
@@ -23,6 +24,29 @@ def naive_conv2d(x, w, stride, pad):
                             j * stride:j * stride + kw, :]
                 for c in range(cout):
                     out[b, i, j, c] = (window * w[:, :, :, c]).sum()
+    return out
+
+
+def naive_depthwise(x, w, stride, pad):
+    """Depthwise conv as one naive single-channel conv per (channel, multiplier)."""
+    c, mult = w.shape[2:]
+    return np.concatenate(
+        [naive_conv2d(x[..., ch:ch + 1], w[:, :, ch:ch + 1, m:m + 1], stride, pad)
+         for ch in range(c) for m in range(mult)], axis=-1)
+
+
+def naive_pool(x, k, stride, pad, reduce):
+    """Pool over the in-bounds part of each window (padding never counts)."""
+    (pt, pb), (pl, pr) = pad
+    n, h, w, c = x.shape
+    oh = (h + pt + pb - k) // stride + 1
+    ow = (w + pl + pr - k) // stride + 1
+    out = np.zeros((n, oh, ow, c))
+    for i in range(oh):
+        for j in range(ow):
+            r0, c0 = i * stride - pt, j * stride - pl
+            window = x[:, max(r0, 0):r0 + k, max(c0, 0):c0 + k, :]
+            out[:, i, j, :] = reduce(window, axis=(1, 2))
     return out
 
 
@@ -46,6 +70,20 @@ class TestConv2d:
         out = K.conv2d(x, w, bias)
         for c, b in enumerate(bias):
             np.testing.assert_allclose(out[..., c], b)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_1x1_gemm_matches_im2col(self, rng, stride):
+        # The 1x1 fast path multiplies the strided pixels directly; it must
+        # stay bit-identical to the im2col GEMM it replaces.
+        x = rng.normal(size=(6, 9, 9, 4)).astype(np.float32)
+        w = rng.normal(size=(1, 1, 4, 6)).astype(np.float32)
+        b = rng.normal(size=(6,)).astype(np.float32)
+        pad = resolve_padding("same", 9, 9, 1, 1, stride, stride)
+        patches = extract_patches(x, 1, 1, stride, stride, pad)
+        want = (patches.reshape(-1, 4) @ w.reshape(4, 6)).reshape(
+            patches.shape[:3] + (6,)) + b
+        got = K.conv2d(x, w, b, stride=stride, padding="same")
+        np.testing.assert_array_equal(got, want)
 
     def test_1x1_conv_is_channel_matmul(self, rng):
         x = rng.normal(size=(2, 3, 3, 4)).astype(np.float32)
@@ -72,6 +110,21 @@ class TestConv2d:
 
 
 class TestDepthwiseConv2d:
+    @pytest.mark.parametrize("k,stride,padding,mult", [
+        (3, 1, "same", 1), (3, 2, "same", 1), (3, 1, "valid", 2),
+        (5, 1, "same", 3),
+    ])
+    def test_matches_naive(self, rng, k, stride, padding, mult):
+        x = rng.normal(size=(2, 9, 9, 4)).astype(np.float32)
+        w = rng.normal(size=(k, k, 4, mult)).astype(np.float32)
+        b = rng.normal(size=(4 * mult,)).astype(np.float32)
+        got = K.depthwise_conv2d(x, w, b, stride=stride, padding=padding)
+        pad = resolve_padding(padding, 9, 9, k, k, stride, stride)
+        want = naive_depthwise(x.astype(np.float64), w.astype(np.float64),
+                               stride, pad) + b
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
     def test_matches_per_channel_conv(self, rng):
         x = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
         w = rng.normal(size=(3, 3, 3, 1)).astype(np.float32)
@@ -136,6 +189,21 @@ class TestPooling:
         x = -np.ones((1, 2, 2, 1))
         out = K.max_pool2d(x, 3, stride=1, padding="same")
         assert out.max() == -1.0
+
+    @pytest.mark.parametrize("pool,stride,padding", [
+        (2, None, "valid"), (3, 2, "same"), (2, 1, "valid"),
+    ])
+    def test_pools_match_naive(self, rng, pool, stride, padding):
+        x = rng.normal(size=(3, 9, 9, 3)).astype(np.float32)
+        s = stride if stride is not None else pool
+        pad = resolve_padding(padding, 9, 9, pool, pool, s, s)
+        np.testing.assert_array_equal(
+            K.max_pool2d(x, pool, stride, padding),
+            naive_pool(x, pool, s, pad, np.max).astype(np.float32))
+        np.testing.assert_allclose(
+            K.avg_pool2d(x, pool, stride, padding),
+            naive_pool(x.astype(np.float64), pool, s, pad, np.mean),
+            rtol=1e-6, atol=1e-6)
 
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(2, 5, 5, 3))

@@ -151,11 +151,6 @@ def _break_p002(mobile, quantized):
                     "plan": plan}
 
 
-def _break_p003(mobile, quantized):
-    # global_avg_pool/softmax are not in the batched backend's native set.
-    return mobile, {"categories": ("plan",), "backend": "batched"}
-
-
 def _break_d001(mobile, quantized):
     # A 200k-deep int8 dense layer provably overflows the int32
     # accumulator: even one row of 128 * 127 products summed 200k times
@@ -251,7 +246,6 @@ BREAKERS = {
     "D004": _break_d004,
     "P001": _break_p001,
     "P002": _break_p002,
-    "P003": _break_p003,
     "A001": _break_a001,
     "S001": _break_s001,
     "S002": _break_s002,
@@ -321,8 +315,7 @@ class TestDriver:
             lint_graph(small_cnn_mobile, device="pixel4_cp")
 
     def test_device_accepted_by_name(self, small_cnn_mobile):
-        report = lint_graph(small_cnn_mobile, backend="auto",
-                            device="pixel4_cpu")
+        report = lint_graph(small_cnn_mobile, device="pixel4_cpu")
         assert not report.has_errors
 
     def test_make_diagnostic_unknown_rule(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import kernels as K
+from repro.kernels.common import extract_patches, resolve_padding
 from repro.kernels.quantized import (
     NO_BUGS,
     PAPER_OPTIMIZED_BUGS,
@@ -13,12 +14,14 @@ from repro.kernels.quantized import (
     build_lut,
     fused_activation_bounds,
     optimized as qopt,
+    output_multiplier,
     reference as qref,
     requantize,
     rescale_tensor,
     wrap_to_bits,
 )
 from repro.quantize import choose_qparams, choose_qparams_per_channel
+from repro.util.errors import KernelError
 
 
 def qpair(rng, shape, lo=-1.0, hi=1.0):
@@ -107,8 +110,63 @@ class TestQConv2d:
         b = qref.qconv2d(x_q, in_p, w_q, w_p, bias_q, out_p, stride, padding, "relu")
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("bugs", [NO_BUGS, PAPER_OPTIMIZED_BUGS],
+                             ids=["no_bugs", "paper_optimized"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_1x1_optimized_equals_reference(self, rng, stride, bugs):
+        # The pointwise fast path (one GEMM over the flattened pixels)
+        # against the per-channel reference loop.
+        x, x_q, in_p = qpair(rng, (6, 9, 9, 4), 0.0, 6.0)
+        w = rng.normal(0, 0.5, (1, 1, 4, 6))
+        w_p = choose_qparams_per_channel(w, axis=3)
+        w_q = w_p.quantize(w)
+        bias_q = rng.integers(-50, 50, 6).astype(np.int32)
+        out_p = choose_qparams(-4.0, 4.0, "int8")
+        a = qopt.qconv2d(x_q, in_p, w_q, w_p, bias_q, out_p, stride,
+                         "same", "relu6", bugs)
+        b = qref.qconv2d(x_q, in_p, w_q, w_p, bias_q, out_p, stride,
+                         "same", "relu6", bugs)
+        np.testing.assert_array_equal(a, b)
+
+
+def einsum_qdepthwise(x_q, in_p, w_q, w_p, bias_q, out_p, bugs):
+    """The patch-tensor depthwise kernel the tap loop replaced, bug included."""
+    pad = resolve_padding("same", x_q.shape[1], x_q.shape[2],
+                          w_q.shape[0], w_q.shape[1], 1, 1)
+    xc = x_q.astype(np.float64) - float(in_p.zero_point.item())
+    patches = extract_patches(xc, w_q.shape[0], w_q.shape[1], 1, 1, pad)
+    acc = np.einsum("nhwklc,klcm->nhwcm", patches, w_q.astype(np.float64))
+    acc = acc.reshape(acc.shape[:3] + (-1,))
+    if bugs.dwconv_accumulator_bits is not None:
+        acc = wrap_to_bits(acc, bugs.dwconv_accumulator_bits)
+    acc = acc + bias_q.astype(np.float64)
+    return requantize(acc, output_multiplier(in_p, w_p, out_p), out_p, "relu6")
+
 
 class TestQDepthwise:
+    @pytest.mark.parametrize("bugs", [NO_BUGS, PAPER_OPTIMIZED_BUGS],
+                             ids=["no_bugs", "paper_optimized"])
+    @pytest.mark.parametrize("mult", [1, 2, 3])
+    def test_tap_loop_byte_identical(self, rng, mult, bugs):
+        # Exact integer accumulation makes the tap order immaterial: the
+        # optimized kernel matches the reference loop when correct, and
+        # the patch-tensor kernel it replaced under the overflow bug.
+        x, x_q, in_p = qpair(rng, (4, 7, 7, 4), 0.0, 6.0)
+        w = rng.normal(0, 0.5, (3, 3, 4, mult))
+        w_p = choose_qparams_per_channel(w.reshape(3, 3, 4 * mult), axis=2)
+        w_q = w_p.quantize(w.reshape(3, 3, 4 * mult)).reshape(w.shape)
+        bias_q = rng.integers(-50, 50, 4 * mult).astype(np.int32)
+        out_p = choose_qparams(-6.0, 6.0, "int8")
+        args = (x_q, in_p, w_q, w_p, bias_q, out_p)
+        got = qopt.qdepthwise_conv2d(*args, 1, "same", "relu6", bugs)
+        np.testing.assert_array_equal(
+            got, einsum_qdepthwise(*args, bugs=bugs))
+        ref = qref.qdepthwise_conv2d(*args, 1, "same", "relu6", bugs)
+        if bugs.dwconv_accumulator_bits is None:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            assert not np.array_equal(got, ref)  # the overflow fired
+
     def test_optimized_equals_reference_when_correct(self, rng):
         x, x_q, in_p = qpair(rng, (2, 6, 6, 4))
         w = rng.normal(0, 0.3, (3, 3, 4, 1))
@@ -134,6 +192,30 @@ class TestQDepthwise:
                                      bugs=PAPER_OPTIMIZED_BUGS)
         assert not np.array_equal(clean, buggy)
         np.testing.assert_array_equal(clean, ref)  # ref kernel immune
+
+
+class TestFilterChecks:
+    """Int8 conv kernels reject ill-shaped filters like the float kernels."""
+
+    @pytest.mark.parametrize("module", [qopt, qref], ids=["optimized", "reference"])
+    @pytest.mark.parametrize("kernel", ["qconv2d", "qdepthwise_conv2d"])
+    def test_channel_mismatch_raises(self, rng, module, kernel):
+        # A (2,6,6,1) input against 4-channel filters used to broadcast
+        # silently into a (2,6,6,4) depthwise output.
+        _, x_q, in_p = qpair(rng, (2, 6, 6, 1))
+        w_q = rng.integers(-127, 128, (3, 3, 4, 1)).astype(np.int8)
+        w_p = choose_qparams(-1.0, 1.0, "int8")
+        with pytest.raises(KernelError, match="channels"):
+            getattr(module, kernel)(x_q, in_p, w_q, w_p, None, in_p)
+
+    @pytest.mark.parametrize("module", [qopt, qref], ids=["optimized", "reference"])
+    @pytest.mark.parametrize("kernel", ["qconv2d", "qdepthwise_conv2d"])
+    def test_bad_filter_rank_raises(self, rng, module, kernel):
+        _, x_q, in_p = qpair(rng, (2, 6, 6, 3))
+        w_q = rng.integers(-127, 128, (3, 3, 3)).astype(np.int8)
+        w_p = choose_qparams(-1.0, 1.0, "int8")
+        with pytest.raises(KernelError, match="4-D"):
+            getattr(module, kernel)(x_q, in_p, w_q, w_p, None, in_p)
 
 
 class TestQDense:
