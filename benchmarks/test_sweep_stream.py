@@ -11,8 +11,8 @@ Two properties are asserted:
 
 * **streamed first-result beats the blocking total** — the consumer sees a
   verdict while the rest of the fleet is still running;
-* **draining the stream costs about the same as blocking** — the asyncio
-  wrapper adds no meaningful overhead over the pre-streaming pool code.
+* **draining the stream costs about the same as blocking** — consuming
+  results one at a time adds no meaningful overhead over ``run_sweep``.
 """
 
 import time

@@ -45,12 +45,11 @@ class RuleContext:
     stage could not even be built — only pipeline rules that cope without a
     graph (registry-name checks) run then. ``resolver`` and ``plan`` can be
     injected by callers (custom resolvers, tampered-plan tests); otherwise
-    they are derived from ``backend``/``device`` on first use.
+    they are derived from ``backend`` on first use.
     """
 
     graph: object | None
     backend: str | None = None
-    device: object | None = None
     variant: object | None = None
     resolver: object | None = None
     plan: object | None = None
@@ -238,7 +237,6 @@ def lint_graph(
     graph,
     *,
     backend: str | None = None,
-    device=None,
     variant=None,
     categories: Iterable[str] | None = None,
     resolver=None,
@@ -253,10 +251,9 @@ def lint_graph(
         The graph under analysis. May be ``None`` only when a caller (the
         sweep pre-flight) restricts ``categories`` to rules that survive
         without one.
-    backend / device:
+    backend:
         Select the resolver the plan analyzer compiles against; defaults
-        to the "optimized" backend. ``device`` may be a
-        :class:`~repro.perfmodel.device.Device` or a registered name.
+        to the "optimized" backend.
     variant:
         A :class:`~repro.validate.variants.SweepVariant` for the pipeline
         analyzer's deployment checks; without one, variant-specific rules
@@ -268,23 +265,14 @@ def lint_graph(
         them — the hook for custom resolvers and plan-consistency tests.
     """
     _ensure_rules()
-    if isinstance(device, str):
-        from repro.perfmodel.device import DEVICES
-
-        try:
-            device = DEVICES[device]
-        except KeyError:
-            raise ValidationError(
-                f"unknown device {device!r}{did_you_mean(device, DEVICES)}; "
-                f"available: {sorted(DEVICES)}") from None
     selected = tuple(categories) if categories is not None else CATEGORIES
     for cat in selected:
         if cat not in CATEGORIES:
             raise ValidationError(
                 f"unknown lint category {cat!r}"
                 f"{did_you_mean(cat, CATEGORIES)}; available: {CATEGORIES}")
-    ctx = RuleContext(graph=graph, backend=backend, device=device,
-                      variant=variant, resolver=resolver, plan=plan)
+    ctx = RuleContext(graph=graph, backend=backend, variant=variant,
+                      resolver=resolver, plan=plan)
     diagnostics: list[Diagnostic] = []
     structural_errors = False
     for category in CATEGORIES:

@@ -152,8 +152,7 @@ def cmd_lint(args, out) -> int:
         print(explain_rule(args.explain), file=out)
         return 0
     graph, target = _load_lint_target(args)
-    report = lint_graph(graph, backend=args.backend, device=args.device,
-                        target=target)
+    report = lint_graph(graph, backend=args.backend, target=target)
     if args.format == "json":
         print(json.dumps(report.to_doc(), indent=2), file=out)
     else:
@@ -655,9 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(RESOLVERS),
                    help="lint plan/binding rules against this kernel "
                         "backend (default: optimized)")
-    p.add_argument("--device", default=None, choices=sorted(DEVICES),
-                   help="simulated device the deployment targets (handed to "
-                        "the rules' context; no builtin rule reads it yet)")
     p.add_argument("--format", default="text", choices=("text", "json"),
                    help="text report or the versioned LintReport JSON")
     p.add_argument("--fail-on", default="error", choices=SEVERITIES,

@@ -72,8 +72,7 @@ def frame_to_doc(frame: FrameLog) -> dict:
     """A frame's JSON document: everything but the tensor payloads.
 
     Tensors are referenced by sorted ``tensor_keys`` and stored out of band
-    (one ``.npz`` shard per frame in the v2 layout, a shared ``tensors.npz``
-    in v1).
+    (one ``.npz`` shard per frame).
     """
     return {
         "step": frame.step,

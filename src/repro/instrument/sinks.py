@@ -44,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.instrument.store import EXrayLog
 
 LOG_FORMAT_VERSION = 2
-"""Current on-disk layout: ``frames.jsonl`` + per-frame ``tensors/`` shards.
-Version 1 (monolithic ``frames.json`` + ``tensors.npz``) remains readable."""
+"""On-disk layout: ``frames.jsonl`` + per-frame ``tensors/`` shards. The
+only version :meth:`~repro.instrument.store.EXrayLog.load` reads."""
 
 
 class StreamStats:

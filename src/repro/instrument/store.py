@@ -1,16 +1,12 @@
 """EXray-log persistence: stream logs to disk and read them back lazily.
 
-Two on-disk layouts, both directories:
-
-* **v2 (current)** — what :class:`~repro.instrument.sinks.DirectorySink`
-  streams: ``meta.json`` (header, same keys as v1 plus ``version: 2``),
-  ``frames.jsonl`` (one JSON document per frame, appended as each frame
-  closes), and ``tensors/<step>.npz`` (one shard per tensor-carrying
-  frame). :func:`save_log` is a thin drain over a DirectorySink.
-* **v1 (legacy, read-only)** — the monolithic layout the pre-sink
-  ``save_log`` wrote: ``meta.json``, ``frames.json`` (all frame documents
-  in one array), and ``tensors.npz`` (every array, keyed
-  ``<step>::<key>``). :meth:`EXrayLog.load` reads it transparently.
+A log is a directory in the layout
+:class:`~repro.instrument.sinks.DirectorySink` streams (version
+:data:`~repro.instrument.sinks.LOG_FORMAT_VERSION`): ``meta.json`` (header,
+with ``version``), ``frames.jsonl`` (one JSON document per frame, appended
+as each frame closes), and ``tensors/<step>.npz`` (one shard per
+tensor-carrying frame). :func:`save_log` is a thin drain over a
+DirectorySink, and :meth:`EXrayLog.load` rejects any other version.
 
 The byte sizes of these files are exactly the "Disk" columns of Tables 2,
 3, and 5.
@@ -35,7 +31,12 @@ import numpy as np
 
 from repro.instrument.monitor import EdgeMLMonitor
 from repro.instrument.records import FrameLog, frame_from_doc
-from repro.instrument.sinks import DirectorySink, LogSink, TeeSink
+from repro.instrument.sinks import (
+    LOG_FORMAT_VERSION,
+    DirectorySink,
+    LogSink,
+    TeeSink,
+)
 from repro.util.errors import ValidationError
 
 
@@ -170,8 +171,6 @@ class _ListSource:
     ignored: in-memory frames already hold their tensors.
     """
 
-    version = 2
-
     def __init__(self, frames: list[FrameLog]):
         self._frames = frames
 
@@ -191,7 +190,7 @@ class _ListSource:
 
 
 class _DirectorySource:
-    """Lazy frame source over a v1 or v2 log directory.
+    """Lazy frame source over a log directory.
 
     Per-frame documents (scalars, sensors, latencies — small) are parsed
     once and held; tensor payloads are read from disk only when a frame is
@@ -205,17 +204,16 @@ class _DirectorySource:
         if not meta_path.exists():
             raise ValidationError(f"no EXray log at {self.root}")
         self.meta = json.loads(meta_path.read_text())
-        self.version = self.meta.get("version", 1)
-        jsonl = self.root / "frames.jsonl"
-        legacy = self.root / "frames.json"
-        if jsonl.exists():
-            with jsonl.open() as handle:
-                self._docs = [json.loads(line) for line in handle if line.strip()]
-        elif legacy.exists():
-            self._docs = json.loads(legacy.read_text())
-        else:
+        version = self.meta.get("version")
+        if version != LOG_FORMAT_VERSION:
             raise ValidationError(
-                f"EXray log at {self.root} has no frames.jsonl/frames.json")
+                f"EXray log at {self.root} has format version {version!r}; "
+                f"only version {LOG_FORMAT_VERSION} is readable")
+        jsonl = self.root / "frames.jsonl"
+        if not jsonl.exists():
+            raise ValidationError(f"EXray log at {self.root} has no frames.jsonl")
+        with jsonl.open() as handle:
+            self._docs = [json.loads(line) for line in handle if line.strip()]
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -233,19 +231,7 @@ class _DirectorySource:
             return list(listed)
         return [k for k in listed if k in keys]
 
-    def _attach_v1(self, doc: dict, frame: FrameLog, npz, keys=None) -> None:
-        for key in self._wanted(doc, keys):
-            npz_key = f"{frame.step:06d}::{key}"
-            if npz is None:
-                raise self._missing(frame.step, key, "tensors.npz is missing")
-            try:
-                frame.tensors[key] = npz[npz_key]
-            except KeyError:
-                raise self._missing(
-                    frame.step, key,
-                    "tensors.npz has no such entry (truncated log?)") from None
-
-    def _attach_v2(self, doc: dict, frame: FrameLog, keys=None) -> None:
+    def _attach(self, doc: dict, frame: FrameLog, keys=None) -> None:
         wanted = self._wanted(doc, keys)
         if not wanted:
             return
@@ -263,46 +249,21 @@ class _DirectorySource:
                         frame.step, key,
                         f"tensor shard {shard.name} has no such entry") from None
 
-    def _open_v1_tensors(self):
-        path = self.root / "tensors.npz"
-        return np.load(path) if path.exists() else None
-
     # ------------------------------------------------------------ iteration
     def iter_frames(self, load_tensors: bool = True,
                     keys=None) -> Iterator[FrameLog]:
-        if self.version >= 2:
-            for doc in self._docs:
-                frame = frame_from_doc(doc)
-                if load_tensors:
-                    self._attach_v2(doc, frame, keys)
-                yield frame
-            return
-        npz = self._open_v1_tensors() if load_tensors else None
-        try:
-            for doc in self._docs:
-                frame = frame_from_doc(doc)
-                if load_tensors:
-                    self._attach_v1(doc, frame, npz, keys)
-                yield frame
-        finally:
-            if npz is not None:
-                npz.close()
+        for doc in self._docs:
+            frame = frame_from_doc(doc)
+            if load_tensors:
+                self._attach(doc, frame, keys)
+            yield frame
 
     def frame(self, index: int, load_tensors: bool = True,
               keys=None) -> FrameLog:
         doc = self._docs[index]
         frame = frame_from_doc(doc)
-        if not load_tensors:
-            return frame
-        if self.version >= 2:
-            self._attach_v2(doc, frame, keys)
-        else:
-            npz = self._open_v1_tensors()
-            try:
-                self._attach_v1(doc, frame, npz, keys)
-            finally:
-                if npz is not None:
-                    npz.close()
+        if load_tensors:
+            self._attach(doc, frame, keys)
         return frame
 
     def materialize(self) -> list[FrameLog]:
@@ -335,18 +296,21 @@ class EXrayLog:
             frames if frames is not None else None)
         self.log_bytes = log_bytes
         self.monitor_overhead_ms = monitor_overhead_ms
-        self.version = getattr(source, "version", 2)
+        self.version = LOG_FORMAT_VERSION
 
     # ------------------------------------------------------------- creation
     @classmethod
     def load(cls, root: str | Path) -> "EXrayLog":
-        """Lazily open a log directory (v2 streamed or v1 monolithic).
+        """Lazily open a log directory.
 
         Only frame documents are parsed here; tensor payloads load on
-        access. A truncated log — ``tensor_keys`` naming arrays whose
-        ``.npz`` payload is missing — raises :class:`ValidationError`
-        naming the directory and the missing key when (and only when) the
-        affected frame is materialized.
+        access. A ``meta.json`` whose version is not
+        :data:`~repro.instrument.sinks.LOG_FORMAT_VERSION` raises
+        :class:`ValidationError` naming the directory and the version. A
+        truncated log — ``tensor_keys`` naming arrays whose ``.npz``
+        payload is missing — raises :class:`ValidationError` naming the
+        directory and the missing key when (and only when) the affected
+        frame is materialized.
         """
         root = Path(root)
         source = _DirectorySource(root)

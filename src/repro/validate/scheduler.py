@@ -1,47 +1,45 @@
-"""Streaming sweep scheduler: asyncio dispatch, priorities, cancellation.
+"""Streaming sweep scheduler: one dispatch loop over ``concurrent.futures``.
 
-The blocking pool in :func:`~repro.validate.sweep.run_sweep` answers "what
-happened to every variant" only after the slowest one finishes. Fleet-scale
-triage wants the opposite: :func:`stream_sweep` is an asyncio event loop
-wrapped around the same process/thread/serial executors that **yields**
-each :class:`~repro.validate.reporting.VariantResult` the moment it
-completes, dispatches variants in expected-failure order (kernel-bug
-presets and override-bearing variants first — see
-:func:`~repro.validate.variants.expected_failure_score`), and enforces
-cancellation policies:
+:func:`iter_sweep` is a plain generator that yields each
+:class:`~repro.validate.reporting.VariantResult` the moment it completes.
+It dispatches variants in expected-failure order (kernel-bug presets and
+override-bearing variants first, see
+:func:`~repro.validate.variants.expected_failure_score`) and stops early
+on two conditions:
 
 * ``max_failures``: once that many variants fail validation, nothing more
-  is dispatched; undispatched variants are yielded as ``skipped`` results
-  so the partial report still accounts for every variant.
-* ``deadline_s``: a wall-clock budget for the whole sweep; when it expires,
-  in-flight stragglers are cancelled (best effort — a running process-pool
-  job cannot be interrupted, only abandoned) and yielded as ``cancelled``.
+  is dispatched; undispatched variants come back as ``skipped`` results,
+  so a partial report still accounts for every variant.
+* ``deadline_s``: a wall-clock budget for the whole sweep; when it
+  expires, in-flight stragglers and the undispatched tail come back as
+  ``cancelled`` (a running process-pool job cannot be interrupted, only
+  abandoned).
+
+Serial sweeps run each job inline and wrap its outcome in an already
+completed :class:`~concurrent.futures.Future`; thread and process sweeps
+submit to a pool. One ``wait(..., return_when=FIRST_COMPLETED)`` loop
+serves all three, with an in-flight window of one job for serial.
 
 Per-variant work is deterministic and order-independent (shared reference
 log, seeded playback data, simulated latency), so draining the stream and
-re-sorting by lineup order reproduces the blocking sweep byte for byte —
-which is exactly what :func:`~repro.validate.sweep.run_sweep` now does.
+re-sorting into lineup order reproduces a serial sweep byte for byte —
+which is what :func:`~repro.validate.sweep.run_sweep` does.
 
 The shared reference pipeline streams to a
-:class:`~repro.instrument.sinks.DirectorySink` directory exactly once,
-and jobs carry its *path* — workers open it as a lazy
-:class:`~repro.instrument.store.EXrayLog` instead of deserializing a
-pickled per-layer tensor payload per job. ``log_dir`` additionally makes
-every worker stream its edge log to ``log_dir/<variant>`` shards.
-
-:func:`iter_sweep` is the synchronous bridge for non-async callers (the
-CLI's ``repro sweep --stream``): a plain generator that owns a private
-event loop and yields results as they complete.
+:class:`~repro.instrument.sinks.DirectorySink` directory exactly once, and
+jobs carry its *path*: workers open it as a lazy
+:class:`~repro.instrument.store.EXrayLog` instead of unpickling per-layer
+tensors per job.
 """
 
 from __future__ import annotations
 
-import asyncio
 import shutil
 import tempfile
+import time
 from collections import deque
-from collections.abc import AsyncIterator, Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from pathlib import Path
 
 from repro.util.errors import ValidationError
@@ -59,41 +57,9 @@ from repro.validate.reporting import (
 )
 from repro.validate.variants import (
     SweepVariant,
-    expand_backends,
     order_by_expected_failure,
     plan_variants,
 )
-
-
-@dataclass(frozen=True)
-class SweepPolicy:
-    """Scheduling policy for a streaming sweep.
-
-    Attributes
-    ----------
-    max_failures:
-        Stop dispatching once this many variants have failed validation;
-        ``None`` never stops early.
-    deadline_s:
-        Wall-clock budget (seconds) for the whole sweep; stragglers running
-        past it are cancelled. ``None`` means no deadline.
-    prioritize:
-        Dispatch in expected-failure order instead of lineup order. Result
-        *contents* are order-independent, so this only changes how soon
-        failures (and thus ``max_failures``) surface.
-    """
-
-    max_failures: int | None = None
-    deadline_s: float | None = None
-    prioritize: bool = True
-
-    def check(self) -> None:
-        if self.max_failures is not None and self.max_failures < 1:
-            raise ValidationError(
-                f"max_failures must be >= 1, got {self.max_failures}")
-        if self.deadline_s is not None and self.deadline_s < 0:
-            raise ValidationError(
-                f"deadline_s must be >= 0, got {self.deadline_s}")
 
 
 def _unrun(variant: SweepVariant, status: str,
@@ -104,7 +70,7 @@ def _unrun(variant: SweepVariant, status: str,
                          diagnostics=list(diagnostics or []))
 
 
-async def stream_sweep(
+def iter_sweep(
     model: str,
     variants: list[SweepVariant] | tuple[SweepVariant, ...] | None = None,
     *,
@@ -113,69 +79,51 @@ async def stream_sweep(
     workers: int | None = None,
     always_assert: bool = False,
     tag: str = "sweep",
-    policy: SweepPolicy | None = None,
+    max_failures: int | None = None,
+    deadline_s: float | None = None,
     on_dispatch: Callable[[SweepVariant], None] | None = None,
-    backends: list[str] | str | None = None,
     log_dir: str | Path | None = None,
     ref_log_dir: str | Path | None = None,
     preflight: bool = True,
-) -> AsyncIterator[VariantResult]:
+) -> Iterator[VariantResult]:
     """Yield one :class:`VariantResult` per variant, as each completes.
 
-    Every variant in the lineup is accounted for: completed results stream
+    Every variant in the lineup is accounted for: completed results come
     out in completion order, and once the sweep stops early the remaining
     variants arrive as ``skipped``/``cancelled`` placeholders. Parameters
-    mirror :func:`~repro.validate.sweep.run_sweep`, plus ``policy``
-    (cancellation/prioritization) and ``on_dispatch`` (a hook called with
-    each variant immediately before it is handed to an executor — the seam
-    tests and progress UIs observe dispatch through). ``backends`` fans
-    the lineup across kernel backends before scheduling (see
-    :func:`~repro.validate.variants.expand_backends`).
+    mirror :func:`~repro.validate.sweep.run_sweep`, plus ``on_dispatch``,
+    a hook called with each variant just before it is handed to an
+    executor.
 
-    The zoo prewarm and shared reference-pipeline run happen synchronously
-    before the first dispatch; the stream starts once workers can reuse
-    both. The reference run streams into a
-    :class:`~repro.instrument.sinks.DirectorySink` directory and jobs
-    carry its *path* (workers read it lazily) instead of a pickled
-    in-memory log — under ``log_dir`` that directory is
-    ``log_dir/reference`` and each variant's edge log streams to
-    ``log_dir/<variant name>``; otherwise the reference lands in a
-    temporary directory cleaned up when the stream finishes.
+    The zoo prewarm and the shared reference run happen before the first
+    dispatch. The reference streams to ``log_dir/reference`` under
+    ``log_dir`` (where each variant's edge log streams to
+    ``log_dir/<variant name>``), otherwise to a temporary directory removed
+    when the generator finishes or is closed. ``ref_log_dir`` names an
+    existing reference-log directory to reuse instead; it is never rebuilt
+    nor removed.
 
-    ``ref_log_dir`` names an *existing* streamed reference-log directory
-    (e.g. the one a sharded sweep's planner built once for the whole
-    fleet); the scheduler then skips the reference-pipeline run entirely
-    and jobs read the shared log from that path. The directory must hold a
-    loadable EXray log for the same (model, frames, tag) playback — shard
-    workers verify this by content digest before trusting it.
-    ``preflight=True`` (the default) statically vets the lineup first
+    With ``preflight`` (the default) the lineup is linted first
     (:func:`~repro.analysis.preflight.preflight_lineup`): variants with
-    error-severity diagnostics are yielded immediately as ``skipped``
-    results carrying those diagnostics, warning-level findings ride along
-    on the results of variants that still run, and only the statically
-    sound remainder is dispatched. With ``preflight=False`` every field
-    problem raises from ``plan_variants`` instead.
+    error-level diagnostics are yielded at once as ``skipped`` results
+    carrying them, and warnings ride along on the results of variants that
+    still run. With ``preflight=False`` a bad field raises from
+    :func:`~repro.validate.variants.plan_variants` instead.
     """
-    # Lineup *structure* problems (empty, duplicate names) always raise —
-    # there is no single variant to pin a diagnostic on. Per-variant field
-    # validation is deferred to the pre-flight when it is on, so a bad
-    # field becomes a skipped result instead of an exception.
+    # Lineup *structure* problems (empty, duplicate names) always raise;
+    # per-variant field problems become skipped results under pre-flight.
     variants = plan_variants(variants, check=not preflight)
-    if backends is not None:
-        variants = plan_variants(expand_backends(variants, backends),
-                                 check=not preflight)
     check_executor(executor, workers)
-    policy = policy or SweepPolicy()
-    policy.check()
+    if max_failures is not None and max_failures < 1:
+        raise ValidationError(f"max_failures must be >= 1, got {max_failures}")
+    if deadline_s is not None and deadline_s < 0:
+        raise ValidationError(f"deadline_s must be >= 0, got {deadline_s}")
 
-    # Warm the shared on-disk weight cache in the parent so pool workers
-    # load trained parameters instead of each retraining the model, and run
-    # the (variant-independent) reference pipeline exactly once, streamed
-    # to disk so jobs share it by path.
+    # Warm the on-disk weight cache in the parent so pool workers load
+    # trained parameters instead of each retraining the model.
     from repro.zoo import get_trained
     get_trained(model)
 
-    doomed: list[VariantResult] = []
     carried: dict[str, list] = {}
     if preflight:
         from repro.analysis.preflight import preflight_lineup
@@ -185,169 +133,106 @@ async def stream_sweep(
         for variant in variants:
             report = reports[variant.name]
             if report.has_errors:
-                doomed.append(_unrun(variant, STATUS_SKIPPED,
-                                     report.diagnostics))
-            else:
-                if report.diagnostics:
-                    carried[variant.name] = list(report.diagnostics)
-                runnable.append(variant)
-        # Survivors still pass the full field validation: the pre-flight
-        # mirrors it rule-for-rule, so this is belt-and-braces.
+                yield _unrun(variant, STATUS_SKIPPED, report.diagnostics)
+                continue
+            if report.diagnostics:
+                carried[variant.name] = list(report.diagnostics)
+            runnable.append(variant)
+        # Survivors still pass full field validation; the pre-flight
+        # mirrors it rule for rule.
         variants = plan_variants(runnable) if runnable else []
-    for result in doomed:
-        yield result
     if not variants:
         return
 
-    def _carry(result: VariantResult) -> VariantResult:
-        extra = carried.get(result.variant.name)
-        if extra:
-            result.diagnostics = list(extra)
-        return result
-
-    order = (order_by_expected_failure(variants) if policy.prioritize
-             else list(variants))
-
     log_root = Path(log_dir) if log_dir is not None else None
     if log_root is not None:
-        # Fail in the parent, before any dispatch: a variant named
-        # "reference" (or with path separators) would collide with the
-        # shared reference stream directory mid-sweep.
+        # Fail before any dispatch: a variant named "reference" (or with
+        # path separators) would collide with the reference stream.
         for variant in variants:
             check_log_dir_name(variant.name)
-    ref_is_temp = False
     if ref_log_dir is not None:
-        # A precomputed shared reference (fleet mode): never rebuilt, never
-        # cleaned up. Fail before any dispatch if it is not a log directory.
         ref_root = Path(ref_log_dir)
         if not (ref_root / "meta.json").exists():
             raise ValidationError(
                 f"ref_log_dir {ref_root} is not an EXray log directory "
                 "(no meta.json); stream the reference there first, e.g. "
                 "with build_reference_log(log_root=...)")
+    elif log_root is not None:
+        ref_root = log_root / "reference"
     else:
-        if log_root is not None:
-            ref_root = log_root / "reference"
-        else:
-            ref_root = Path(tempfile.mkdtemp(prefix="exray-ref-"))
-            ref_is_temp = True
-        build_reference_log(model, frames, tag, log_root=ref_root)
-    ref_path = str(ref_root)
+        ref_root = Path(tempfile.mkdtemp(prefix="exray-ref-"))
+    ref_is_temp = ref_log_dir is None and log_root is None
 
-    loop = asyncio.get_running_loop()
-    deadline = (loop.time() + policy.deadline_s
-                if policy.deadline_s is not None else None)
-    failures = 0
+    # A plain args tuple and the top-level worker keep jobs picklable for
+    # process pools; the reference log rides along as a path.
+    log_arg = str(log_root) if log_root is not None else None
+    queue = deque(order_by_expected_failure(variants))
+    pool = None
 
-    def job_args(variant: SweepVariant) -> tuple:
-        # A plain args tuple + the top-level worker keeps jobs picklable
-        # for process pools; the reference log rides along as a path.
-        return (model, variant, frames, always_assert, tag, ref_path,
-                str(log_root) if log_root is not None else None)
-
-    def dispatch_allowed() -> bool:
-        if policy.max_failures is not None and failures >= policy.max_failures:
-            return False
-        return deadline is None or loop.time() < deadline
-
-    queue = deque(order)
+    def submit(variant: SweepVariant) -> Future:
+        args = (model, variant, frames, always_assert, tag,
+                str(ref_root), log_arg)
+        if pool is not None:
+            return pool.submit(_run_variant_args, args)
+        # Serial: run in this thread, so each result reaches the
+        # consumer before the next variant is dispatched.
+        future = Future()
+        try:
+            future.set_result(_run_variant_args(args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     try:
-        if executor == "serial" or len(order) == 1:
-            # In-loop sequential execution: deterministic ground truth,
-            # still streamed — each result is yielded (and the consumer
-            # runs) before the next variant is dispatched.
-            while queue:
-                if not dispatch_allowed():
-                    break
+        if ref_log_dir is None:
+            build_reference_log(model, frames, tag, log_root=ref_root)
+        deadline = (time.monotonic() + deadline_s
+                    if deadline_s is not None else None)
+        if executor == "serial" or len(queue) == 1:
+            window = 1
+        else:
+            pool, window = make_pool(executor, len(queue), workers)
+        inflight: dict[Future, SweepVariant] = {}
+        failures = 0
+
+        while queue or inflight:
+            while (queue and len(inflight) < window
+                   and (max_failures is None or failures < max_failures)
+                   and (deadline is None or time.monotonic() < deadline)):
                 variant = queue.popleft()
                 if on_dispatch is not None:
                     on_dispatch(variant)
-                result = _run_variant_args(job_args(variant))
+                inflight[submit(variant)] = variant
+            if not inflight:
+                break  # a limit tripped with nothing running: drain the tail
+            timeout = (None if deadline is None
+                       else max(0.0, deadline - time.monotonic()))
+            done, _ = wait(inflight, timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            if not done:
+                # Deadline expired mid-flight: revoke or abandon stragglers.
+                for future, variant in inflight.items():
+                    future.cancel()
+                    yield _unrun(variant, STATUS_CANCELLED)
+                inflight.clear()
+                break
+            for future in [f for f in inflight if f in done]:
+                del inflight[future]
+                result = future.result()
                 if not result.healthy:
                     failures += 1
-                yield _carry(result)
-            tail_status = (STATUS_CANCELLED
-                           if deadline is not None and loop.time() >= deadline
-                           else STATUS_SKIPPED)
-            while queue:
-                yield _unrun(queue.popleft(), tail_status)
-            return
-
-        pool, max_workers = make_pool(executor, len(order), workers)
-        inflight: dict[asyncio.Future, SweepVariant] = {}
-        try:
-            while queue or inflight:
-                while queue and len(inflight) < max_workers \
-                        and dispatch_allowed():
-                    variant = queue.popleft()
-                    if on_dispatch is not None:
-                        on_dispatch(variant)
-                    fut = loop.run_in_executor(
-                        pool, _run_variant_args, job_args(variant))
-                    inflight[fut] = variant
-                if not inflight:
-                    break  # policy tripped with nothing running: drain the tail
-                timeout = None if deadline is None else max(0.0, deadline - loop.time())
-                done, _ = await asyncio.wait(
-                    set(inflight), timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED)
-                if not done:
-                    # Deadline expired mid-flight: cancel stragglers (pending
-                    # pool jobs are revoked; already-running ones are abandoned)
-                    # and report them as cancelled.
-                    for fut, variant in inflight.items():
-                        fut.cancel()
-                        fut.add_done_callback(_swallow_result)
-                        yield _unrun(variant, STATUS_CANCELLED)
-                    inflight.clear()
-                    break
-                for fut in done:
-                    variant = inflight.pop(fut)
-                    result = fut.result()
-                    if not result.healthy:
-                        failures += 1
-                    yield _carry(result)
-            tail_status = (STATUS_CANCELLED
-                           if deadline is not None and loop.time() >= deadline
-                           else STATUS_SKIPPED)
-            while queue:
-                yield _unrun(queue.popleft(), tail_status)
-        finally:
-            for fut in inflight:  # e.g. the consumer closed the generator early
-                fut.cancel()
-                fut.add_done_callback(_swallow_result)
-            pool.shutdown(wait=False, cancel_futures=True)
+                if result.variant.name in carried:
+                    result.diagnostics = list(carried[result.variant.name])
+                yield result
+        tail_status = (STATUS_CANCELLED
+                       if deadline is not None and time.monotonic() >= deadline
+                       else STATUS_SKIPPED)
+        while queue:
+            yield _unrun(queue.popleft(), tail_status)
     finally:
+        # Also reached when the consumer closes the stream early: queued
+        # pool jobs are revoked, running ones abandoned.
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         if ref_is_temp:
             shutil.rmtree(ref_root, ignore_errors=True)
-
-
-def _swallow_result(fut: asyncio.Future) -> None:
-    """Retrieve an abandoned future's outcome so nothing is logged at GC."""
-    if not fut.cancelled():
-        fut.exception()
-
-
-def iter_sweep(
-    model: str,
-    variants: list[SweepVariant] | tuple[SweepVariant, ...] | None = None,
-    **kwargs,
-) -> Iterator[VariantResult]:
-    """Synchronous bridge over :func:`stream_sweep`.
-
-    A plain generator driving a private event loop — each ``next()`` runs
-    the scheduler until one more :class:`VariantResult` is ready. Accepts
-    the same keyword arguments as :func:`stream_sweep`.
-    """
-    agen = stream_sweep(model, variants, **kwargs)
-    loop = asyncio.new_event_loop()
-    try:
-        while True:
-            try:
-                yield loop.run_until_complete(agen.__anext__())
-            except StopAsyncIteration:
-                return
-    finally:
-        loop.run_until_complete(agen.aclose())
-        loop.close()

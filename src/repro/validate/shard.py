@@ -56,7 +56,6 @@ from pathlib import Path
 from repro.instrument.store import file_digest, log_digest
 from repro.util.errors import ValidationError
 from repro.validate.reporting import SweepReport
-from repro.validate.scheduler import iter_sweep
 from repro.validate.variants import SweepVariant, plan_variants
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -283,8 +282,8 @@ def run_shard(
     """Execute one shard manifest into a portable artifact under ``out_dir``.
 
     The worker half of a sharded sweep (CLI: ``repro sweep-worker run``):
-    runs the shard's variants with the existing streaming scheduler, edge
-    logs streaming to ``out_dir/logs/<variant>``, and writes the artifact
+    runs the shard's variants through :func:`~repro.validate.sweep.run_sweep`,
+    edge logs streaming to ``out_dir/logs/<variant>``, and writes the artifact
     files — ``report.json`` (the shard's
     :class:`~repro.validate.reporting.SweepReport` as versioned JSON, with
     each result's ``log_dir`` recorded *relative* to the artifact root so
@@ -322,12 +321,6 @@ def run_shard(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Field validation is deferred to the scheduler's pre-flight when it is
-    # on, so a statically-broken variant lands in the artifact as a skipped
-    # result with diagnostics rather than failing the whole shard.
-    shard_variants = plan_variants(list(manifest.variants),
-                                   check=not preflight)
-
     ref_log_dir = _resolve_reference(manifest, manifest_base)
     if ref_log_dir is not None and not (ref_log_dir / "meta.json").exists():
         ref_log_dir = None  # reference not shipped with the manifest: rebuild
@@ -341,27 +334,20 @@ def run_shard(
                 f"directory hashes to {got}); refusing to validate "
                 f"{manifest.shard_id} against a corrupt reference")
 
-    logs_root = out / LOGS_DIR
-    results = []
-    for result in iter_sweep(
-            manifest.model, shard_variants, frames=manifest.frames,
-            executor=executor, workers=workers,
-            always_assert=manifest.always_assert, tag=manifest.tag,
-            log_dir=logs_root, ref_log_dir=ref_log_dir,
-            preflight=preflight):
-        results.append(result)
-        if on_result is not None:
-            on_result(result, len(results), len(shard_variants))
+    # Imported here: repro.validate.sweep re-exports this module.
+    from repro.validate.sweep import run_sweep
 
-    order = {variant.name: i for i, variant in enumerate(shard_variants)}
-    results.sort(key=lambda r: order[r.variant.name])
+    report = run_sweep(
+        manifest.model, manifest.variants, frames=manifest.frames,
+        executor=executor, workers=workers,
+        always_assert=manifest.always_assert, tag=manifest.tag,
+        on_result=on_result, log_dir=out / LOGS_DIR,
+        ref_log_dir=ref_log_dir, preflight=preflight)
     # Record streamed log locations relative to the artifact root: the
     # artifact is portable, absolute worker paths are not.
-    for result in results:
+    for result in report.results:
         if result.log_dir is not None:
             result.log_dir = (Path(LOGS_DIR) / result.variant.name).as_posix()
-    report = SweepReport(model=manifest.model, frames=manifest.frames,
-                         results=results)
 
     manifest.save(out / MANIFEST_NAME)
     report_doc = {
@@ -377,7 +363,7 @@ def run_shard(
     # and ordering, so it must be as tamper-evident as the results.
     digests = {MANIFEST_NAME: file_digest(out / MANIFEST_NAME),
                REPORT_NAME: file_digest(out / REPORT_NAME)}
-    for result in results:
+    for result in report.results:
         if result.log_dir is not None and (out / result.log_dir).is_dir():
             digests[result.log_dir] = log_digest(out / result.log_dir)
     (out / DIGESTS_NAME).write_text(json.dumps(digests, indent=2))

@@ -12,10 +12,10 @@ decomposed by concern:
   expected-failure priorities (planning);
 * :mod:`repro.validate.execution` — the picklable per-variant worker,
   shared reference-pipeline run, pool construction (execution);
-* :mod:`repro.validate.scheduler` — the asyncio streaming scheduler:
-  results as they complete, failure/deadline cancellation policies
-  (:func:`~repro.validate.scheduler.stream_sweep` /
-  :func:`~repro.validate.scheduler.iter_sweep`);
+* :mod:`repro.validate.scheduler` — the streaming scheduler
+  (:func:`~repro.validate.scheduler.iter_sweep`): a generator over
+  ``concurrent.futures`` executors that yields results as they complete
+  and stops early on a failure limit or a deadline;
 * :mod:`repro.validate.reporting` — per-variant results and the aggregate
   :class:`SweepReport`;
 * :mod:`repro.validate.triage` — cross-variant root-cause clustering over
@@ -26,11 +26,10 @@ decomposed by concern:
   (:func:`~repro.validate.merge.merge_shards`) that folds shard artifacts
   back into one report.
 
-:func:`run_sweep` is now a thin synchronous wrapper that drains the
-streaming scheduler and re-sorts the results into lineup order; since all
-per-variant work is deterministic and order-independent (shared reference
-log, seeded playback data, simulated latency), its reports stay
-byte-identical to serial execution.
+:func:`run_sweep` drains :func:`~repro.validate.scheduler.iter_sweep` and
+re-sorts the results into lineup order; since all per-variant work is
+deterministic and order-independent (shared reference log, seeded playback
+data, simulated latency), its reports are byte-identical across executors.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.validate.execution import (
 )
 from repro.validate.merge import merge_shards
 from repro.validate.reporting import SweepReport, VariantResult
-from repro.validate.scheduler import SweepPolicy, iter_sweep
+from repro.validate.scheduler import iter_sweep
 from repro.validate.shard import (
     ShardManifest,
     plan_shards,
@@ -102,6 +101,10 @@ def run_sweep(
 ) -> SweepReport:
     """Validate many deployment variants of one model and block for all.
 
+    Drains :func:`~repro.validate.scheduler.iter_sweep` and returns a
+    :class:`SweepReport` whose results are in lineup order, whatever order
+    they completed in.
+
     Parameters
     ----------
     model:
@@ -120,8 +123,8 @@ def run_sweep(
     always_assert:
         Run root-cause assertions even when accuracy looks healthy.
     max_failures / deadline_s:
-        Optional cancellation policy (see
-        :class:`~repro.validate.scheduler.SweepPolicy`): stop dispatching
+        Optional early stops (see
+        :func:`~repro.validate.scheduler.iter_sweep`): stop dispatching
         after that many failed variants / cancel stragglers at the
         wall-clock budget. Unrun variants appear in the report as
         ``skipped``/``cancelled`` results.
@@ -164,19 +167,17 @@ def run_sweep(
                     else DEFAULT_IMAGE_VARIANTS)
     if backends is not None:
         variants = expand_backends(variants, backends)
-    policy = SweepPolicy(max_failures=max_failures, deadline_s=deadline_s)
     results = []
     for result in iter_sweep(
             model, variants, frames=frames, executor=executor,
             workers=workers, always_assert=always_assert, tag=tag,
-            policy=policy, log_dir=log_dir, ref_log_dir=ref_log_dir,
-            preflight=preflight):
+            max_failures=max_failures, deadline_s=deadline_s,
+            log_dir=log_dir, ref_log_dir=ref_log_dir, preflight=preflight):
         results.append(result)
         if on_result is not None:
             on_result(result, len(results), len(variants))
-    # The scheduler streams in completion (priority) order; the report
-    # presents the lineup order, which keeps blocking-sweep output
-    # byte-identical to the pre-streaming serial implementation.
+    # The scheduler yields in completion (priority) order; the report
+    # presents the lineup order, so every executor renders the same bytes.
     lineup = {variant.name: i for i, variant in enumerate(variants)}
     results.sort(key=lambda r: lineup[r.variant.name])
     return SweepReport(model=model, frames=frames, results=results)

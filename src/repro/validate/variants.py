@@ -186,15 +186,20 @@ def parse_variant_spec(spec: str, *, check: bool = True) -> SweepVariant:
 def parse_backends(spec: str | list[str] | tuple[str, ...]) -> list[str]:
     """Parse a ``--backends`` value: comma-separated names or ``all``.
 
-    ``all`` selects every registered backend (sorted, for a stable lineup
-    order). Names are validated against the live registry.
+    ``all`` selects every registered factory once, under the first name it
+    was registered with (sorted, for a stable lineup order), so an alias
+    such as ``batched`` does not run the same kernels twice. Explicit names
+    are kept as given and validated against the live registry.
     """
     if isinstance(spec, str):
         names = [b.strip() for b in spec.split(",") if b.strip()]
     else:
         names = list(spec)
     if names == ["all"]:
-        return sorted(RESOLVERS)
+        first_names: dict[int, str] = {}
+        for name, factory in RESOLVERS.items():
+            first_names.setdefault(id(factory), name)
+        return sorted(first_names.values())
     if not names:
         raise ValidationError("--backends needs at least one backend name")
     dupes = sorted({n for n in names if names.count(n) > 1})

@@ -45,7 +45,23 @@ class TestParseBackends:
             ["optimized", "reference", "batched"]
 
     def test_all_selects_registry(self):
-        assert parse_backends("all") == sorted(RESOLVERS)
+        # One name per factory: the "batched" alias of OpResolver is not
+        # listed next to "optimized".
+        assert parse_backends("all") == ["optimized", "reference"]
+
+    def test_all_runs_each_factory_once(self, monkeypatch):
+        class CustomResolver(OpResolver):
+            pass
+
+        monkeypatch.setitem(RESOLVERS, "custom", CustomResolver)
+        monkeypatch.setitem(RESOLVERS, "custom_alias", CustomResolver)
+        monkeypatch.setitem(RESOLVERS, "fast_alias", OpResolver)
+        assert parse_backends("all") == ["custom", "optimized", "reference"]
+        assert [v.name for v in expand_backends([SweepVariant("clean")],
+                                                "all")] == [
+            "clean@custom", "clean@optimized", "clean@reference"]
+        # An explicit list keeps aliases as given.
+        assert parse_backends("optimized,batched") == ["optimized", "batched"]
 
     def test_auto_rejected(self):
         # Per-device backend selection is gone; "auto" is no registry name.

@@ -310,14 +310,6 @@ class TestDriver:
         with pytest.raises(ValidationError, match="did you mean 'quant'"):
             lint_graph(small_cnn_mobile, categories=("qant",))
 
-    def test_unknown_device_name_suggested(self, small_cnn_mobile):
-        with pytest.raises(ValidationError, match="did you mean"):
-            lint_graph(small_cnn_mobile, device="pixel4_cp")
-
-    def test_device_accepted_by_name(self, small_cnn_mobile):
-        report = lint_graph(small_cnn_mobile, device="pixel4_cpu")
-        assert not report.has_errors
-
     def test_make_diagnostic_unknown_rule(self):
         with pytest.raises(ValidationError, match="S005"):
             make_diagnostic("S05", "nope")

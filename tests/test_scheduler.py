@@ -1,9 +1,13 @@
-"""Streaming-scheduler tests: incremental yields, priorities, cancellation."""
+"""Streaming-scheduler tests: incremental yields, priorities, cancellation,
+and clean-up of the temporary reference and the pool."""
+
+from pathlib import Path
 
 import pytest
 
+import repro.validate.scheduler as scheduler_mod
 from repro.util.errors import ValidationError
-from repro.validate.scheduler import SweepPolicy, iter_sweep
+from repro.validate.scheduler import iter_sweep
 from repro.validate.sweep import DEFAULT_IMAGE_VARIANTS, SweepVariant, run_sweep
 from repro.validate.variants import (
     expected_failure_score,
@@ -22,12 +26,12 @@ class TestPolicy:
         for bad in (0, -1):
             with pytest.raises(ValidationError):
                 list(iter_sweep(MODEL, [CLEAN_A], frames=2, executor="serial",
-                                policy=SweepPolicy(max_failures=bad)))
+                                max_failures=bad))
 
     def test_negative_deadline_rejected(self):
         with pytest.raises(ValidationError):
             list(iter_sweep(MODEL, [CLEAN_A], frames=2, executor="serial",
-                            policy=SweepPolicy(deadline_s=-1.0)))
+                            deadline_s=-1.0))
 
 
 class TestPrioritization:
@@ -54,14 +58,6 @@ class TestPrioritization:
         assert dispatched == ["rot", "clean_a"]
         assert [r.variant.name for r in results] == dispatched
 
-    def test_prioritize_off_keeps_lineup_order(self):
-        dispatched = []
-        list(iter_sweep(
-            MODEL, [CLEAN_A, FAILING], frames=4, executor="serial",
-            policy=SweepPolicy(prioritize=False),
-            on_dispatch=lambda v: dispatched.append(v.name)))
-        assert dispatched == ["clean_a", "rot"]
-
 
 class TestStreaming:
     def test_results_stream_before_later_dispatches(self):
@@ -82,7 +78,7 @@ class TestStreaming:
                             executor="serial")
         first = next(stream)
         assert first.completed
-        stream.close()  # must not raise or leak the event loop
+        stream.close()  # must not raise
 
 
 class TestMaxFailures:
@@ -90,7 +86,7 @@ class TestMaxFailures:
         dispatched = []
         results = list(iter_sweep(
             MODEL, [FAILING, CLEAN_A, CLEAN_B], frames=12, executor="serial",
-            policy=SweepPolicy(max_failures=1),
+            max_failures=1,
             on_dispatch=lambda v: dispatched.append(v.name)))
         assert dispatched == ["rot"]  # priority puts the failure first
         assert len(results) == 3
@@ -113,7 +109,7 @@ class TestMaxFailures:
         dispatched = []
         results = list(iter_sweep(
             MODEL, [FAILING, CLEAN_A, CLEAN_B], frames=12, executor="thread",
-            workers=1, policy=SweepPolicy(max_failures=1),
+            workers=1, max_failures=1,
             on_dispatch=lambda v: dispatched.append(v.name)))
         assert dispatched == ["rot"]
         statuses = {r.variant.name: r.status for r in results}
@@ -132,7 +128,7 @@ class TestDeadline:
         dispatched = []
         results = list(iter_sweep(
             MODEL, [CLEAN_A, CLEAN_B], frames=4, executor="serial",
-            policy=SweepPolicy(deadline_s=0.0),
+            deadline_s=0.0,
             on_dispatch=lambda v: dispatched.append(v.name)))
         assert dispatched == []
         assert [r.status for r in results] == ["cancelled", "cancelled"]
@@ -150,7 +146,6 @@ class TestDeadline:
         # come back cancelled.
         import time
 
-        import repro.validate.scheduler as scheduler_mod
         from repro.validate.reporting import VariantResult
         from repro.validate.session import ValidationReport
 
@@ -163,7 +158,7 @@ class TestDeadline:
         dispatched = []
         results = list(iter_sweep(
             MODEL, [CLEAN_A, CLEAN_B], frames=2, executor="thread",
-            workers=1, policy=SweepPolicy(deadline_s=0.2),
+            workers=1, deadline_s=0.2,
             on_dispatch=lambda v: dispatched.append(v.name)))
         assert dispatched == ["clean_a"]  # one in flight when time ran out
         assert {r.variant.name: r.status for r in results} == \
@@ -174,6 +169,69 @@ class TestDeadline:
         budgeted = run_sweep(MODEL, [CLEAN_A], frames=4, executor="serial",
                              deadline_s=3600.0)
         assert baseline.render() == budgeted.render()
+
+
+class TestCleanup:
+    """The temporary reference directory and the pool never outlive the
+    stream, however it ends."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = {"ref_dirs": [], "pools": []}
+        real_mkdtemp = scheduler_mod.tempfile.mkdtemp
+        real_make_pool = scheduler_mod.make_pool
+
+        def mkdtemp(*args, **kwargs):
+            path = real_mkdtemp(*args, **kwargs)
+            if Path(path).name.startswith("exray-ref-"):
+                made["ref_dirs"].append(Path(path))
+            return path
+
+        def make_pool(*args, **kwargs):
+            pool, window = real_make_pool(*args, **kwargs)
+            made["pools"].append(pool)
+            return pool, window
+
+        monkeypatch.setattr(scheduler_mod.tempfile, "mkdtemp", mkdtemp)
+        monkeypatch.setattr(scheduler_mod, "make_pool", make_pool)
+        return made
+
+    @staticmethod
+    def assert_no_pool_running(made, executor):
+        if executor == "serial":
+            assert made["pools"] == []
+            return
+        [pool] = made["pools"]
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool.submit(int)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_close_after_first_result(self, made, executor):
+        stream = iter_sweep(MODEL, [CLEAN_A, CLEAN_B], frames=2,
+                            executor=executor, workers=1)
+        assert next(stream).completed
+        [ref_dir] = made["ref_dirs"]
+        assert (ref_dir / "meta.json").exists()  # in use mid-stream
+        stream.close()
+        assert not ref_dir.exists()
+        self.assert_no_pool_running(made, executor)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_worker_exception_propagates(self, made, monkeypatch, executor):
+        class WorkerError(RuntimeError):
+            pass
+
+        def failing_worker(args):
+            raise WorkerError(args[1].name)
+
+        monkeypatch.setattr(scheduler_mod, "_run_variant_args",
+                            failing_worker)
+        with pytest.raises(WorkerError, match="clean_a"):
+            list(iter_sweep(MODEL, [CLEAN_A, CLEAN_B], frames=2,
+                            executor=executor, workers=1))
+        [ref_dir] = made["ref_dirs"]
+        assert not ref_dir.exists()
+        self.assert_no_pool_running(made, executor)
 
 
 class TestRunSweepWrapper:

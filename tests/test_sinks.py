@@ -4,13 +4,12 @@ Covers the LogSink redesign: MemorySink parity with the buffered monitor,
 DirectorySink incremental streaming (O(1) resident frames, mid-stream
 readability, v2 layout), RingBufferSink bounded always-on mode, TeeSink
 fan-out, the ``with monitor.frame(...)`` scope, lazy ``EXrayLog`` readers,
-and the save/load canonicalization + v1-compat guarantees.
+and the save/load canonicalization + format-version guarantees.
 """
 
 import gc
 import json
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,66 +366,24 @@ class TestLazyReader:
         assert len(series) == 4
 
 
-def write_v1_log(root: Path, monitor: EdgeMLMonitor) -> None:
-    """Write the pre-redesign v1 layout exactly as the old save_log did."""
-    root.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "name": monitor.name,
-        "per_layer": monitor.per_layer,
-        "num_frames": len(monitor.frames),
-        "monitor_overhead_ms": monitor.monitor_overhead_ms,
-        "version": 1,
-    }
-
-    def jsonable(value):
-        if isinstance(value, (np.floating, np.integer)):
-            return float(value)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        return value
-
-    frames_doc = []
-    arrays = {}
-    for frame in monitor.frames:
-        frames_doc.append({
-            "step": frame.step,
-            "latency_ms": frame.latency_ms,
-            "wall_ms": frame.wall_ms,
-            "memory_mb": frame.memory_mb,
-            "scalars": frame.scalars,
-            "sensors": {k: jsonable(v) for k, v in frame.sensors.items()},
-            "tensor_keys": sorted(frame.tensors),
-            "layer_latency_ms": frame.layer_latency_ms,
-            "layer_ops": frame.layer_ops,
-        })
-        for key, value in frame.tensors.items():
-            arrays[f"{frame.step:06d}::{key}"] = value
-    (root / "meta.json").write_text(json.dumps(meta, indent=2))
-    (root / "frames.json").write_text(json.dumps(frames_doc))
-    if arrays:
-        np.savez_compressed(root / "tensors.npz", **arrays)
-
-
 class TestFormatCompat:
-    def test_v1_log_still_loads(self, small_cnn, x_frames, tmp_path):
-        monitor = EdgeMLMonitor(per_layer=True)
-        stream_frames(small_cnn, monitor, x_frames)
-        write_v1_log(tmp_path / "v1", monitor)
-        log = EXrayLog.load(tmp_path / "v1")
-        assert log.version == 1
-        assert len(log) == 4
-        assert log.layer_names() == [n.name for n in small_cnn.nodes]
-        np.testing.assert_array_equal(
-            log.frames[1].tensor("model_output"),
-            monitor.frames[1].tensors["model_output"])
-
-    def test_v1_iteration_is_lazy(self, small_cnn, x_frames, tmp_path):
-        monitor = EdgeMLMonitor(per_layer=True)
-        stream_frames(small_cnn, monitor, x_frames)
-        write_v1_log(tmp_path / "v1", monitor)
-        log = EXrayLog.load(tmp_path / "v1")
-        count = sum(1 for _ in log.iter_frames())
-        assert count == 4 and log._frames is None
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_other_format_version_rejected(self, small_cnn, x_frames,
+                                           tmp_path, version):
+        monitor = EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))
+        stream_frames(small_cnn, monitor, x_frames[:1])
+        monitor.close()
+        meta_path = tmp_path / "log" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if version is None:
+            del meta["version"]
+        else:
+            meta["version"] = version
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValidationError) as err:
+            EXrayLog.load(tmp_path / "log")
+        assert str(tmp_path / "log") in str(err.value)
+        assert f"format version {version!r}" in str(err.value)
 
     def test_sensor_canonicalization_parity(self, small_cnn, x_frames,
                                             tmp_path):
@@ -459,30 +416,6 @@ class TestFormatCompat:
             log.frame(1)
         with pytest.raises(ValidationError, match=str(tmp_path / "log")):
             list(log.iter_frames())
-
-    def test_missing_v1_npz_names_dir_and_key(self, small_cnn, x_frames,
-                                              tmp_path):
-        monitor = EdgeMLMonitor()
-        stream_frames(small_cnn, monitor, x_frames[:1])
-        write_v1_log(tmp_path / "v1", monitor)
-        (tmp_path / "v1" / "tensors.npz").unlink()
-        log = EXrayLog.load(tmp_path / "v1")
-        with pytest.raises(ValidationError, match="tensors.npz is missing"):
-            log.frames
-
-    def test_truncated_v1_npz_names_missing_key(self, small_cnn, x_frames,
-                                                tmp_path):
-        monitor = EdgeMLMonitor()
-        stream_frames(small_cnn, monitor, x_frames[:1])
-        write_v1_log(tmp_path / "v1", monitor)
-        # Rewrite the archive without one listed entry (a truncated log).
-        with np.load(tmp_path / "v1" / "tensors.npz") as npz:
-            arrays = {k: npz[k] for k in npz.files
-                      if not k.endswith("model_output")}
-        np.savez_compressed(tmp_path / "v1" / "tensors.npz", **arrays)
-        log = EXrayLog.load(tmp_path / "v1")
-        with pytest.raises(ValidationError, match="model_output"):
-            log.frames
 
 
 class TestStreamedValidationParity:
