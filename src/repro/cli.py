@@ -577,11 +577,11 @@ def cmd_log(args, out) -> int:
         rows.append(("mean latency", f"{log.mean_latency_ms():.2f} ms/frame"))
         rows.append(("peak memory", f"{log.peak_memory_mb():.2f} MB"))
     if len(log):
-        first = log.frame(0)
+        first = next(log.iter_frames(load_tensors=False))
         if first.layer_latency_ms:
             rows.append(("layers", str(len(first.layer_latency_ms))))
-        if first.tensors:
-            keys = sorted(first.tensors)
+        keys = log.tensor_keys(0)
+        if keys:
             shown = ", ".join(keys[:6]) + (", ..." if len(keys) > 6 else "")
             rows.append(("tensor keys", f"{len(keys)} ({shown})"))
     for label, value in rows:

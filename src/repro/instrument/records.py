@@ -13,7 +13,7 @@ frame:
 This module also holds the frame <-> JSON document codec shared by the
 streaming sinks (:mod:`repro.instrument.sinks`) and the log store
 (:mod:`repro.instrument.store`): a frame's scalar payload serializes to one
-JSON object (tensors travel separately, referenced by ``tensor_keys``), and
+JSON object (tensors travel separately, indexed by key under ``tensors``), and
 numpy scalars/arrays in the sensor channel are canonicalized to plain
 floats/lists so a saved-and-reloaded log always carries JSON-native values.
 """
@@ -68,11 +68,11 @@ def jsonable(value):
     return value
 
 
-def frame_to_doc(frame: FrameLog) -> dict:
+def frame_to_doc(frame: FrameLog, tensors: dict) -> dict:
     """A frame's JSON document: everything but the tensor payloads.
 
-    Tensors are referenced by sorted ``tensor_keys`` and stored out of band
-    (one ``.npz`` shard per frame).
+    ``tensors`` is the sink's index of where the payloads live out of band
+    (``key -> [dtype.str, shape, offset]`` into the log's ``tensors.bin``).
     """
     return {
         "step": frame.step,
@@ -81,7 +81,7 @@ def frame_to_doc(frame: FrameLog) -> dict:
         "memory_mb": frame.memory_mb,
         "scalars": {k: jsonable(v) for k, v in frame.scalars.items()},
         "sensors": {k: jsonable(v) for k, v in frame.sensors.items()},
-        "tensor_keys": sorted(frame.tensors),
+        "tensors": tensors,
         "layer_latency_ms": frame.layer_latency_ms,
         "layer_ops": frame.layer_ops,
         "sensor_only": frame.sensor_only,

@@ -10,8 +10,9 @@ sink decides what "keeping" means:
 
 * :class:`MemorySink` — the original buffer-everything behavior (default);
 * :class:`DirectorySink` — incremental on-disk streaming: one JSONL line
-  plus one ``.npz`` tensor shard per frame, O(1) resident frames no matter
-  how long the stream runs; readable mid-stream by
+  per frame plus its tensors' raw bytes appended to one ``tensors.bin``,
+  O(1) resident frames no matter how long the stream runs; readable
+  mid-stream by
   :meth:`EXrayLog.load <repro.instrument.store.EXrayLog.load>`;
 * :class:`RingBufferSink` — bounded-memory always-on mode: the last *N*
   frames plus running whole-stream aggregates, so ``monitor.summary()``
@@ -43,9 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.instrument.monitor import EdgeMLMonitor
     from repro.instrument.store import EXrayLog
 
-LOG_FORMAT_VERSION = 2
-"""On-disk layout: ``frames.jsonl`` + per-frame ``tensors/`` shards. The
-only version :meth:`~repro.instrument.store.EXrayLog.load` reads."""
+LOG_FORMAT_VERSION = 3
+"""On-disk layout: ``frames.jsonl`` + one append-only raw ``tensors.bin``.
+The only version :meth:`~repro.instrument.store.EXrayLog.load` reads."""
+
+TENSORS_NAME = "tensors.bin"
 
 
 class StreamStats:
@@ -184,21 +187,27 @@ class RingBufferSink(LogSink):
 
 
 class DirectorySink(LogSink):
-    """Stream frames to a log directory as they close (v2 on-disk layout).
+    """Stream frames to a log directory as they close (v3 on-disk layout).
 
     Layout::
 
-        meta.json            # stream header (v2; byte-compatible keys + version)
-        frames.jsonl         # one JSON document per frame, appended per emit
-        tensors/000042.npz   # that frame's tensors (written only when present)
+        meta.json      # stream header (name, per_layer, ..., version)
+        frames.jsonl   # one JSON document per frame, appended per emit
+        tensors.bin    # every frame's tensors, raw C-order bytes, appended
 
-    Each emit appends one JSONL line and writes at most one ``.npz`` shard;
-    no frame is retained in memory, so resident footprint is O(1) in stream
-    length. Construction writes ``meta.json`` and an empty
-    ``frames.jsonl`` immediately (truncating any previous stream at that
-    root), so the directory is loadable from the instant the sink exists —
-    mid-stream readers never trust the header's ``num_frames`` (they count
-    ``frames.jsonl`` lines). :meth:`close` seals the header.
+    Each emit appends the frame's tensors (sorted by key) to
+    ``tensors.bin``, flushes it, and only then appends the frame's JSONL
+    line, whose ``tensors`` entry maps each key to ``[dtype.str, shape,
+    offset]`` — so a mid-stream reader never sees a document whose bytes
+    are missing. Bytes are stored uncompressed: writes and keyed reads
+    cost a copy instead of a zlib pass, and per-layer logs take 1.3-2.7x
+    the disk of the old compressed shards. No frame is retained in memory,
+    so resident footprint is O(1) in stream length. Construction writes
+    ``meta.json`` and empty ``frames.jsonl``/``tensors.bin`` immediately
+    (truncating any previous stream at that root), so the directory is
+    loadable from the instant the sink exists — mid-stream readers never
+    trust the header's ``num_frames`` (they count ``frames.jsonl`` lines).
+    :meth:`close` seals the header.
     """
 
     def __init__(self, root: str | Path, name: str = "edge",
@@ -211,7 +220,8 @@ class DirectorySink(LogSink):
         self._monitor: "EdgeMLMonitor | None" = None
         self._closed = False
         self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "tensors").mkdir(exist_ok=True)
+        self._tensors = (self.root / TENSORS_NAME).open("wb")
+        self._offset = 0
         self._handle = (self.root / "frames.jsonl").open("w")
         self._write_meta()
 
@@ -238,11 +248,20 @@ class DirectorySink(LogSink):
             raise ValidationError(
                 f"directory sink at {self.root} is closed; frames can no "
                 "longer be emitted to it")
-        if frame.tensors:
-            np.savez_compressed(
-                self.root / "tensors" / f"{frame.step:06d}.npz",
-                **frame.tensors)
-        self._handle.write(json.dumps(frame_to_doc(frame)) + "\n")
+        arrays = {key: np.asarray(frame.tensors[key])
+                  for key in sorted(frame.tensors)}
+        for key, array in arrays.items():
+            if array.dtype.hasobject:
+                raise ValidationError(
+                    f"frame {frame.step} tensor {key!r} has object dtype "
+                    f"{array.dtype}; only fixed-size dtypes can be logged")
+        index = {}
+        for key, array in arrays.items():
+            index[key] = [array.dtype.str, list(array.shape), self._offset]
+            self._offset += self._tensors.write(array.tobytes())
+        if index:
+            self._tensors.flush()
+        self._handle.write(json.dumps(frame_to_doc(frame, index)) + "\n")
         self._handle.flush()
 
     def sync(self) -> None:
@@ -257,11 +276,12 @@ class DirectorySink(LogSink):
             return
         self._write_meta()
         self._handle.close()
-        self._handle = None
+        self._tensors.close()
+        self._handle = self._tensors = None
         self._closed = True
 
     def total_bytes(self) -> int:
-        """Bytes on disk for this stream (meta + frame docs + shards)."""
+        """Bytes on disk for this stream (meta + frame docs + tensors)."""
         return sum(p.stat().st_size
                    for p in self.root.rglob("*") if p.is_file())
 

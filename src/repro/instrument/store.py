@@ -4,16 +4,18 @@ A log is a directory in the layout
 :class:`~repro.instrument.sinks.DirectorySink` streams (version
 :data:`~repro.instrument.sinks.LOG_FORMAT_VERSION`): ``meta.json`` (header,
 with ``version``), ``frames.jsonl`` (one JSON document per frame, appended
-as each frame closes), and ``tensors/<step>.npz`` (one shard per
-tensor-carrying frame). :func:`save_log` is a thin drain over a
-DirectorySink, and :meth:`EXrayLog.load` rejects any other version.
+as each frame closes, indexing its tensors as ``key -> [dtype.str, shape,
+offset]``), and ``tensors.bin`` (every frame's tensors as raw C-order
+bytes, appended). :func:`save_log` is a thin drain over a DirectorySink,
+and :meth:`EXrayLog.load` rejects any other version.
 
 The byte sizes of these files are exactly the "Disk" columns of Tables 2,
 3, and 5.
 
 :class:`EXrayLog` is a *lazy* reader: loading a directory parses only the
 small per-frame documents; tensor payloads stay on disk until a frame is
-materialized. :meth:`EXrayLog.iter_frames` streams frames one at a time —
+materialized, and then only the requested keys are read, each by one
+positioned read. :meth:`EXrayLog.iter_frames` streams frames one at a time —
 per-layer validation of a 10k-frame trace touches one frame (pair) of
 tensors at a time instead of holding the whole trace in memory.
 ``EXrayLog.frames`` remains the eager view (materializes and caches all
@@ -33,6 +35,7 @@ from repro.instrument.monitor import EdgeMLMonitor
 from repro.instrument.records import FrameLog, frame_from_doc
 from repro.instrument.sinks import (
     LOG_FORMAT_VERSION,
+    TENSORS_NAME,
     DirectorySink,
     LogSink,
     TeeSink,
@@ -113,6 +116,12 @@ def log_digest(root: str | Path) -> str:
     return h.hexdigest()
 
 
+def _open_tensors(path: Path):
+    """Open a log's ``tensors.bin`` for keyed reads (seam for read-counting
+    tests)."""
+    return path.open("rb")
+
+
 def _drain_source(sink: LogSink) -> LogSink:
     """The most complete view of a sink's stream, for persisting it.
 
@@ -134,7 +143,7 @@ def save_log(monitor: EdgeMLMonitor, root: str | Path) -> int:
     Flushes any pending lazily-opened frame first so trailing sensor-only
     logs are not dropped. Since the sink redesign this is a thin drain over
     :class:`~repro.instrument.sinks.DirectorySink`: frames are re-emitted
-    one at a time into ``root`` (v2 layout). The drain prefers the most
+    one at a time into ``root`` (v3 layout). The drain prefers the most
     complete view of the stream — a DirectorySink (even one nested in a
     TeeSink) has every frame on disk, while a ring buffer can only offer
     its retained window. When the monitor already streams to a
@@ -185,6 +194,9 @@ class _ListSource:
               keys=None) -> FrameLog:
         return self._frames[index]
 
+    def tensor_keys(self, index: int) -> list[str]:
+        return sorted(self._frames[index].tensors)
+
     def materialize(self) -> list[FrameLog]:
         return self._frames
 
@@ -224,30 +236,31 @@ class _DirectorySource:
             f"EXray log at {self.root} lists tensor {key!r} for frame "
             f"{step} but {why}")
 
-    @staticmethod
-    def _wanted(doc: dict, keys) -> list[str]:
-        listed = doc.get("tensor_keys", ())
-        if keys is None:
-            return list(listed)
-        return [k for k in listed if k in keys]
+    def tensor_keys(self, index: int) -> list[str]:
+        return list(self._docs[index]["tensors"])
 
     def _attach(self, doc: dict, frame: FrameLog, keys=None) -> None:
-        wanted = self._wanted(doc, keys)
+        index = doc["tensors"]
+        wanted = [k for k in index if keys is None or k in keys]
         if not wanted:
             return
-        shard = self.root / "tensors" / f"{frame.step:06d}.npz"
-        if not shard.exists():
-            raise self._missing(
-                frame.step, wanted[0],
-                f"tensor shard {shard.name} is missing (truncated log?)")
-        with np.load(shard) as npz:
+        path = self.root / TENSORS_NAME
+        try:
+            handle = _open_tensors(path)
+        except FileNotFoundError:
+            raise self._missing(frame.step, wanted[0],
+                                f"{TENSORS_NAME} is missing") from None
+        with handle:
             for key in wanted:
-                try:
-                    frame.tensors[key] = npz[key]
-                except KeyError:
+                dtype, shape, offset = index[key]
+                array = np.empty(shape, dtype=dtype)
+                handle.seek(offset)
+                if handle.readinto(array.reshape(-1).view(np.uint8)) \
+                        != array.nbytes:
                     raise self._missing(
                         frame.step, key,
-                        f"tensor shard {shard.name} has no such entry") from None
+                        f"{TENSORS_NAME} ends before its bytes (truncated log?)")
+                frame.tensors[key] = array
 
     # ------------------------------------------------------------ iteration
     def iter_frames(self, load_tensors: bool = True,
@@ -307,10 +320,10 @@ class EXrayLog:
         access. A ``meta.json`` whose version is not
         :data:`~repro.instrument.sinks.LOG_FORMAT_VERSION` raises
         :class:`ValidationError` naming the directory and the version. A
-        truncated log — ``tensor_keys`` naming arrays whose ``.npz``
-        payload is missing — raises :class:`ValidationError` naming the
-        directory and the missing key when (and only when) the affected
-        frame is materialized.
+        truncated log — a frame document indexing bytes that
+        ``tensors.bin`` does not hold — raises :class:`ValidationError`
+        naming the directory, frame step and key when (and only when) that
+        tensor is read.
         """
         root = Path(root)
         source = _DirectorySource(root)
@@ -346,8 +359,8 @@ class EXrayLog:
         ``load_tensors=False`` skips tensor payloads entirely — the cheap
         path for latency/memory queries over directory-backed logs. A
         ``keys`` set restricts which tensors load (e.g.
-        ``keys={"model_output"}`` decompresses one array per frame of a
-        per-layer trace instead of the whole shard). Both knobs only
+        ``keys={"model_output"}`` reads one array per frame of a per-layer
+        trace instead of every layer's). Both knobs only
         affect directory-backed logs; in-memory frames arrive as-is.
         """
         if self._frames is not None:
@@ -384,13 +397,18 @@ class EXrayLog:
         return np.array([frame.scalars[key]
                          for frame in self.iter_frames(load_tensors=False)])
 
+    def tensor_keys(self, index: int = 0) -> list[str]:
+        """Sorted tensor keys of one frame, from its document alone (no
+        tensor payload is read)."""
+        return self._source.tensor_keys(index)
+
     def layer_names(self) -> list[str]:
         """Names of per-layer-logged layers, in execution order."""
         if len(self) == 0:
             return []
-        frame = self.frame(0)
-        ordered = list(frame.layer_latency_ms)
-        return [n for n in ordered if f"layer/{n}" in frame.tensors]
+        keys = set(self.tensor_keys(0))
+        first = next(self.iter_frames(load_tensors=False))
+        return [n for n in first.layer_latency_ms if f"layer/{n}" in keys]
 
     def layer_schedule(self) -> tuple[tuple[str, str], ...]:
         """Stable ``(layer, op)`` keys in execution order.
@@ -403,7 +421,7 @@ class EXrayLog:
         """
         if len(self) == 0:
             return ()
-        ops = self.frame(0).layer_ops
+        ops = next(self.iter_frames(load_tensors=False)).layer_ops
         return tuple((name, ops.get(name, "?")) for name in self.layer_names())
 
     def layer_output(self, layer: str, frame_idx: int = 0) -> np.ndarray:

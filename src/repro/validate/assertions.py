@@ -93,8 +93,8 @@ class ValidationContext:
 
     def edge_input(self, frame: int = 0) -> np.ndarray:
         # Random access via EXrayLog.frame keeps directory-backed (lazy)
-        # logs lazy, and the keys filter loads just this tensor rather
-        # than decompressing the frame's whole per-layer shard.
+        # logs lazy, and the keys filter reads just this tensor's bytes
+        # rather than every per-layer tensor of the frame.
         return self.edge_log.frame(frame, keys={"model_input"}) \
             .tensor("model_input")
 

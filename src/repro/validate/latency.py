@@ -45,7 +45,7 @@ def layer_latency_profile(log: EXrayLog) -> list[LayerLatency]:
     """
     if len(log) == 0:
         raise ValidationError("log contains no frames")
-    first = log.frame(0)
+    first = next(log.iter_frames(load_tensors=False))
     order = list(first.layer_latency_ms)
     if not order:
         raise ValidationError(

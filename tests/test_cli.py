@@ -346,7 +346,7 @@ class TestLogDirAndLogShow:
         from repro.instrument import EXrayLog
         for name in ("reference", "clean", "bgr"):
             log = EXrayLog.load(log_dir / name)
-            assert len(log) == 8 and log.version == 2
+            assert len(log) == 8 and log.version == 3
 
     def test_validate_log_dir(self, tmp_path):
         log_dir = tmp_path / "edge-log"
@@ -362,7 +362,7 @@ class TestLogDirAndLogShow:
                 "--log-dir", str(log_dir))
         code, text = run_cli("log", "show", str(log_dir), "--frames", "2")
         assert code == 0
-        assert "format version     v2" in text
+        assert "format version     v3" in text
         assert "6 inference" in text
         assert "mean latency" in text
         # the per-frame table printed the first two rows

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import conv2d, softmax
@@ -125,25 +125,64 @@ class TestArchSignatureProperties:
         assert arch_signature(arch_a) != arch_signature(arch_b)
 
 
+LOG_DTYPES = ["float16", "float32", "float64", "int8", "uint8", "int32",
+              "int64", "bool", "<U5"]
+
+
+def _log_tensor(rng, dtype, shape, layout):
+    """A tensor of ``dtype``/``shape`` laid out C-order, Fortran-order, or as
+    a non-contiguous view (every other element of a wider last axis)."""
+    if layout == "strided" and shape:
+        wide = _log_tensor(rng, dtype, shape[:-1] + (2 * shape[-1],), "c")
+        return wide[..., ::2]
+    values = rng.integers(-100, 100, size=shape)
+    if dtype == "bool":
+        array = values > 0
+    elif dtype == "<U5":
+        array = np.abs(values).astype(dtype)
+    elif dtype.startswith("float"):
+        array = (values + rng.normal(size=shape)).astype(dtype)
+    else:
+        array = np.asarray(values % 100 if dtype == "uint8" else values,
+                           dtype=dtype)
+    return np.asfortranarray(array) if layout == "fortran" else array
+
+
 class TestMonitorLogRoundTripProperty:
-    @given(n_frames=st.integers(1, 6), tensor_dim=st.integers(1, 8),
+    @given(n_frames=st.integers(1, 4),
+           specs=st.lists(st.tuples(st.sampled_from(LOG_DTYPES),
+                                    st.lists(st.integers(0, 4), max_size=3),
+                                    st.sampled_from(["c", "fortran",
+                                                     "strided"])),
+                          min_size=1, max_size=4),
            seed=st.integers(0, 1000))
-    @settings(max_examples=20, deadline=None)
-    def test_save_load_identity(self, tmp_path_factory, n_frames, tensor_dim,
+    @settings(max_examples=40, deadline=None)
+    @example(n_frames=2, seed=0,
+             specs=[(dtype, [2, 3], "fortran") for dtype in LOG_DTYPES]
+             + [("float64", [], "c"), ("int8", [0, 3], "c"),
+                ("<U5", [3, 2], "strided"), ("float16", [4], "strided")])
+    def test_save_load_identity(self, tmp_path_factory, n_frames, specs,
                                 seed):
+        """Every dtype, shape (0-d and zero-size included) and memory
+        layout comes back with identical dtype, shape and bytes."""
         from repro.instrument import EXrayLog, EdgeMLMonitor, save_log
         rng = derive_rng(seed, "logprop")
         monitor = EdgeMLMonitor("p")
-        for i in range(n_frames):
-            monitor.on_inf_start()
-            monitor.log("t", rng.normal(size=tensor_dim).astype(np.float32))
-            monitor.log("s", float(rng.normal()))
-            monitor.on_inf_stop()
+        for _ in range(n_frames):
+            with monitor.frame() as frame:
+                for i, (dtype, shape, layout) in enumerate(specs):
+                    frame.tensors[f"t{i}"] = _log_tensor(
+                        rng, dtype, tuple(shape), layout)
+                frame.scalars["s"] = float(rng.normal())
         root = tmp_path_factory.mktemp("log")
         save_log(monitor, root)
         loaded = EXrayLog.load(root)
         assert len(loaded) == n_frames
         for orig, restored in zip(monitor.frames, loaded.frames):
-            np.testing.assert_array_equal(orig.tensors["t"],
-                                          restored.tensors["t"])
+            assert sorted(restored.tensors) == sorted(orig.tensors)
+            for key, array in orig.tensors.items():
+                got = restored.tensors[key]
+                assert got.dtype == array.dtype
+                assert got.shape == array.shape
+                assert got.tobytes() == array.tobytes()
             assert orig.scalars["s"] == restored.scalars["s"]

@@ -238,8 +238,9 @@ class TestFaultInjection:
     def test_tensor_shard_digest_mismatch_quarantines_shard(self, fleet,
                                                             tmp_path):
         _, dirs = corrupted_fleet(fleet, tmp_path)
-        shard = next((dirs[0] / "logs" / "clean" / "tensors").glob("*.npz"))
-        shard.write_bytes(b"\x00" + shard.read_bytes()[1:])
+        tensors = dirs[0] / "logs" / "clean" / "tensors.bin"
+        data = tensors.read_bytes()
+        tensors.write_bytes(bytes([data[0] ^ 0xFF]) + data[1:])
         merged = merge_shards(dirs)
         assert merged.result("clean").status == "skipped"
         assert merged.result("tap").status == "skipped"
@@ -299,8 +300,9 @@ class TestFaultInjection:
         # verify=False (the just-wrote-it driver path) ignores digest
         # drift but still catches structural corruption.
         _, dirs = corrupted_fleet(fleet, tmp_path)
-        shard = next((dirs[0] / "logs" / "clean" / "tensors").glob("*.npz"))
-        shard.write_bytes(b"\x00" + shard.read_bytes()[1:])
+        tensors = dirs[0] / "logs" / "clean" / "tensors.bin"
+        data = tensors.read_bytes()
+        tensors.write_bytes(bytes([data[0] ^ 0xFF]) + data[1:])
         merged = merge_shards(dirs, verify=False)
         assert merged.result("clean").completed  # digest drift not checked
         (dirs[1] / REPORT_NAME).unlink()

@@ -2,14 +2,16 @@
 
 Covers the LogSink redesign: MemorySink parity with the buffered monitor,
 DirectorySink incremental streaming (O(1) resident frames, mid-stream
-readability, v2 layout), RingBufferSink bounded always-on mode, TeeSink
+readability, v3 layout), RingBufferSink bounded always-on mode, TeeSink
 fan-out, the ``with monitor.frame(...)`` scope, lazy ``EXrayLog`` readers,
 and the save/load canonicalization + format-version guarantees.
 """
 
 import gc
+import io
 import json
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +25,11 @@ from repro.instrument import (
     TeeSink,
     save_log,
 )
+from repro.cli import cmd_log
+from repro.instrument import store
 from repro.runtime import Interpreter
 from repro.util.errors import ValidationError
+from repro.validate.latency import layer_latency_profile
 from repro.validate.layerdiff import per_layer_diff
 from repro.validate.session import DebugSession
 
@@ -44,6 +49,39 @@ def stream_frames(graph, monitor, x_frames, scale=1.0):
 @pytest.fixture
 def x_frames(rng):
     return rng.normal(size=(4, 8, 8, 3)).astype(np.float32)
+
+
+@pytest.fixture
+def tensor_reads(monkeypatch):
+    """Byte counts of every read from a log's ``tensors.bin``, in order."""
+    reads = []
+    open_tensors = store._open_tensors
+
+    class CountingReader:
+        def __init__(self, path):
+            self._handle = open_tensors(path)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._handle.close()
+
+        def seek(self, offset):
+            return self._handle.seek(offset)
+
+        def readinto(self, buffer):
+            n = self._handle.readinto(buffer)
+            reads.append(n)
+            return n
+
+    monkeypatch.setattr(store, "_open_tensors", CountingReader)
+    return reads
+
+
+def frame_docs(root):
+    return [json.loads(line)
+            for line in (root / "frames.jsonl").read_text().splitlines()]
 
 
 class TestMemorySink:
@@ -207,8 +245,21 @@ class TestDirectorySink:
         monitor.close()
         log = EXrayLog.load(tmp_path / "log")
         assert len(log) == 4
-        assert log.version == 2
+        assert log.version == 3
         assert log.layer_names() == [n.name for n in small_cnn.nodes]
+
+    def test_object_dtype_tensor_rejected(self, tmp_path):
+        sink = DirectorySink(tmp_path / "log")
+        monitor = EdgeMLMonitor(sink=sink)
+        with pytest.raises(ValidationError) as err:
+            with monitor.frame() as frame:
+                frame.tensors["boxes"] = np.array([{"x": 1}, None])
+        assert "'boxes'" in str(err.value)
+        assert f"frame {frame.step}" in str(err.value)
+        sink.close()
+        # Nothing of the rejected frame reached disk.
+        assert (tmp_path / "log" / "tensors.bin").stat().st_size == 0
+        assert frame_docs(tmp_path / "log") == []
 
     def test_readable_mid_stream(self, small_cnn, x_frames, tmp_path):
         monitor = EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))
@@ -367,7 +418,7 @@ class TestLazyReader:
 
 
 class TestFormatCompat:
-    @pytest.mark.parametrize("version", [1, 3, None])
+    @pytest.mark.parametrize("version", [1, 2, None])
     def test_other_format_version_rejected(self, small_cnn, x_frames,
                                            tmp_path, version):
         monitor = EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))
@@ -410,12 +461,76 @@ class TestFormatCompat:
         monitor = EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))
         stream_frames(small_cnn, monitor, x_frames[:2])
         monitor.close()
-        (tmp_path / "log" / "tensors" / "000001.npz").unlink()
+        (tmp_path / "log" / "tensors.bin").unlink()
         log = EXrayLog.load(tmp_path / "log")   # lazy: no error yet
         with pytest.raises(ValidationError, match="model_input"):
             log.frame(1)
         with pytest.raises(ValidationError, match=str(tmp_path / "log")):
             list(log.iter_frames())
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_truncated_tensors_bin_fails_from_frame_k(self, small_cnn,
+                                                      x_frames, tmp_path, k):
+        root = tmp_path / "log"
+        monitor = EdgeMLMonitor(sink=DirectorySink(root))
+        stream_frames(small_cnn, monitor, x_frames)
+        monitor.close()
+        intact = EXrayLog.load(root).frames
+        # Cut tensors.bin halfway through frame k's last tensor.
+        index = frame_docs(root)[k]["tensors"]
+        key = list(index)[-1]
+        offset = index[key][2] + intact[k].tensors[key].nbytes // 2
+        with (root / "tensors.bin").open("r+b") as handle:
+            handle.truncate(offset)
+        log = EXrayLog.load(root)
+        for i in range(k):
+            for name, array in intact[i].tensors.items():
+                assert log.frame(i).tensor(name).tobytes() == array.tobytes()
+        with pytest.raises(ValidationError) as err:
+            log.frame(k)
+        assert str(root) in str(err.value)
+        assert repr(key) in str(err.value)
+        assert f"frame {intact[k].step}" in str(err.value)
+
+
+class TestMetadataReads:
+    """Metadata queries answer from frame documents alone; keyed reads
+    touch only the requested tensors' bytes."""
+
+    @pytest.fixture
+    def log_root(self, small_cnn, x_frames, tmp_path):
+        monitor = EdgeMLMonitor(per_layer=True,
+                                sink=DirectorySink(tmp_path / "log"))
+        stream_frames(small_cnn, monitor, x_frames)
+        monitor.close()
+        return tmp_path / "log"
+
+    def test_metadata_reads_no_tensor_bytes(self, small_cnn, log_root,
+                                            tensor_reads):
+        log = EXrayLog.load(log_root)
+        names = [n.name for n in small_cnn.nodes]
+        assert log.layer_names() == names
+        assert [layer for layer, _ in log.layer_schedule()] == names
+        assert [p.layer for p in layer_latency_profile(log)] == names
+        out = io.StringIO()
+        assert cmd_log(SimpleNamespace(dir=str(log_root), frames=2), out) == 0
+        assert f"tensor keys        {len(names) + 2} (layer/" in out.getvalue()
+        assert tensor_reads == []
+
+    def test_keyed_iteration_reads_only_that_key(self, log_root, x_frames,
+                                                 tensor_reads):
+        log = EXrayLog.load(log_root)
+        outputs = [f.tensor("model_output")
+                   for f in log.iter_frames(keys={"model_output"})]
+        assert len(tensor_reads) == len(x_frames)
+        assert sum(tensor_reads) == sum(o.nbytes for o in outputs)
+
+    def test_tensor_keys_match_between_sources(self, small_cnn, x_frames,
+                                               log_root):
+        monitor = EdgeMLMonitor(per_layer=True)
+        stream_frames(small_cnn, monitor, x_frames)
+        assert EXrayLog.from_monitor(monitor).tensor_keys(0) == \
+            EXrayLog.load(log_root).tensor_keys(0)
 
 
 class TestStreamedValidationParity:
