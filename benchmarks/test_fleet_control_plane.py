@@ -44,7 +44,7 @@ def timed(fn, repeats) -> list:
 def test_control_plane_rpc_latency(benchmark, tmp_path):
     lineup = [SweepVariant(f"probe-{i:02d}") for i in range(NUM_SHARDS)]
     manifests = plan_shards(MODEL, lineup, max_variants_per_shard=1,
-                            frames=4, check=False)
+                            frames=4)
     coordinator = SweepCoordinator(manifests, tmp_path / "fleet",
                                    ttl_s=3600.0)
     server = make_server(coordinator)

@@ -33,14 +33,11 @@ from repro.graph.graph import Graph
 from repro.util.errors import ValidationError
 
 ARENA_SCHEMA_VERSION = 2
-"""Version of the ArenaLayout JSON wire format.
+"""Version of the ArenaLayout JSON wire format, and the only one readable.
 
 Version 2 added :attr:`ArenaSlot.alias_of` (view outputs sharing their
-input's slot); version-1 documents are still readable — they simply carry
-no aliases.
+input's slot).
 """
-
-_READABLE_SCHEMA_VERSIONS = frozenset({1, ARENA_SCHEMA_VERSION})
 
 ALIGNMENT = 64
 """Byte alignment of every slot offset.
@@ -77,14 +74,15 @@ class ArenaSlot:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ArenaSlot":
-        for fieldname in ("tensor", "offset", "nbytes", "start", "end"):
+        for fieldname in ("tensor", "offset", "nbytes", "start", "end",
+                          "alias_of"):
             if fieldname not in doc:
                 raise ValidationError(
                     f"malformed arena-slot document: missing field "
                     f"{fieldname!r}")
         return cls(tensor=doc["tensor"], offset=int(doc["offset"]),
                    nbytes=int(doc["nbytes"]), start=int(doc["start"]),
-                   end=int(doc["end"]), alias_of=doc.get("alias_of"))
+                   end=int(doc["end"]), alias_of=doc["alias_of"])
 
 
 @dataclass
@@ -122,11 +120,10 @@ class ArenaLayout:
     @classmethod
     def from_doc(cls, doc: dict) -> "ArenaLayout":
         version = doc.get("schema_version")
-        if version not in _READABLE_SCHEMA_VERSIONS:
+        if version != ARENA_SCHEMA_VERSION:
             raise ValidationError(
                 f"arena-layout document has schema version {version!r}; "
-                f"this reader understands versions "
-                f"{sorted(_READABLE_SCHEMA_VERSIONS)}")
+                f"only version {ARENA_SCHEMA_VERSION} is readable")
         for fieldname in ("graph", "batch", "arena_bytes", "slots"):
             if fieldname not in doc:
                 raise ValidationError(

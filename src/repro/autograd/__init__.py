@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff used to train the model zoo from scratch."""
 
 from repro.autograd import ops
-from repro.autograd.losses import mse, sigmoid_binary_cross_entropy, softmax_cross_entropy
+from repro.autograd.losses import mse, softmax_cross_entropy
 from repro.autograd.optim import SGD, Adam, Optimizer
 from repro.autograd.variable import Var, as_var, unbroadcast
 
@@ -13,7 +13,6 @@ __all__ = [
     "as_var",
     "mse",
     "ops",
-    "sigmoid_binary_cross_entropy",
     "softmax_cross_entropy",
     "unbroadcast",
 ]

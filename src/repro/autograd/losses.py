@@ -41,22 +41,6 @@ def softmax_cross_entropy(logits: Var, labels: np.ndarray,
     return out
 
 
-def sigmoid_binary_cross_entropy(logits: Var, targets: np.ndarray) -> Var:
-    """Mean binary cross-entropy on raw logits (stable log-sum-exp form)."""
-    logits = as_var(logits)
-    targets = np.asarray(targets, dtype=np.float32)
-    z = logits.data
-    loss = np.maximum(z, 0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-    out = Var(np.float32(loss.mean()), logits.requires_grad, (logits,))
-
-    def backward(g):
-        if logits.requires_grad:
-            s = 1.0 / (1.0 + np.exp(-z))
-            logits.accumulate_grad(g * (s - targets) / z.size)
-    out._backward_fn = backward
-    return out
-
-
 def mse(pred: Var, targets: np.ndarray, mask: np.ndarray | None = None) -> Var:
     """Mean squared error, optionally masked (for box-regression targets)."""
     pred = as_var(pred)

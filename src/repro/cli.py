@@ -34,14 +34,13 @@ peak activation memory under naive allocation vs a packed static arena
 (``--arena`` also runs the independent layout verifier, the CI zoo gate).
 Both take ``--explain RULE_ID`` to document any registered rule. The same rules pre-vet
 every ``sweep`` lineup: statically-doomed variants are reported as
-``skipped`` with their diagnostics instead of burning a worker
-(``--no-preflight`` restores raise-on-bad-field behaviour).
+``skipped`` with their diagnostics instead of burning a worker.
 ``validate`` runs the full Figure-2 flowchart: instrumented edge app (with
 optional injected bugs) vs the model's reference pipeline over played-back
 data, then prints the validation report. ``sweep`` fans many deployment
 variants of one model across a worker pool and aggregates their validation
 reports; ``--log-dir`` streams every run's EXray log to disk as it
-happens (DirectorySink shards). ``--shards N`` partitions the lineup into
+happens (DirectorySink logs). ``--shards N`` partitions the lineup into
 portable shard manifests, executes each as an isolated shard artifact,
 and merges — with ``--plan-only`` it stops after writing the manifests so
 a fleet of ``sweep-worker`` processes (any machine) can execute them, and
@@ -255,7 +254,6 @@ def cmd_sweep(args, out) -> int:
         max_failures=args.max_failures, deadline_s=args.deadline_s,
         on_result=progress if args.stream else None,
         backends=args.backends, log_dir=args.log_dir,
-        preflight=not args.no_preflight,
     )
     if args.triage:
         report.triage = triage_sweep(report)
@@ -272,11 +270,10 @@ def cmd_sweep(args, out) -> int:
 def _build_lineup(args, model):
     """The sweep lineup from --variant specs (or the task's default)."""
     if args.variant:
-        # With the pre-flight on, field validation is deferred to it so a
+        # Field validation is deferred to the pre-flight, so a
         # statically-broken spec becomes a skipped result with diagnostics
         # instead of a parse error.
-        return [parse_variant_spec(spec, check=args.no_preflight)
-                for spec in args.variant]
+        return [parse_variant_spec(spec) for spec in args.variant]
     entry = get_entry(model)
     if entry.task not in ("classification", "detection", "segmentation"):
         raise ValidationError(
@@ -317,8 +314,7 @@ def _sweep_sharded(args, variants, out) -> int:
     manifests = plan_shards(
         args.model, variants, n_shards=args.shards, frames=args.frames,
         always_assert=args.always_assert, reference="../reference",
-        reference_digest=log_digest(ref_root),
-        check=args.no_preflight)
+        reference_digest=log_digest(ref_root))
     shard_dirs = write_shards(manifests, out_dir)
     rows = [(m.shard_id, len(m.variants),
              " ".join(v.name for v in m.variants)) for m in manifests]
@@ -343,8 +339,7 @@ def _sweep_sharded(args, variants, out) -> int:
         run_shard(shard_dir / MANIFEST_NAME, shard_dir,
                   executor=args.executor, workers=args.workers,
                   on_result=progress if args.stream else None,
-                  verify_reference=False,
-                  preflight=not args.no_preflight)
+                  verify_reference=False)
     # verify=False: this process wrote every artifact moments ago;
     # re-hashing them buys nothing on the local path. --strict still
     # upgrades structural problems (a worker crash mid-artifact) to errors.
@@ -370,8 +365,7 @@ def _sweep_merge(args, out) -> int:
                "--max-failures": args.max_failures,
                "--deadline-s": args.deadline_s, "--stream": args.stream,
                "--workers": args.workers,
-               "--always-assert": args.always_assert,
-               "--no-preflight": args.no_preflight}
+               "--always-assert": args.always_assert}
     passed = [flag for flag, value in ignored.items() if value]
     if passed:
         raise ValidationError(
@@ -406,7 +400,7 @@ def _sweep_serve(args, out) -> int:
         Path(tempfile.mkdtemp(prefix="exray-fleet-"))
     manifests = plan_shards(
         model, variants, n_shards=args.shards, frames=args.frames,
-        always_assert=args.always_assert, check=args.no_preflight)
+        always_assert=args.always_assert)
     coordinator = SweepCoordinator(manifests, workdir, ttl_s=args.ttl_s)
     server = make_server(coordinator, args.host, args.port)
     url = server_url(server)
@@ -700,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run assertions even when accuracy looks healthy")
     p.add_argument("--log-dir", default=None, metavar="DIR",
                    help="stream the edge EXray log to DIR as the run "
-                        "happens (one JSONL line + tensor shard per frame)")
+                        "happens (one JSONL line per frame, tensors "
+                        "appended to one tensors.bin)")
 
     p = sub.add_parser(
         "sweep", help="validate many deployment variants in parallel")
@@ -768,10 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="with 'merge': treat missing/corrupt shard "
                         "artifacts as errors instead of skipped variants")
-    p.add_argument("--no-preflight", action="store_true",
-                   help="skip the static pre-flight lint: statically-broken "
-                        "variants raise instead of landing in the report "
-                        "as skipped results with diagnostics")
     p.add_argument("--host", default="127.0.0.1",
                    help="with 'serve': interface to bind (default "
                         "127.0.0.1; 0.0.0.0 exposes the fleet API)")

@@ -46,14 +46,3 @@ def rebuild(
     )
     new.validate()
     return new
-
-
-def apply_rename(nodes: list[Node], rename: dict[str, str]) -> list[Node]:
-    """Rewrite node inputs through a tensor rename map."""
-    if not rename:
-        return nodes
-    out = []
-    for node in nodes:
-        node.inputs = [rename.get(t, t) for t in node.inputs]
-        out.append(node)
-    return out

@@ -4,8 +4,8 @@ Everything the coordinator and worker agree on lives here: the error
 vocabulary (:class:`FleetTransportError` for faults worth retrying,
 :class:`FleetProtocolError` for rejections that never are), the JSON
 request helper built on stdlib :mod:`urllib`, the artifact archive
-format (a normalized tar; zip accepted on the receiving side), and the
-:class:`CoordinatorClient` facade over the coordinator's endpoints.
+format (a normalized tar), and the :class:`CoordinatorClient` facade
+over the coordinator's endpoints.
 
 No third-party dependencies: a worker is deployable anywhere a Python
 interpreter runs, which is the point of an edge fleet.
@@ -19,7 +19,6 @@ import tarfile
 import urllib.error
 import urllib.parse
 import urllib.request
-import zipfile
 from pathlib import Path, PurePosixPath
 
 from repro.util.errors import ReproError, ValidationError
@@ -155,22 +154,16 @@ def pack_artifact(artifact_dir: str | Path) -> bytes:
 
 
 def unpack_artifact(blob: bytes, dest: str | Path) -> None:
-    """Extract an uploaded artifact archive (tar or zip) under ``dest``.
+    """Extract an uploaded artifact tar (as :func:`pack_artifact` makes it)
+    under ``dest``.
 
     Only regular files are materialized; links, devices, and any member
     whose path would escape ``dest`` raise
     :class:`~repro.util.errors.ValidationError` — uploads are untrusted
-    input even on a friendly fleet.
+    input even on a friendly fleet. So does any blob that is not a tar.
     """
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
-    if blob[:4] == b"PK\x03\x04":
-        _unpack_zip(blob, dest)
-    else:
-        _unpack_tar(blob, dest)
-
-
-def _unpack_tar(blob: bytes, dest: Path) -> None:
     try:
         with tarfile.open(fileobj=io.BytesIO(blob), mode="r:*") as tar:
             for member in tar.getmembers():
@@ -188,21 +181,6 @@ def _unpack_tar(blob: bytes, dest: Path) -> None:
     except tarfile.TarError as exc:
         raise ValidationError(
             f"artifact upload is not a readable tar archive ({exc})") from None
-
-
-def _unpack_zip(blob: bytes, dest: Path) -> None:
-    try:
-        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
-            for info in archive.infolist():
-                if info.is_dir():
-                    continue
-                target = dest / _check_member(info.filename)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                with target.open("wb") as handle:
-                    handle.write(archive.read(info))
-    except zipfile.BadZipFile as exc:
-        raise ValidationError(
-            f"artifact upload is not a readable zip archive ({exc})") from None
 
 
 # ----------------------------------------------------------------- the client

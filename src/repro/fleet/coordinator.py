@@ -32,7 +32,7 @@ Endpoints (all JSON):
 ``POST /lease``          next pending shard → ``lease_id``/``ttl_s``/
                          ``manifest`` (or ``retry_after_s`` / ``complete``)
 ``POST /heartbeat``      extend a live lease's TTL
-``POST /upload/<lease>`` artifact archive (tar/zip) for the leased shard;
+``POST /upload/<lease>`` artifact archive (tar) for the leased shard;
                          digest-verified before acceptance
 ``GET  /status``         per-shard state machine + lease table
 ``GET  /report``         live merged SweepReport (``?triage=1`` clusters)

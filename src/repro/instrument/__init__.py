@@ -4,7 +4,6 @@ records, and the lazy log store."""
 from repro.instrument.monitor import EdgeMLMonitor, MLEXray
 from repro.instrument.records import (
     FrameLog,
-    TraceSummary,
     frame_from_doc,
     frame_to_doc,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "RingBufferSink",
     "StreamStats",
     "TeeSink",
-    "TraceSummary",
     "file_digest",
     "frame_from_doc",
     "frame_to_doc",

@@ -101,21 +101,3 @@ def frame_from_doc(doc: dict) -> FrameLog:
         layer_ops=dict(doc.get("layer_ops", {})),
         sensor_only=doc.get("sensor_only", False),
     )
-
-
-@dataclass
-class TraceSummary:
-    """Aggregate statistics over a run (consumed by the overhead tables)."""
-
-    num_frames: int
-    mean_latency_ms: float
-    std_latency_ms: float
-    mean_wall_ms: float
-    peak_memory_mb: float
-    monitor_overhead_ms: float
-    log_bytes: int
-    sensor_only_frames: int = 0
-
-    @property
-    def bytes_per_frame(self) -> float:
-        return self.log_bytes / max(self.num_frames, 1)

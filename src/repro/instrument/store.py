@@ -98,7 +98,7 @@ def log_digest(root: str | Path) -> str:
 
     SHA-256 over every file's root-relative POSIX path and size-prefixed
     bytes, visited in sorted order — the same tree hashes identically
-    wherever it is copied, and any truncated tensor shard, edited frame
+    wherever it is copied, and any truncated ``tensors.bin``, edited frame
     document, or missing file changes the digest. Files stream through
     the hash in chunks (nothing is materialized whole). Sweep-shard
     artifacts record this per streamed edge log (and shard manifests for
@@ -423,9 +423,6 @@ class EXrayLog:
             return ()
         ops = next(self.iter_frames(load_tensors=False)).layer_ops
         return tuple((name, ops.get(name, "?")) for name in self.layer_names())
-
-    def layer_output(self, layer: str, frame_idx: int = 0) -> np.ndarray:
-        return self.frame(frame_idx).tensor(f"layer/{layer}")
 
     def layer_latency_by_type(self) -> dict[str, float]:
         """Mean-per-frame total latency per op type (the Table 4 rows)."""

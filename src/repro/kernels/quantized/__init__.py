@@ -14,7 +14,6 @@ from repro.kernels.quantized.bugs import (
     KernelBugs,
 )
 from repro.kernels.quantized.requant import (
-    FUSABLE_QUANTIZED_ACTIVATIONS,
     apply_lut,
     build_lut,
     fused_activation_bounds,
@@ -22,11 +21,9 @@ from repro.kernels.quantized.requant import (
     requantize,
     rescale_tensor,
     wrap_to_bits,
-    wrap_to_int16,
 )
 
 __all__ = [
-    "FUSABLE_QUANTIZED_ACTIVATIONS",
     "KernelBugs",
     "NO_BUGS",
     "PAPER_OPTIMIZED_BUGS",
@@ -40,5 +37,4 @@ __all__ = [
     "requantize",
     "rescale_tensor",
     "wrap_to_bits",
-    "wrap_to_int16",
 ]

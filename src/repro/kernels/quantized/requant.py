@@ -63,9 +63,6 @@ def fused_activation_bounds(activation: str, out_params: QuantParams) -> tuple[i
         "it must remain a standalone (LUT) activation node"
     )
 
-FUSABLE_QUANTIZED_ACTIVATIONS = ("linear", "relu", "relu6")
-"""Activations representable as quantized-domain clamps."""
-
 
 def rescale_tensor(
     q: np.ndarray, src: QuantParams, dst: QuantParams
@@ -111,11 +108,6 @@ def wrap_to_bits(acc: np.ndarray, bits: int) -> np.ndarray:
     """
     half = 2 ** (bits - 1)
     return ((acc.astype(np.int64) + half) % (2 * half) - half).astype(np.float64)
-
-
-def wrap_to_int16(acc: np.ndarray) -> np.ndarray:
-    """Backward-compatible int16 wrap (see :func:`wrap_to_bits`)."""
-    return wrap_to_bits(acc, 16)
 
 
 def _np_dtype(name: str) -> np.dtype:

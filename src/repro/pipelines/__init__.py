@@ -8,7 +8,6 @@ from repro.pipelines.preprocess import (
     ImagePreprocessConfig,
     NormalizationScheme,
     SpectrogramNormalization,
-    bgr_to_rgb,
     flip_horizontal,
     normalize,
     resize,
@@ -29,7 +28,6 @@ __all__ = [
     "NormalizationScheme",
     "SPEC_NORMALIZATIONS",
     "SpectrogramNormalization",
-    "bgr_to_rgb",
     "build_reference_app",
     "decode_predictions",
     "encode_targets",

@@ -108,11 +108,9 @@ class EdgeApp:
         Simulated hardware and kernel resolver.
     monitor:
         Attached monitor; a fresh default one is created if omitted.
-    sink:
-        Log sink for the default monitor (e.g. a
-        :class:`~repro.instrument.sinks.DirectorySink` to stream frames to
-        disk as the app runs). Only used when ``monitor`` is omitted —
-        pass the sink to your own monitor otherwise.
+        Give it a sink (e.g. a
+        :class:`~repro.instrument.sinks.DirectorySink`) to stream frames
+        to disk as the app runs.
     log_inputs:
         Log the preprocessed model input tensor per frame. Needed by the
         preprocessing assertions; disable for the lean always-on logging
@@ -126,13 +124,8 @@ class EdgeApp:
         device: Device | None = PIXEL4_CPU,
         resolver: BaseOpResolver | None = None,
         monitor: EdgeMLMonitor | None = None,
-        sink=None,
         log_inputs: bool = True,
     ):
-        if monitor is not None and sink is not None:
-            raise ValidationError(
-                "pass either a monitor or a sink, not both; a sink belongs "
-                "to exactly one monitor")
         self.log_inputs = log_inputs
         self.graph = graph
         self.pipeline_meta = graph.metadata.get("pipeline", {})
@@ -140,7 +133,7 @@ class EdgeApp:
             preprocess = make_preprocess(self.pipeline_meta)
         self.preprocess = preprocess
         self.interpreter = Interpreter(graph, resolver=resolver, device=device)
-        self.monitor = monitor or EdgeMLMonitor(name="edge", sink=sink)
+        self.monitor = monitor or EdgeMLMonitor(name="edge")
         self.monitor.attach(self.interpreter)
 
     # --------------------------------------------------------------- frames

@@ -116,8 +116,6 @@ def rgb_to_bgr(images: np.ndarray) -> np.ndarray:
     return images[..., ::-1]
 
 
-bgr_to_rgb = rgb_to_bgr
-
 _RGB_TO_YUV = np.array([
     [0.299, 0.587, 0.114],
     [-0.14713, -0.28886, 0.436],

@@ -14,7 +14,7 @@ the reference pipeline once into a
 carries that path instead of a pickled in-memory log, so per-layer
 reference tensors are read lazily in each worker rather than serialized
 into every job. With ``log_dir`` set, workers likewise stream their edge
-logs to per-variant DirectorySink shards.
+logs to per-variant DirectorySink directories.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def run_variant(
     without one, the variant runs its own reference pipeline.
 
     ``log_dir`` streams the variant's edge log to
-    ``log_dir/<variant name>`` as the app runs (DirectorySink shards, O(1)
+    ``log_dir/<variant name>`` as the app runs (DirectorySink logs, O(1)
     frames resident) and validates from the streamed directory; the log
     stays on disk for post-hoc inspection (``repro log show``).
     """

@@ -79,13 +79,3 @@ def find_stragglers(
         if p.share >= share_threshold and ratio >= median_factor:
             out.append(Straggler(p.layer, p.op, p.latency_ms, p.share, ratio))
     return sorted(out, key=lambda s: -s.latency_ms)
-
-
-def compare_latency(edge_log: EXrayLog, ref_log: EXrayLog) -> dict:
-    """End-to-end and per-layer-type latency comparison of two logs."""
-    return {
-        "edge_mean_ms": edge_log.mean_latency_ms(),
-        "ref_mean_ms": ref_log.mean_latency_ms(),
-        "edge_by_type": edge_log.layer_latency_by_type(),
-        "ref_by_type": ref_log.layer_latency_by_type(),
-    }

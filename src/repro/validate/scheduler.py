@@ -84,7 +84,6 @@ def iter_sweep(
     on_dispatch: Callable[[SweepVariant], None] | None = None,
     log_dir: str | Path | None = None,
     ref_log_dir: str | Path | None = None,
-    preflight: bool = True,
 ) -> Iterator[VariantResult]:
     """Yield one :class:`VariantResult` per variant, as each completes.
 
@@ -103,16 +102,15 @@ def iter_sweep(
     existing reference-log directory to reuse instead; it is never rebuilt
     nor removed.
 
-    With ``preflight`` (the default) the lineup is linted first
+    The lineup is linted first
     (:func:`~repro.analysis.preflight.preflight_lineup`): variants with
     error-level diagnostics are yielded at once as ``skipped`` results
-    carrying them, and warnings ride along on the results of variants that
-    still run. With ``preflight=False`` a bad field raises from
-    :func:`~repro.validate.variants.plan_variants` instead.
+    carrying them, and warnings ride along on the results of variants
+    that still run.
     """
     # Lineup *structure* problems (empty, duplicate names) always raise;
     # per-variant field problems become skipped results under pre-flight.
-    variants = plan_variants(variants, check=not preflight)
+    variants = plan_variants(variants, check=False)
     check_executor(executor, workers)
     if max_failures is not None and max_failures < 1:
         raise ValidationError(f"max_failures must be >= 1, got {max_failures}")
@@ -124,23 +122,22 @@ def iter_sweep(
     from repro.zoo import get_trained
     get_trained(model)
 
-    carried: dict[str, list] = {}
-    if preflight:
-        from repro.analysis.preflight import preflight_lineup
+    from repro.analysis.preflight import preflight_lineup
 
-        reports = preflight_lineup(model, variants)
-        runnable = []
-        for variant in variants:
-            report = reports[variant.name]
-            if report.has_errors:
-                yield _unrun(variant, STATUS_SKIPPED, report.diagnostics)
-                continue
-            if report.diagnostics:
-                carried[variant.name] = list(report.diagnostics)
-            runnable.append(variant)
-        # Survivors still pass full field validation; the pre-flight
-        # mirrors it rule for rule.
-        variants = plan_variants(runnable) if runnable else []
+    carried: dict[str, list] = {}
+    reports = preflight_lineup(model, variants)
+    runnable = []
+    for variant in variants:
+        report = reports[variant.name]
+        if report.has_errors:
+            yield _unrun(variant, STATUS_SKIPPED, report.diagnostics)
+            continue
+        if report.diagnostics:
+            carried[variant.name] = list(report.diagnostics)
+        runnable.append(variant)
+    # Survivors still pass full field validation; the pre-flight mirrors
+    # it rule for rule.
+    variants = plan_variants(runnable) if runnable else []
     if not variants:
         return
 

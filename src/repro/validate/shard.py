@@ -42,7 +42,7 @@ Shard artifact layout (what :func:`run_shard` writes under ``out_dir``)::
 
     manifest.json        # copied next to the results: artifacts are self-contained
     report.json          # this shard's SweepReport (versioned JSON)
-    logs/<variant>/      # per-variant DirectorySink v2 edge logs
+    logs/<variant>/      # per-variant DirectorySink v3 edge logs
     logs/reference/      # only when the worker had to rebuild the reference
     digests.json         # sha256 of report.json + content digest per edge log
 """
@@ -178,7 +178,6 @@ def plan_shards(
     tag: str = "sweep",
     reference: str | None = None,
     reference_digest: str | None = None,
-    check: bool = True,
 ) -> list[ShardManifest]:
     """Partition a sweep lineup into self-contained shard manifests.
 
@@ -195,12 +194,12 @@ def plan_shards(
     :func:`~repro.validate.variants.expand_backends` *before* planning so
     ``name@backend`` clones can land on different shards.
 
-    ``check=False`` skips per-variant field validation (lineup structure is
-    always checked) — for drivers whose shard workers run the sweep
-    pre-flight, which records statically-broken variants as skipped results
-    instead of refusing to plan the fleet.
+    Only the lineup structure is checked here, not per-variant fields:
+    shard workers run the sweep pre-flight, which records
+    statically-broken variants as skipped results instead of refusing to
+    plan the fleet.
     """
-    lineup = plan_variants(variants, check=check)
+    lineup = plan_variants(variants, check=False)
     if (n_shards is None) == (max_variants_per_shard is None):
         raise ValidationError(
             "plan_shards needs exactly one of n_shards / "
@@ -277,7 +276,6 @@ def run_shard(
     workers: int | None = None,
     on_result=None,
     verify_reference: bool = True,
-    preflight: bool = True,
 ) -> SweepReport:
     """Execute one shard manifest into a portable artifact under ``out_dir``.
 
@@ -306,10 +304,10 @@ def run_shard(
     passing a :class:`ShardManifest` object instead of a path resolves it
     against the current working directory.
 
-    ``preflight`` mirrors :func:`~repro.validate.sweep.run_sweep`: by
-    default the scheduler statically vets the shard's variants and records
-    provably-broken ones as ``skipped`` results with diagnostics, so one
-    bad variant cannot sink an otherwise-healthy shard artifact.
+    As in :func:`~repro.validate.sweep.run_sweep`, the scheduler
+    statically vets the shard's variants and records provably-broken ones
+    as ``skipped`` results with diagnostics, so one bad variant cannot sink
+    an otherwise-healthy shard artifact.
 
     Returns the shard report (also written to disk).
     """
@@ -342,7 +340,7 @@ def run_shard(
         executor=executor, workers=workers,
         always_assert=manifest.always_assert, tag=manifest.tag,
         on_result=on_result, log_dir=out / LOGS_DIR,
-        ref_log_dir=ref_log_dir, preflight=preflight)
+        ref_log_dir=ref_log_dir)
     # Record streamed log locations relative to the artifact root: the
     # artifact is portable, absolute worker paths are not.
     for result in report.results:

@@ -97,7 +97,6 @@ def run_sweep(
     backends: list[str] | str | None = None,
     log_dir=None,
     ref_log_dir=None,
-    preflight: bool = True,
 ) -> SweepReport:
     """Validate many deployment variants of one model and block for all.
 
@@ -140,7 +139,7 @@ def run_sweep(
     log_dir:
         Stream every log to this directory as the sweep runs: the shared
         reference run lands in ``log_dir/reference`` and each variant's
-        edge log in ``log_dir/<variant name>`` (DirectorySink shards,
+        edge log in ``log_dir/<variant name>`` (DirectorySink logs,
         inspectable mid-sweep with ``repro log show``). Without it the
         reference still streams through a temporary directory — jobs
         always share the reference by path, never by pickled tensors.
@@ -149,16 +148,13 @@ def run_sweep(
         running the reference pipeline (the fleet-mode seam sharded sweeps
         use: the planner builds the reference once, every shard worker
         reuses it by path).
-    preflight:
-        Statically lint each variant before dispatch (the default):
-        variants the analyzer proves broken — unknown registry names, bad
-        preprocess override keys, unbuildable stages — come back as
-        ``skipped`` results carrying their
-        :class:`~repro.analysis.diagnostics.Diagnostic` list instead of
-        ever executing, and warning-level findings ride along on the
-        results of variants that still run. ``preflight=False`` restores
-        raise-on-first-bad-field behaviour (``repro sweep
-        --no-preflight``).
+
+    Each variant is statically linted before dispatch: variants the
+    analyzer proves broken — unknown registry names, bad preprocess
+    override keys, unbuildable stages — come back as ``skipped`` results
+    carrying their :class:`~repro.analysis.diagnostics.Diagnostic` list
+    instead of ever executing, and warning-level findings ride along on
+    the results of variants that still run.
     """
     # The scheduler owns validation (plan_variants); here the lineup is
     # only needed for its length and report order, so the backend axis is
@@ -172,7 +168,7 @@ def run_sweep(
             model, variants, frames=frames, executor=executor,
             workers=workers, always_assert=always_assert, tag=tag,
             max_failures=max_failures, deadline_s=deadline_s,
-            log_dir=log_dir, ref_log_dir=ref_log_dir, preflight=preflight):
+            log_dir=log_dir, ref_log_dir=ref_log_dir):
         results.append(result)
         if on_result is not None:
             on_result(result, len(results), len(variants))

@@ -151,16 +151,17 @@ def _split_pairs(rest: str) -> list[str]:
     return pairs
 
 
-def parse_variant_spec(spec: str, *, check: bool = True) -> SweepVariant:
+def parse_variant_spec(spec: str) -> SweepVariant:
     """Parse a CLI variant spec ``NAME[:key=value,...]``.
 
     Keys ``stage``, ``resolver``, ``kernel_bugs``, and ``device`` set the
     corresponding variant fields; every other key is a preprocess override
     (integer-looking values are converted, as with ``validate --bug``).
     Commas inside brackets do not split pairs, so normalization names like
-    ``[0,1]`` pass through intact. ``check=False`` skips field validation —
-    used when a sweep pre-flight will lint the variant instead, turning a
-    bad field into a skipped-variant diagnostic rather than a parse error.
+    ``[0,1]`` pass through intact. Field values are not validated here:
+    the sweep pre-flight lints the variant instead, turning a bad field
+    into a skipped-variant diagnostic rather than a parse error (call
+    :meth:`SweepVariant.check` to raise on one).
     """
     name, _, rest = spec.partition(":")
     name = name.strip()
@@ -177,10 +178,7 @@ def parse_variant_spec(spec: str, *, check: bool = True) -> SweepVariant:
             fields[key] = value
         else:
             overrides[key] = coerce_override_value(key, value)
-    variant = SweepVariant(name=name, overrides=overrides, **fields)
-    if check:
-        variant.check()
-    return variant
+    return SweepVariant(name=name, overrides=overrides, **fields)
 
 
 def parse_backends(spec: str | list[str] | tuple[str, ...]) -> list[str]:

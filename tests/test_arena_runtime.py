@@ -267,16 +267,19 @@ class TestVerifierAliasClaims:
 
 # ------------------------------------------------- repo rule: view returns
 
+def _repo_rules():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "check_repo_rules",
+        Path(__file__).resolve().parents[1] / "tools" / "check_repo_rules.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 class TestExecutorViewAnnotationRule:
     def _check(self, source, filename="executors_fake.py"):
-        import importlib.util
-        spec = importlib.util.spec_from_file_location(
-            "check_repo_rules",
-            Path(__file__).resolve().parents[1] / "tools"
-            / "check_repo_rules.py")
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod.check_source(filename, source)
+        return _repo_rules().check_source(filename, source)
 
     def test_unannotated_reshape_return_flagged(self):
         violations = self._check(
@@ -309,3 +312,55 @@ class TestExecutorViewAnnotationRule:
             checked += 1
             assert self._check(path.read_text(), str(path)) == []
         assert checked == 2  # float, quant
+
+
+# ---------------------------------------------- repo rule: dangling __all__
+
+class TestDanglingAllRule:
+    def test_dangling_entry_reported_with_path_and_line(self, tmp_path,
+                                                        capsys):
+        module = tmp_path / "pkg.py"
+        module.write_text("from os import path\n"
+                          "\n"
+                          "__all__ = [\n"
+                          "    \"path\",\n"
+                          "    \"removed_helper\",\n"
+                          "]\n")
+        assert _repo_rules().main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{module}:5: ")
+        assert "'removed_helper'" in out and "'path'" not in out
+
+    def test_every_kind_of_binding_counts(self):
+        source = ("import os.path\n"
+                  "import json as js\n"
+                  "from re import compile as rc\n"
+                  "def fn(): pass\n"
+                  "class Cls: pass\n"
+                  "A, (B, C) = 1, (2, 3)\n"
+                  "D: int = 4\n"
+                  "try:\n"
+                  "    import tomllib as toml\n"
+                  "except ImportError:\n"
+                  "    toml = None\n"
+                  "__all__ = ('os', 'js', 'rc', 'fn', 'Cls', 'A', 'B', 'C',\n"
+                  "           'D', 'toml')\n")
+        assert _repo_rules().check_source("pkg.py", source) == []
+
+    def test_names_bound_only_inside_functions_do_not_count(self):
+        source = ("def fn():\n"
+                  "    hidden = 1\n"
+                  "    return hidden\n"
+                  "__all__ = ['fn', 'hidden']\n")
+        violations = _repo_rules().check_source("pkg.py", source)
+        assert [(line, "'hidden'" in msg) for _, line, msg in violations] \
+            == [(4, True)]
+
+    def test_real_tree_clean(self):
+        rules = _repo_rules()
+        root = Path(__file__).resolve().parents[1] / "src"
+        with_all = [p for p in sorted(root.rglob("*.py"))
+                    if "__all__" in p.read_text()]
+        assert with_all
+        for path in with_all:
+            assert rules.check_source(str(path), path.read_text()) == []

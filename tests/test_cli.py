@@ -118,13 +118,6 @@ class TestSweep:
         assert "S004" in text and "chanel_order" in text
         assert "did you mean 'channel_order'" in text
 
-    def test_no_preflight_restores_raise_on_bad_key(self, capsys):
-        code, _ = run_cli("sweep", "micro_mobilenet_v1", "--frames", "4",
-                          "--executor", "process", "--no-preflight",
-                          "--variant", "typo:chanel_order=bgr")
-        assert code == 2
-        assert "chanel_order" in capsys.readouterr().err
-
     def test_text_task_requires_explicit_variants(self, capsys):
         code, _ = run_cli("sweep", "nnlm_lite")
         assert code == 2
@@ -175,6 +168,38 @@ class TestShardedSweep:
         # and the artifact hint at the end.
         assert single.rstrip("\n") in fleet
         assert "sharded sweep plan: 2 shard(s)" in fleet
+
+    def test_bad_variant_crosses_shard_boundary_as_skipped(self, tmp_path):
+        # Planning does not vet variant fields; the shard worker's
+        # pre-flight turns the typo into a SKIPPED result, and the merge
+        # reports it exactly as the single-process sweep does.
+        import json
+        args = ("--frames", "6", "--executor", "serial",
+                "--variant", "clean", "--variant", "typo:chanel_order=bgr")
+        code_s, single = run_cli("sweep", "micro_mobilenet_v1", *args,
+                                 "--report-json", str(tmp_path / "s.json"))
+        code_f, fleet = run_cli(
+            "sweep", "micro_mobilenet_v1", *args, "--shards", "2",
+            "--out-dir", str(tmp_path / "fleet"),
+            "--report-json", str(tmp_path / "f.json"))
+        assert code_s == code_f == 1
+        assert "typo" in fleet and "SKIPPED" in fleet
+        assert "S004" in fleet and "did you mean 'channel_order'" in fleet
+        # Same report body; only the JSON-written line names another path.
+        body = single.rstrip("\n").rsplit("\n", 1)[0]
+        assert "report JSON" not in body and body in fleet
+
+        def stripped(path):
+            doc = json.loads(path.read_text())
+            for result in doc["results"]:
+                result["log_dir"] = None
+            return doc
+
+        merged = stripped(tmp_path / "f.json")
+        assert merged == stripped(tmp_path / "s.json")
+        typo = merged["results"][1]
+        assert typo["status"] == "skipped"
+        assert [d["rule"] for d in typo["diagnostics"]] == ["S004"]
 
     def test_plan_only_then_worker_then_merge(self, tmp_path):
         code, text = run_cli(

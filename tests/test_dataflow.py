@@ -241,10 +241,14 @@ class TestArena:
         back = ArenaLayout.from_doc(doc)
         assert back == layout
 
-    def test_layout_wrong_schema_version_rejected(self, small_cnn_mobile):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_layout_wrong_schema_version_rejected(self, small_cnn_mobile,
+                                                  version):
         doc = pack_arena(small_cnn_mobile).to_doc()
-        doc["schema_version"] = 99
-        with pytest.raises(ValidationError, match="schema version"):
+        doc["schema_version"] = version
+        with pytest.raises(ValidationError,
+                           match=f"schema version {version}; only version "
+                                 "2 is readable"):
             ArenaLayout.from_doc(doc)
 
 

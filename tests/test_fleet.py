@@ -362,6 +362,27 @@ class TestUploads:
         assert "different plan" in str(err.value)
         assert coordinator.status()["shards"][0]["state"] == "pending"
 
+    def test_zip_upload_rejected_shard_repooled(self, leased):
+        coordinator, grant, blob, tmp_path = leased
+        # The honest artifact, re-archived as a zip: workers only ever
+        # upload the tar pack_artifact makes, so nothing else is readable.
+        honest = tmp_path / "honest"
+        unpack_artifact(blob, honest)
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as archive:
+            for path in sorted(p for p in honest.rglob("*") if p.is_file()):
+                archive.writestr(path.relative_to(honest).as_posix(),
+                                 path.read_bytes())
+        zipped = buf.getvalue()
+        with pytest.raises(ValidationError, match="not a readable tar"):
+            unpack_artifact(zipped, tmp_path / "out")
+
+        with pytest.raises(FleetProtocolError) as err:
+            coordinator.upload(grant["lease_id"], zipped)
+        assert err.value.status == 422
+        assert "not a readable tar archive" in str(err.value)
+        assert coordinator.status()["shards"][0]["state"] == "pending"
+
     def test_garbage_blob_rejected(self, leased):
         coordinator, grant, _, _ = leased
         with pytest.raises(FleetProtocolError) as err:
@@ -500,17 +521,6 @@ class TestArtifactArchive:
     def test_pack_is_deterministic(self, tmp_path):
         root = self.make_tree(tmp_path)
         assert pack_artifact(root) == pack_artifact(root)
-
-    def test_zip_uploads_accepted(self, tmp_path):
-        root = self.make_tree(tmp_path)
-        buf = io.BytesIO()
-        with zipfile.ZipFile(buf, "w") as archive:
-            for path in sorted(p for p in root.rglob("*") if p.is_file()):
-                archive.writestr(path.relative_to(root).as_posix(),
-                                 path.read_bytes())
-        dest = tmp_path / "out"
-        unpack_artifact(buf.getvalue(), dest)
-        assert (dest / "logs" / "clean" / "meta.json").exists()
 
     def test_traversal_member_rejected(self, tmp_path):
         buf = io.BytesIO()

@@ -427,14 +427,6 @@ class TestSweepPreflight:
         back = SweepReport.from_doc(doc)
         assert back.result("doomed").diagnostics == doomed.diagnostics
 
-    def test_preflight_off_raises(self):
-        from repro.validate.sweep import run_sweep
-
-        with pytest.raises(ValidationError, match="optimzed"):
-            run_sweep("micro_mobilenet_v1",
-                      [SweepVariant("doomed", resolver="optimzed")],
-                      frames=2, executor="serial", preflight=False)
-
     def test_warning_findings_ride_along_on_run_variants(self):
         from repro.validate.sweep import run_sweep
 

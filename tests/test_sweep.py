@@ -45,15 +45,15 @@ class TestVariantSpec:
 
     def test_bad_stage_rejected(self):
         with pytest.raises(ValidationError):
-            parse_variant_spec("v:stage=folded")
+            parse_variant_spec("v:stage=folded").check()
 
     def test_bad_device_rejected(self):
         with pytest.raises(ValidationError):
-            parse_variant_spec("v:device=pixel9")
+            parse_variant_spec("v:device=pixel9").check()
 
     def test_bad_kernel_bugs_rejected(self):
         with pytest.raises(ValidationError):
-            parse_variant_spec("v:kernel_bugs=all-of-them")
+            parse_variant_spec("v:kernel_bugs=all-of-them").check()
 
     def test_bracketed_value_not_split(self):
         v = parse_variant_spec("n:normalization=[0,1]")
@@ -66,7 +66,7 @@ class TestVariantSpec:
 
     def test_bad_resolver_rejected(self):
         with pytest.raises(ValidationError):
-            parse_variant_spec("v:resolver=turbo")
+            parse_variant_spec("v:resolver=turbo").check()
 
     def test_registered_resolver_becomes_sweepable(self):
         # The variant check consults the live registry, not a hardcoded

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-level AST lint: conventions the test suite can't see.
 
-Four rules:
+Five rules:
 
 * **no-numpy-random** (kernel modules only): kernels must never reach into
   ``numpy.random`` directly.  Kernels are supposed to be pure array
@@ -23,6 +23,11 @@ Four rules:
   ``@aliases_input``; an undecorated reshape-return gets a slot of its own,
   so the packed layout over-allocates.  Either decorate the executor or
   materialize a copy.
+* **dangling-all** (all of ``src/``): every string in a module's
+  ``__all__`` must be bound at module level — by an import, ``def``,
+  ``class`` or assignment.  A deletion that forgets its package re-export
+  leaves a name that ``from pkg import *`` and the docs promise but that
+  raises ``AttributeError`` on use.
 
 Stdlib only (``ast``) so CI can run it before any dependency install.
 
@@ -154,6 +159,57 @@ def _check_bare_except(path: str, tree: ast.AST) -> list[tuple[str, int, str]]:
             if isinstance(node, ast.ExceptHandler) and node.type is None]
 
 
+_SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+           ast.GeneratorExp)
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """Names a module binds at module level, including inside module-level
+    ``if``/``try``/``with``/``for`` blocks but not in nested scopes."""
+    names: set[str] = set()
+    todo: list[ast.AST] = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Import):
+            names.update((a.asname or a.name).partition(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _check_dangling_all(path: str,
+                        tree: ast.Module) -> list[tuple[str, int, str]]:
+    """Every ``__all__`` entry must name a module-level binding."""
+    bound = _module_bindings(tree)
+    violations: list[tuple[str, int, str]] = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if not any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+            continue
+        for elt in getattr(node.value, "elts", []):
+            if (isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                    and elt.value not in bound):
+                violations.append((
+                    path, elt.lineno,
+                    f"__all__ lists {elt.value!r}, which the module never "
+                    "binds; import or define it, or drop the entry"))
+    return violations
+
+
 def check_source(path: str, text: str) -> list[tuple[str, int, str]]:
     """Return ``(path, line, message)`` for every rule violation in a file."""
     try:
@@ -163,6 +219,7 @@ def check_source(path: str, text: str) -> list[tuple[str, int, str]]:
 
     violations = _check_mutable_defaults(path, tree)
     violations += _check_bare_except(path, tree)
+    violations += _check_dangling_all(path, tree)
     if KERNEL_ROOT in Path(path).parents:
         violations += _check_numpy_random(path, tree)
     if Path(path).name.startswith("executors") and path.endswith(".py"):
