@@ -8,8 +8,9 @@ and returns one :class:`~repro.analysis.diagnostics.LintReport` per
 variant; the scheduler marks variants with error-severity findings as
 ``skipped`` (diagnostics attached) instead of burning a worker on them.
 
-Graphs are built once per stage and shared across the lineup, so the
-pre-flight costs one conversion per distinct stage, not per variant.
+Each variant lints its own copy of its stage's graph from the zoo, which
+builds every stage once per process; a stage that fails to build is tried
+once per lineup.
 """
 
 from __future__ import annotations
@@ -35,26 +36,22 @@ def preflight_variant(model: str, variant, graph) -> LintReport:
 def preflight_lineup(model: str, variants) -> dict[str, LintReport]:
     """Pre-flight every variant in a lineup; returns reports by name.
 
-    Each distinct (buildable) stage's graph is built once via the zoo and
-    reused. A stage that cannot be built contributes an S005 diagnostic to
-    every variant that wanted it, alongside whatever the graph-free rules
-    find.
+    A stage that cannot be built contributes an S005 diagnostic to every
+    variant that wanted it, alongside whatever the graph-free rules find;
+    its build is not retried for later variants.
     """
     from repro.validate.variants import STAGES
     from repro.zoo import get_model
 
-    graphs: dict[str, object] = {}
     build_errors: dict[str, str] = {}
     reports: dict[str, LintReport] = {}
     for variant in variants:
         graph = None
         stage = variant.stage
-        if stage in graphs:
-            graph = graphs[stage]
-        elif stage in STAGES and stage not in build_errors:
+        if stage in STAGES and stage not in build_errors:
             # Unknown stages never reach the zoo: S002 already names them.
             try:
-                graph = graphs.setdefault(stage, get_model(model, stage=stage))
+                graph = get_model(model, stage=stage)
             except ReproError as exc:
                 build_errors[stage] = str(exc)
         report = preflight_variant(model, variant, graph)

@@ -12,10 +12,15 @@ deployment progression of Figure 5:
 Every exported graph carries its correct input pipeline in
 ``graph.metadata["pipeline"]`` — the ground truth that reference pipelines
 replay and that deployment assertions check against.
+
+Model stages and playback frames are deterministic, so each is built once
+per process and every call hands out its own copy.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,7 +47,7 @@ from repro.util.rng import derive_rng
 from repro.zoo import models as M
 from repro.zoo.arch import Layer, run_arch
 from repro.zoo.backends import ExportBackend, ParamStore
-from repro.zoo.cache import load_trained, save_trained
+from repro.zoo.cache import cache_dir, load_trained, save_trained
 from repro.zoo.train import (
     classification_accuracy,
     classification_loss,
@@ -147,6 +152,11 @@ def training_data(entry: ZooEntry):
     raise ReproError(f"unknown task {entry.task!r}")
 
 
+PLAYBACK_MEMO_SIZE = 1
+"""Playback recordings kept per process. A sweep's variants and reference
+all replay one recording; older ones would pin frames callers already copied."""
+
+
 def playback_data(name: str, n: int, split: str = "playback"):
     """Deterministic raw (sensor frames, labels) for edge-app playback.
 
@@ -154,16 +164,25 @@ def playback_data(name: str, n: int, split: str = "playback"):
     bytes an edge app's (possibly buggy) preprocess consumes. Labels are
     dropped for detection/segmentation, where scalar labels don't apply
     (assertions still run); text returns pre-encoded ids via eval_data.
+
+    The latest :data:`PLAYBACK_MEMO_SIZE` recordings are kept per process;
+    every call returns fresh copies of their arrays.
     """
+    raw, labels = _playback(name, n, split)
+    return raw.copy(), None if labels is None else labels.copy()
+
+
+@functools.lru_cache(maxsize=PLAYBACK_MEMO_SIZE)
+def _playback(name: str, n: int, split: str):
     entry = get_entry(name)
     if entry.task == "text":
         return eval_data(name, n, split)
     raw, labels = {
-        "classification": image_dataset(),
-        "detection": detection_dataset(),
-        "segmentation": segmentation_dataset(),
-        "speech": speech_dataset(),
-    }[entry.task].sample(n, split)
+        "classification": image_dataset,
+        "detection": detection_dataset,
+        "segmentation": segmentation_dataset,
+        "speech": speech_dataset,
+    }[entry.task]().sample(n, split)
     if entry.task in ("detection", "segmentation"):
         labels = None
     return raw, labels
@@ -343,6 +362,7 @@ def get_trained(name: str, force_retrain: bool = False):
         cached = load_trained(key)
         if cached is not None:
             return cached
+    _build_stage.cache_clear()
     cfg = entry.train_cfg
     inputs, targets = training_data(entry)
     if cfg.get("loss") == "detection":
@@ -374,7 +394,7 @@ def build_checkpoint(name: str) -> Graph:
         "family": entry.family,
         "task": entry.task,
         "stage": "checkpoint",
-        "pipeline": entry.pipeline,
+        "pipeline": copy.deepcopy(entry.pipeline),
         "training_meta": meta,
     })
     x = builder.input("input", entry.input_shape, entry.input_dtype)
@@ -397,16 +417,28 @@ def get_model(
     stage: str = "mobile",
     quant_config: QuantizationConfig | None = None,
 ) -> Graph:
-    """Build a zoo model at a deployment stage (see module docstring)."""
-    checkpoint = build_checkpoint(name)
+    """Build a zoo model at a deployment stage (see module docstring).
+
+    Each stage is built once per process (per quantization config and cache
+    directory) from the stage before it; every call returns an independent
+    deep copy the caller owns. Retraining or switching ``REPRO_CACHE_DIR``
+    rebuilds. A build that raises is not remembered.
+    """
+    if stage not in ("checkpoint", "mobile", "quantized"):
+        raise ReproError(
+            f"unknown stage {stage!r}; use checkpoint/mobile/quantized")
+    quant_config = (quant_config or QuantizationConfig()) \
+        if stage == "quantized" else None
+    return copy.deepcopy(_build_stage(name, stage, quant_config, cache_dir()))
+
+
+@functools.lru_cache(maxsize=None)
+def _build_stage(name, stage, quant_config, root) -> Graph:
+    """The memoized graph behind :func:`get_model`, never handed out;
+    ``root`` (the weights cache directory) is only part of the key."""
     if stage == "checkpoint":
-        return checkpoint
-    mobile = convert_to_mobile(checkpoint)
+        return build_checkpoint(name)
     if stage == "mobile":
-        return mobile
-    if stage == "quantized":
-        return quantize_graph(
-            mobile, calibration_batches(name),
-            quant_config or QuantizationConfig(),
-        )
-    raise ReproError(f"unknown stage {stage!r}; use checkpoint/mobile/quantized")
+        return convert_to_mobile(_build_stage(name, "checkpoint", None, root))
+    return quantize_graph(_build_stage(name, "mobile", None, root),
+                          calibration_batches(name), quant_config)

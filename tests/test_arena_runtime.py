@@ -133,19 +133,6 @@ class TestMulFusedActivation:
 
 # ------------------------------------------------------- zoo parity matrix
 
-@pytest.fixture(scope="module")
-def stages():
-    cache = {}
-
-    def build(model, stage):
-        key = (model, stage)
-        if key not in cache:
-            cache[key] = get_model(model, stage)
-        return cache[key]
-
-    return build
-
-
 def model_stages(model, names=("checkpoint", "mobile", "quantized")):
     return [s for s in names
             if not (s == "quantized" and model in UNQUANTIZABLE)]
@@ -153,9 +140,9 @@ def model_stages(model, names=("checkpoint", "mobile", "quantized")):
 
 class TestZooParityMatrix:
     @pytest.mark.parametrize("model", sorted(list_models()))
-    def test_paths_byte_identical(self, stages, model, reference_invoke):
+    def test_paths_byte_identical(self, model, reference_invoke):
         for stage in model_stages(model, ("mobile", "quantized")):
-            graph = stages(model, stage)
+            graph = get_model(model, stage)
             for batch in (1, 4, 32):
                 feeds = make_feeds(graph, batch)
                 ref = reference_invoke(graph, OpResolver(), feeds)
@@ -168,11 +155,11 @@ class TestZooParityMatrix:
                         ref.outputs[t], plan[t], err_msg=repr((*ctx, t)))
 
     @pytest.mark.parametrize("stage", ["mobile", "quantized"])
-    def test_exray_layer_schedule_unchanged(self, stages, stage,
+    def test_exray_layer_schedule_unchanged(self, stage,
                                             reference_invoke):
         # EXray sees every logical layer, in graph order, with the very
         # tensors the reference walk computes (dequantized, as logged).
-        graph = stages("micro_mobilenet_v1", stage)
+        graph = get_model("micro_mobilenet_v1", stage)
         feeds = make_feeds(graph, 4)
         interp = Interpreter(graph)
         monitor = EdgeMLMonitor(name="plan", per_layer=True)
@@ -196,9 +183,9 @@ class TestZooSpecConformance:
     """Runtime observations agree with the graph's declared specs."""
 
     @pytest.mark.parametrize("model", sorted(list_models()))
-    def test_layer_dtypes_match_specs(self, stages, model):
+    def test_layer_dtypes_match_specs(self, model):
         for stage in model_stages(model):
-            graph = stages(model, stage)
+            graph = get_model(model, stage)
             drift = []
             interp = Interpreter(graph, OpResolver())
             interp.add_observer(lambda r: drift.append(
@@ -208,9 +195,9 @@ class TestZooSpecConformance:
             assert drift == [], stage
 
     @pytest.mark.parametrize("model", sorted(list_models()))
-    def test_peak_matches_static_liveness(self, stages, model):
+    def test_peak_matches_static_liveness(self, model):
         for stage in model_stages(model):
-            graph = stages(model, stage)
+            graph = get_model(model, stage)
             interp = Interpreter(graph)
             for batch in (1, 4):
                 interp.invoke(make_feeds(graph, batch))
