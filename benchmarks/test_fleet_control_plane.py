@@ -9,9 +9,11 @@ plan — without running any shard, so the numbers are pure control-plane
 overhead, not model execution.
 
 Asserted shape: every lease grant is unique and consumed exactly once
-(the lease machine under rapid-fire clients), and the median round trip
-for the hot-path RPCs stays far below the default worker poll cadence —
-the control plane must never be the fleet's bottleneck.
+(the lease machine under rapid-fire clients). The CI benchmarks job gates
+the saved ``fleet_control_plane.json``: the median round trip of each
+hot-path RPC (lease, heartbeat, status) stays under 100 ms, far below the
+1 s default worker poll cadence — the control plane must never be the
+fleet's bottleneck.
 """
 
 import statistics
@@ -96,9 +98,3 @@ def test_control_plane_rpc_latency(benchmark, tmp_path):
     assert all("manifest" in g for g in grants)
     assert coordinator.status()["counts"] == {"leased": NUM_SHARDS}
     assert "retry_after_s" in coordinator.lease("one-too-many")
-
-    # Hot-path RPCs must sit far below the 1 s default worker poll
-    # cadence; 100 ms median on loopback is an order-of-magnitude
-    # cushion over the ~1 ms typical cost, tolerant of noisy CI.
-    for name in ("lease", "heartbeat", "status"):
-        assert statistics.median(times[name]) < 100.0, name

@@ -4,8 +4,9 @@ The sink redesign's bargain: a ``DirectorySink`` bounds resident memory at
 O(1) frames (vs the ``MemorySink``'s O(stream)), paying per frame with one
 JSONL append plus one tensor-shard write. This benchmark measures the
 always-on profile of Table 2 — default logging, no per-layer tensors, no
-raw inputs — end to end per frame for each sink, and gates that streaming
-to disk keeps a frame within 2x of the in-memory frame cost. The isolated
+raw inputs — end to end per frame for each sink; the CI benchmarks job
+gates that streaming to disk keeps a frame within 2x of the in-memory
+frame cost. The isolated
 monitor-side overhead (``monitor_overhead_ms``, which includes the sink
 emit) and the on-disk footprint are reported alongside.
 
@@ -25,7 +26,6 @@ from repro.zoo.registry import image_dataset
 
 NUM_FRAMES = 120
 RING_CAPACITY = 16
-MAX_STREAMING_RATIO = 2.0
 
 
 def run_with_sink(graph, frames, sink):
@@ -95,12 +95,9 @@ def test_monitor_sink_overhead(benchmark, tmp_path):
                              / results["memory"]["wall_ms_per_frame"])
     save_result("monitor_sinks", payload)
 
-    # The always-on bargain: streaming every frame to disk stays within 2x
-    # of buffering in memory, and the bounded sink is essentially free.
-    assert payload["streaming_ratio"] < MAX_STREAMING_RATIO, (
-        f"DirectorySink streaming costs {payload['streaming_ratio']:.2f}x "
-        f"a MemorySink frame (budget {MAX_STREAMING_RATIO}x)")
-    assert payload["ring_ratio"] < MAX_STREAMING_RATIO
+    # The always-on bargain (streaming and ring ratios under 2x of
+    # buffering in memory) is a wall-clock bound: the CI benchmarks job
+    # asserts it on the saved monitor_sinks.json.
     # Bounded memory is actually bounded (and unbounded actually unbounded).
     assert results["memory"]["resident_frames"] == NUM_FRAMES
     assert results["ring"]["resident_frames"] == RING_CAPACITY

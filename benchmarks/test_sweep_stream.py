@@ -7,12 +7,17 @@ This benchmark runs the Figure-4(a) lineup both ways on the serial executor
 (identical per-variant work, so the comparison isolates scheduling) and
 reports wall-clock totals plus the first-result latency.
 
-Two properties are asserted:
+Two wall-clock properties are gated by the CI benchmarks job on the saved
+``sweep_stream.json``:
 
-* **streamed first-result beats the blocking total** — the consumer sees a
-  verdict while the rest of the fleet is still running;
-* **draining the stream costs about the same as blocking** — consuming
-  results one at a time adds no meaningful overhead over ``run_sweep``.
+* **streamed first-result beats the blocking total** — the first result
+  lands in under 0.75x the blocking total, so the consumer sees a verdict
+  while the rest of the fleet is still running;
+* **draining the stream costs about the same as blocking** — under 1.5x
+  the blocking total: consuming results one at a time adds no meaningful
+  overhead over ``run_sweep``.
+
+The test itself asserts only that the stream yields every variant.
 """
 
 import time
@@ -54,6 +59,7 @@ def test_sweep_stream_latency(benchmark):
             "streamed_s": best_stream,
             "first_result_s": best_first,
             "variants": len(report.results),
+            "streamed_variants": count,
         }
 
     results = run_experiment(benchmark, experiment)
@@ -67,10 +73,6 @@ def test_sweep_stream_latency(benchmark):
               f"{results['variants']} variants x best-of-{REPEATS})"))
     save_result("sweep_stream", results)
 
-    # The stream's first verdict lands well before the blocking report: the
-    # lineup has 4 variants, so one variant plus the shared reference run
-    # must finish in a fraction of the full sweep.
-    assert results["first_result_s"] < 0.75 * results["blocking_s"]
-    # And streaming the whole sweep is not meaningfully slower than
-    # blocking on it (generous bound: CI runners are noisy).
-    assert results["streamed_s"] < 1.5 * results["blocking_s"]
+    # Timing bounds live in the CI benchmarks job; draining the stream
+    # must still deliver one result per variant.
+    assert results["streamed_variants"] == results["variants"]

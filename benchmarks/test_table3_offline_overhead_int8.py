@@ -8,8 +8,11 @@ logs; comparing logs offline is orders of magnitude faster than collecting
 them on-device.
 
 Shape assertions: layer count increases across the lineup (as in the
-paper's 92 -> 429 ordering), disk grows with activation volume, and the
-offline comparison is far cheaper than simulated on-device logging.
+paper's 92 -> 429 ordering) and disk grows with activation volume. Memory
+is the run log's peak (weights plus the interpreter's planned activation
+arena). That the offline comparison is far cheaper than simulated
+on-device logging is a wall-clock bound, gated in the CI benchmarks job on
+the saved ``table3.json``.
 """
 
 import time
@@ -34,8 +37,8 @@ def profile_model(name, frames, tmp_dir, stage=STAGE):
     app = EdgeApp(graph, device=PIXEL4_CPU, monitor=monitor)
     app.run(frames)
     simulated_s = sum(f.latency_ms for f in monitor.frames) / 1e3
-    mem_mb = (graph.param_bytes()
-              + max(s.nbytes(1) for s in graph.tensors.values())) / 2**20
+    # Weights plus the interpreter's planned activation arena.
+    mem_mb = app.log().peak_memory_mb()
     disk_mb = save_log(monitor, tmp_dir) / 2**20
     t0 = time.perf_counter()
     per_layer_diff(app.log(), app.log())
@@ -81,12 +84,11 @@ def test_table3_offline_validation_int8(benchmark, tmp_path):
     layers = [results[m]["layers"] for m in MODELS]
     # Layer-count ordering mirrors the paper's lineup (92 .. 429).
     assert layers == sorted(layers)
-    # Logging latency is substantial; offline comparison is cheap relative
-    # to on-device per-layer logging (paper: "two orders of magnitude").
+    # Offline comparison is cheap relative to on-device per-layer logging
+    # (paper: "two orders of magnitude"): compare_s < latency_s is a
+    # wall-clock bound, asserted by the CI benchmarks job on table3.json.
     for name in MODELS:
-        r = results[name]
-        assert r["compare_s"] < r["latency_s"]
-        assert r["disk_mb"] > 0.05  # per-layer logs are big vs 0.4KB default
+        assert results[name]["disk_mb"] > 0.05  # vs 0.4KB default logs
     # More layers -> at least as much disk (up to measurement noise).
     assert (results["micro_densenet"]["disk_mb"]
             > results["micro_mobilenet_v1"]["disk_mb"])

@@ -61,6 +61,7 @@ from repro.analysis.liveness import (
     liveness_from_graph,
     liveness_from_plan,
     merge_alias_ranges,
+    packable_aliases,
     peak_live_bytes,
     view_alias_map,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "make_diagnostic",
     "pack_arena",
     "peak_live_bytes",
+    "packable_aliases",
     "view_alias_map",
     "preflight_lineup",
     "preflight_variant",

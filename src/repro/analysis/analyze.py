@@ -21,8 +21,8 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import (
     liveness_from_graph,
     merge_alias_ranges,
+    packable_aliases,
     peak_live_bytes,
-    view_alias_map,
 )
 from repro.graph.graph import Graph
 from repro.util.errors import ValidationError
@@ -217,7 +217,7 @@ def analyze_graph(
         contradictions=list(facts.contradictions),
         naive_bytes=sum(r.nbytes for r in live.values()),
         peak_live_bytes=peak_live_bytes(
-            merge_alias_ranges(live, view_alias_map(graph))),
+            merge_alias_ranges(live, packable_aliases(graph, live))),
     )
     if arena:
         layout = pack_arena(graph, batch=batch)

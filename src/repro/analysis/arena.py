@@ -26,6 +26,7 @@ from repro.analysis.liveness import (
     liveness_from_graph,
     liveness_from_plan,
     merge_alias_ranges,
+    packable_aliases,
     peak_live_bytes,
     view_alias_map,
 )
@@ -54,10 +55,10 @@ class ArenaSlot:
     """One tensor's static placement: offset, size, and live interval.
 
     ``alias_of`` names the materialized tensor whose slot this one shares
-    (view outputs only — reshape/flatten). An aliased slot records its
-    *own* live interval but the root's offset; the packer merged the two
-    ranges before placing, and :func:`verify_layout` re-proves from the
-    graph that the aliasing is legitimate.
+    (view outputs only — reshape/flatten/channel_reverse). An aliased slot
+    records its *own* live interval but the root's offset; the packer
+    merged the two ranges before placing, and :func:`verify_layout`
+    re-proves from the graph that the aliasing is legitimate.
     """
 
     tensor: str
@@ -138,39 +139,19 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-def _packable_aliases(graph: Graph, plan,
-                      ranges: dict[str, LiveRange]) -> dict[str, str]:
-    """The view-op aliases this packing may exploit, root-resolved.
-
-    With a plan, only nodes whose *bound executor* carries the
-    ``aliases_input`` annotation are eligible — a custom, copying
-    ``reshape`` kernel must get its own slot. Size mismatches (which a
-    well-formed graph never produces for reshape/flatten) drop the alias
-    rather than risking an undersized shared slot.
-    """
-    eligible = None
-    if plan is not None:
-        eligible = {b.node.name for b in getattr(plan, "bindings", ())
-                    if getattr(b, "alias", False)}
-    amap = view_alias_map(graph, eligible=eligible)
-    return {t: root for t, root in amap.items()
-            if t in ranges and root in ranges
-            and ranges[t].nbytes == ranges[root].nbytes}
-
-
 def pack_arena(graph: Graph, plan=None, batch: int = 1) -> ArenaLayout:
     """Greedy first-fit packing of live ranges into static offsets.
 
     With a plan, live ranges come from the plan's own schedule/refcounts
     (what the runtime will actually do); without one, from the graph.
-    View-op outputs (reshape/flatten) are *aliased* into their input's
-    slot: the shared buffer is placed once, over the union of the group's
-    live ranges. Either way the result must pass :func:`verify_layout` —
+    View-op outputs are *aliased* into their input's slot under
+    :func:`~repro.analysis.liveness.packable_aliases`: the shared buffer is
+    placed once, over the union of the group's live ranges. Either way the result must pass :func:`verify_layout` —
     which always re-derives from the graph — before anything trusts it.
     """
     ranges = liveness_from_plan(plan, batch) if plan is not None \
         else liveness_from_graph(graph, batch)
-    aliases = _packable_aliases(graph, plan, ranges)
+    aliases = packable_aliases(graph, ranges, plan)
     merged = merge_alias_ranges(ranges, aliases)
     order = sorted(merged.values(),
                    key=lambda r: (-r.nbytes, r.start, r.tensor))

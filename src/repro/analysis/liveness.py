@@ -1,4 +1,5 @@
-"""Per-tensor live intervals and the interference graph they induce.
+"""Per-tensor live intervals, the interference graph they induce, and the
+activation-memory peak.
 
 The interpreter's reference-counted activation arena gives every tensor a
 life span over the plan's topological schedule: a tensor is born when its
@@ -7,6 +8,14 @@ last consumer runs (graph outputs never die — the keep set). Because the
 interpreter allocates a node's output *before* freeing its inputs, a
 node's inputs and its output are simultaneously live: live ranges are
 closed intervals, and two tensors interfere iff their intervals overlap.
+
+This module is the only activation-memory model. The interpreter's
+``last_peak_activation_bytes``
+(:meth:`~repro.runtime.plan.ExecutionPlan.peak_activation_bytes`),
+``repro analyze`` and the arena packer all take :func:`peak_live_bytes`
+over live ranges with view outputs folded into their roots by one alias
+rule, :func:`packable_aliases`. The number is static — the TFLite-style
+planned arena — so it never depends on who owns the feed buffers.
 
 Two independent derivations are provided on purpose:
 
@@ -27,13 +36,14 @@ from dataclasses import dataclass
 
 from repro.graph.graph import Graph
 
-VIEW_OPS = frozenset({"reshape", "flatten"})
+VIEW_OPS = frozenset({"reshape", "flatten", "channel_reverse"})
 """Ops whose builtin executors return a numpy *view* of their input.
 
-A view shares its input's buffer byte-for-byte, so (a) the refcounted
-accounting must charge the base buffer once, not once per array object,
-and (b) a static arena may place the view in its input's slot — provided
-the liveness model merges the two ranges first (:func:`merge_alias_ranges`).
+Exactly the ops of the builtin executors marked ``aliases_input``. A view
+shares its input's buffer byte-for-byte, so (a) the activation peak must
+charge the shared buffer once, not once per tensor, and (b) a static arena
+may place the view in its input's slot — provided the liveness model
+merges the two ranges first (:func:`merge_alias_ranges`).
 """
 
 
@@ -109,22 +119,22 @@ def liveness_from_plan(plan, batch: int = 1) -> dict[str, LiveRange]:
 
 
 def view_alias_map(
-    graph: Graph,
-    view_ops: frozenset[str] = VIEW_OPS,
-    eligible: set[str] | None = None,
+    graph: Graph, eligible: set[str] | None = None
 ) -> dict[str, str]:
-    """Map each view-op output to the *materialized* tensor it aliases.
+    """Map each :data:`VIEW_OPS` output to the *materialized* tensor it
+    aliases.
 
     Alias chains (a reshape of a flatten) resolve transitively to the root:
     every value in the returned map is a tensor that is itself produced by
     a non-view op (or is a graph input), never another view. ``eligible``
-    optionally restricts the analysis to a set of node *names* — the plan
-    layer passes the nodes whose bound executors actually promise to return
-    views, so a custom (copying) ``reshape`` kernel is never aliased.
+    optionally restricts the analysis to a set of node *names* —
+    :func:`packable_aliases` passes the nodes whose bound executors actually
+    promise to return views, so a custom (copying) ``reshape`` kernel is
+    never aliased.
     """
     alias: dict[str, str] = {}
     for node in graph.nodes:
-        if node.op not in view_ops:
+        if node.op not in VIEW_OPS:
             continue
         if len(node.inputs) != 1 or len(node.outputs) != 1:
             continue
@@ -133,6 +143,26 @@ def view_alias_map(
         src = node.inputs[0]
         alias[node.outputs[0]] = alias.get(src, src)
     return alias
+
+
+def packable_aliases(graph: Graph, ranges: dict[str, LiveRange],
+                     plan=None) -> dict[str, str]:
+    """The view aliases a memory model may fold, root-resolved.
+
+    The one alias rule shared by the plan's activation peak, the arena
+    packer and ``repro analyze``. With a plan, only nodes whose *bound
+    executor* carries the ``aliases_input`` annotation are eligible — a
+    custom, copying ``reshape`` kernel gets its own buffer. Size mismatches
+    (which a well-formed graph never produces for a view op) drop the
+    alias rather than risking an undersized shared buffer.
+    """
+    eligible = None
+    if plan is not None:
+        eligible = {b.node.name for b in plan.bindings if b.alias}
+    amap = view_alias_map(graph, eligible=eligible)
+    return {t: root for t, root in amap.items()
+            if t in ranges and root in ranges
+            and ranges[t].nbytes == ranges[root].nbytes}
 
 
 def merge_alias_ranges(

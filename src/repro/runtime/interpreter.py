@@ -8,18 +8,25 @@ exposes exactly the observation surface ML-EXray needs:
 * **latency accounting** per node, produced by the device performance model
   when a :class:`~repro.perfmodel.device.Device` is attached, else from the
   wall clock;
-* **memory accounting**: attached-weight bytes plus peak live activation
-  bytes under a reference-counted arena, the "memory footprint" metric of
-  Tables 2/3/5.
+* **memory accounting**: attached-weight bytes plus the peak activation
+  bytes of the reference-counted arena, the "memory footprint" metric of
+  Tables 2/3/5. The peak is the plan's static liveness
+  (:meth:`~repro.runtime.plan.ExecutionPlan.peak_activation_bytes`), from
+  the same function ``repro analyze`` and the arena packer use
+  (:mod:`repro.analysis.liveness`), so like the arena a TFLite-style
+  planner sizes it is known before the first invoke and never counts
+  caller-owned buffers (a feed that is a view of a larger pool costs its
+  own bytes). ``run_reference`` in ``tests/conftest.py`` checks it against
+  the buffers concretely resident after every node.
 
 There is one execution path: a compiled
 :class:`~repro.runtime.plan.ExecutionPlan` (executor bindings, quantized
 flags, output specs, op-class labels, and initial refcounts resolved once
 per (graph, resolver)), executed node by node. Each node's inputs are freed
 after their last consumer runs, and the latency model's MAC/element counts
-are memoized per batch size. Static arena layouts are an analysis
-(:mod:`repro.analysis.arena`, ``repro analyze --arena``), not an execution
-mode.
+and the activation peak are memoized per batch size. Static arena layouts
+are an analysis (:mod:`repro.analysis.arena`, ``repro analyze --arena``),
+not an execution mode.
 """
 
 from __future__ import annotations
@@ -48,58 +55,6 @@ __all__ = [
     "LayerRecord",
     "node_is_quantized",
 ]
-
-
-def _base_buffer(arr: np.ndarray) -> np.ndarray:
-    """The array that actually owns ``arr``'s bytes (``arr`` if it does)."""
-    while isinstance(arr.base, np.ndarray):
-        arr = arr.base
-    return arr
-
-
-class _LiveTracker:
-    """Alias-aware resident-bytes accounting for the refcounted arena.
-
-    The old accounting summed ``arr.nbytes`` per *array object*, so a
-    reshape/flatten view double-counted its base buffer on allocation and
-    "freed" bytes that stayed resident when the view's name was dropped
-    while the base lived on (or vice versa). This tracker charges each
-    *base buffer* exactly once, no matter how many named views share it,
-    and releases it only when the last name referencing it dies — the true
-    resident-bytes model behind ``last_peak_activation_bytes``.
-    """
-
-    __slots__ = ("_roots", "_owner", "live", "peak")
-
-    def __init__(self):
-        self._roots: dict[int, list] = {}   # id(root) -> [root, name refs]
-        self._owner: dict[str, int] = {}    # tensor name -> id(root)
-        self.live = 0
-        self.peak = 0
-
-    def add(self, name: str, arr: np.ndarray) -> None:
-        root = _base_buffer(arr)
-        key = id(root)
-        entry = self._roots.get(key)
-        if entry is None:
-            # Holding the root keeps id() stable for the entry's lifetime.
-            self._roots[key] = [root, 1]
-            self.live += int(root.nbytes)
-            if self.live > self.peak:
-                self.peak = self.live
-        else:
-            entry[1] += 1
-        self._owner[name] = key
-
-    def free(self, name: str) -> None:
-        key = self._owner.pop(name, None)
-        if key is None:
-            return
-        entry = self._roots[key]
-        entry[1] -= 1
-        if entry[1] == 0:
-            self.live -= int(entry[0].nbytes)
-            del self._roots[key]
 
 
 @dataclass(frozen=True)
@@ -159,7 +114,6 @@ class Interpreter:
         self.resolver = resolver or OpResolver()  # property: builds the ctx
         # Results of the most recent invoke().
         self.last_latency_ms: float = 0.0
-        self.last_wall_ms: float = 0.0
         self.last_peak_activation_bytes: int = 0
         self.last_profile: list[dict] = []
 
@@ -217,16 +171,12 @@ class Interpreter:
         plan = self.plan
         refcounts = dict(plan.initial_refcounts)
         keep = plan.keep
-        tracker = _LiveTracker()
-        for name, arr in values.items():
-            tracker.add(name, arr)
 
         profile: list[dict] = []
         total_latency = 0.0
         observers = self._observers
         simulate = self.device is not None
         ctx = self._ctx
-        t_start = time.perf_counter()
 
         for binding in plan.bindings:
             node = binding.node
@@ -258,17 +208,14 @@ class Interpreter:
             })
 
             values[node.output] = out
-            tracker.add(node.output, out)
             # Reference-counted arena: free after the last consumer.
             for t in node.inputs:
                 refcounts[t] -= 1
                 if refcounts[t] == 0 and t not in keep and t in values:
-                    tracker.free(t)
                     del values[t]
 
         self.last_latency_ms = total_latency
-        self.last_wall_ms = (time.perf_counter() - t_start) * 1e3
-        self.last_peak_activation_bytes = tracker.peak
+        self.last_peak_activation_bytes = plan.peak_activation_bytes(batch)
         self.last_profile = profile
         missing = [t for t in self.graph.outputs if t not in values]
         if missing:

@@ -12,10 +12,10 @@ Plans are invalidated automatically when the resolver registers new kernels
 op workflow — build an interpreter, then ``resolver.register(...)`` — keeps
 working.
 
-Latency-model work estimates (:func:`~repro.perfmodel.work.node_work`) are
-shape-static given a batch size, so the plan memoizes them per
-(node, batch): a deployment loop invoking with a steady batch size computes
-MAC/element counts exactly once.
+Latency-model work estimates (:func:`~repro.perfmodel.work.node_work`) and
+the activation-memory peak are shape-static given a batch size, so the plan
+memoizes them per (node, batch) and per batch: a deployment loop invoking
+with a steady batch size computes each exactly once.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class NodeBinding:
 
     ``alias`` mirrors the bound executor's ``aliases_input`` annotation
     (:mod:`repro.runtime.annotations`): whether it returns a view of its
-    input, which the arena packer reads.
+    input, which the activation peak and the arena packer read.
     """
 
     index: int
@@ -123,6 +123,7 @@ class ExecutionPlan:
             derive_bindings(graph, resolver))
         self.schedule = self.bindings
         self._work_cache: dict[tuple[int, int], NodeWork] = {}
+        self._peak_cache: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.bindings)
@@ -138,6 +139,28 @@ class ExecutionPlan:
         if cached is None:
             cached = node_work(self.graph, self.bindings[index].node, batch=batch)
             self._work_cache[key] = cached
+        return cached
+
+    def peak_activation_bytes(self, batch: int) -> int:
+        """Memoized peak resident activation bytes at a batch size.
+
+        The static liveness peak of the plan's own schedule and refcounts,
+        each view output folded into the buffer it aliases — the arena a
+        TFLite-style planner sizes before the first invoke.
+        """
+        cached = self._peak_cache.get(batch)
+        if cached is None:
+            # Function-level: repro.analysis imports this module.
+            from repro.analysis.liveness import (
+                liveness_from_plan,
+                merge_alias_ranges,
+                packable_aliases,
+                peak_live_bytes,
+            )
+            ranges = liveness_from_plan(self, batch)
+            cached = peak_live_bytes(merge_alias_ranges(
+                ranges, packable_aliases(self.graph, ranges, self)))
+            self._peak_cache[batch] = cached
         return cached
 
 

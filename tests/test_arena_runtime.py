@@ -2,14 +2,18 @@
 
 Pinned from every side:
 
-* **alias accounting** — reshape/flatten executors return *views*; the
-  refcounted accounting charges each base buffer once, so peak resident
-  bytes match reality instead of double-counting every view;
+* **alias accounting** — view executors (reshape/flatten/channel_reverse)
+  return numpy *views*; the interpreter's peak is the plan's static
+  liveness with each view folded into the buffer it aliases, and it equals
+  the bytes ``run_reference`` in ``conftest.py`` finds concretely resident
+  — never a double count, never a premature free, never the caller's
+  feed buffers;
 * **fused-activation consistency** — ``mul`` applies its fused activation
   attr on every backend (float, quantized), byte-identical across them;
 * **zoo parity** — the compiled interpreter is byte-identical to the
   plan-free reference walk (``reference_invoke`` in ``conftest.py``) on
-  every zoo model, float and quantized, both resolvers, batch 1/4/32;
+  every zoo model, float and quantized, both resolvers, batch 1/4/32, and
+  its static peak equals the walk's concrete peak;
 * **spec conformance** — every layer's output carries its spec dtype, and
   the runtime's peak activation bytes equal the static liveness peak;
 * **verifier skepticism** — ``verify_layout`` re-proves every alias claim
@@ -23,12 +27,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import EdgeApp
 from repro.analysis import pack_arena, verify_layout
-from repro.analysis.liveness import liveness_from_graph, peak_live_bytes
+from repro.analysis.liveness import (
+    VIEW_OPS,
+    liveness_from_graph,
+    peak_live_bytes,
+)
 from repro.graph import GraphBuilder
 from repro.instrument import EdgeMLMonitor, EXrayLog
 from repro.runtime import Interpreter, OpResolver, ReferenceOpResolver
+from repro.runtime.executors_float import FLOAT_EXECUTORS
+from repro.runtime.executors_quant import QUANT_EXECUTORS
 from repro.zoo import get_model, list_models
+from repro.zoo.registry import playback_data
 
 # Models whose mobile stage cannot be fully-integer quantized (embedding /
 # resize / in-graph normalize ops); their quantized stage is skipped, the
@@ -54,6 +66,15 @@ def make_feeds(graph, batch, seed=0):
 # ------------------------------------------------------- alias accounting
 
 class TestAliasAccounting:
+    """The interpreter's peak folds views into the buffers they alias.
+
+    ``last_peak_activation_bytes`` is the plan's static liveness peak
+    (``ExecutionPlan.peak_activation_bytes``) under the one alias rule the
+    arena packer and ``repro analyze`` share. These tests pin it against
+    the bytes concretely resident during a run: ``run_reference`` walks
+    the graph and measures the distinct buffers live after every node.
+    """
+
     def _flatten_graph(self, rng):
         b = GraphBuilder("flatview")
         x = b.input("input", (None, 4, 4, 8))
@@ -63,11 +84,22 @@ class TestAliasAccounting:
         b.mark_output(h)
         return b.finish()
 
+    def _channel_reverse_graph(self, rng):
+        b = GraphBuilder("revview")
+        x = b.input("input", (None, 4, 4, 3))
+        h = b.conv2d(x, rng.normal(size=(1, 1, 3, 8)).astype(np.float32),
+                     activation="relu", name="pw")
+        h = b.add("channel_reverse", h, name="rev")
+        h = b.conv2d(h, rng.normal(size=(1, 1, 8, 8)).astype(np.float32),
+                     activation="linear", name="mix")
+        h = b.global_avg_pool(h, name="gap")
+        b.mark_output(h)
+        return b.finish()
+
     def test_view_not_double_counted(self, rng):
         # flatten returns a view of its input: true resident bytes while
-        # dense runs are input + logits, and nothing more. The old
-        # per-array accounting charged the flattened view again (and
-        # "freed" bytes that stayed resident through the view).
+        # dense runs are input + logits, and nothing more. Charging the
+        # flattened view as a tensor of its own would count it twice.
         graph = self._flatten_graph(rng)
         x = rng.normal(size=(2, 4, 4, 8)).astype(np.float32)
         interp = Interpreter(graph)
@@ -76,9 +108,9 @@ class TestAliasAccounting:
         assert interp.last_peak_activation_bytes == true_resident
 
     def test_view_kept_alive_by_consumer(self, rng):
-        # Freeing the *input name* after flatten must not release the
-        # buffer the flattened view still references: the bytes stay
-        # charged until the last name dies.
+        # The input's last named consumer is flatten, but the flattened
+        # view still references its buffer: the bytes stay charged until
+        # the view's own last consumer runs.
         graph = self._flatten_graph(rng)
         x = rng.normal(size=(1, 4, 4, 8)).astype(np.float32)
         interp = Interpreter(graph)
@@ -87,6 +119,63 @@ class TestAliasAccounting:
         # input+logits (the premature free).
         assert interp.last_peak_activation_bytes >= x.nbytes + out.nbytes
         assert interp.last_peak_activation_bytes < 2 * x.nbytes + out.nbytes
+
+    def test_view_ops_are_the_aliasing_executors(self):
+        # One source of truth: every builtin executor that returns a view
+        # is a VIEW_OPS op, and every VIEW_OPS op has such an executor.
+        marked = {op for table in (FLOAT_EXECUTORS, QUANT_EXECUTORS)
+                  for op, fn in table.items()
+                  if getattr(fn, "aliases_input", False)}
+        assert VIEW_OPS == marked
+
+    def test_channel_reverse_view_counted_once(self, rng, reference_invoke):
+        graph = self._channel_reverse_graph(rng)
+        for batch in (1, 4):
+            feeds = make_feeds(graph, batch)
+            ref = reference_invoke(graph, OpResolver(), feeds)
+            interp = Interpreter(graph)
+            interp.invoke(feeds)
+            assert interp.last_peak_activation_bytes == ref.peak_bytes, batch
+        for plan in (None, Interpreter(graph).plan):
+            layout = pack_arena(graph, plan)
+            assert not verify_layout(graph, layout)
+            rev = layout.slot("rev")
+            assert rev.alias_of == "pw"
+            assert rev.offset == layout.slot("pw").offset
+
+
+class TestCallerOwnedFeeds:
+    """The peak never depends on who owns the feed buffer.
+
+    Text preprocessing passes token ids through, so an edge app feeds each
+    frame as a view of its whole playback pool. Charging that pool was a
+    bug: the per-frame memory grew with the playback length.
+    """
+
+    def test_view_feed_reports_same_peak_as_copy(self):
+        graph = get_model("micro_bert", "mobile")
+        pool, _ = playback_data("micro_bert", 128)
+        viewed, owned = Interpreter(graph), Interpreter(graph)
+        for i in (0, 64, 127):
+            viewed.invoke(pool[i:i + 1])
+            owned.invoke(pool[i:i + 1].copy())
+            assert viewed.last_peak_activation_bytes == \
+                owned.last_peak_activation_bytes, i
+
+    @pytest.mark.parametrize("model", ["micro_bert", "nnlm_lite"])
+    def test_edge_app_memory_independent_of_playback_length(self, model):
+        graph = get_model(model, "mobile")
+
+        def frame_memory(frames):
+            raw, _ = playback_data(model, frames)
+            app = EdgeApp(graph)
+            app.run(raw)
+            return [f.memory_mb for f in app.monitor.frames]
+
+        short, long = frame_memory(4), frame_memory(128)
+        assert len(long) == 128
+        assert short == long[:4]
+        assert set(long) == set(short) and len(set(short)) == 1
 
 
 # --------------------------------------------- fused activation on mul
