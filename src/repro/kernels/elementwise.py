@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.common import pad_spatial
 from repro.util.errors import KernelError
 
 
@@ -25,12 +26,7 @@ def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pad2d(x: np.ndarray, paddings: tuple[tuple[int, int], tuple[int, int]],
           value: float = 0.0) -> np.ndarray:
     """Explicit spatial padding of an NHWC tensor (the TFLite ``Pad`` op)."""
-    if x.ndim != 4:
-        raise KernelError(f"pad2d expects NHWC input, got shape {x.shape}")
-    (pt, pb), (pl, pr) = paddings
-    return np.pad(
-        x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), mode="constant", constant_values=value
-    )
+    return pad_spatial(x, paddings, value)
 
 
 def concat(tensors: list[np.ndarray], axis: int = -1) -> np.ndarray:

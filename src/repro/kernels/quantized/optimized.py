@@ -271,8 +271,4 @@ def qpad2d(
     """Quantized spatial padding: fills with the zero point (or literal 0
     under :attr:`KernelBugs.pad_ignores_zero_point`)."""
     fill = 0 if bugs.pad_ignores_zero_point else int(in_params.zero_point.item())
-    (pt, pb), (pl, pr) = paddings
-    return np.pad(
-        x_q, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-        mode="constant", constant_values=fill,
-    )
+    return pad_spatial(x_q, paddings, fill)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quantize.params import QuantParams, dtype_range
+from repro.quantize.params import NP_DTYPES, QuantParams, dtype_range
 
 
 def output_multiplier(
@@ -42,9 +42,12 @@ def requantize(
     the last axis). ``fused_activation`` clamps in the quantized domain, the
     way TFLite folds activations into the preceding op.
     """
-    q = np.round(acc * multiplier) + float(out_params.zero_point.item())
+    q = acc * multiplier
+    np.round(q, out=q)
+    q += float(out_params.zero_point.item())
     lo, hi = fused_activation_bounds(fused_activation, out_params)
-    return np.clip(q, lo, hi).astype(_np_dtype(out_params.dtype))
+    np.minimum(np.maximum(q, lo, out=q), hi, out=q)
+    return q.astype(NP_DTYPES[out_params.dtype])
 
 
 def fused_activation_bounds(activation: str, out_params: QuantParams) -> tuple[int, int]:
@@ -71,7 +74,7 @@ def rescale_tensor(
     real = (q.astype(np.float64) - float(src.zero_point.item())) * float(src.scale.item())
     out = np.round(real / float(dst.scale.item())) + float(dst.zero_point.item())
     qmin, qmax = dtype_range(dst.dtype)
-    return np.clip(out, qmin, qmax).astype(_np_dtype(dst.dtype))
+    return np.clip(out, qmin, qmax).astype(NP_DTYPES[dst.dtype])
 
 
 def build_lut(
@@ -91,7 +94,7 @@ def build_lut(
     mapped = fn(real.astype(np.float64))
     out = np.round(mapped / out_params.scale.item()) + out_params.zero_point.item()
     lo, hi = dtype_range(out_params.dtype)
-    return np.clip(out, lo, hi).astype(_np_dtype(out_params.dtype))
+    return np.clip(out, lo, hi).astype(NP_DTYPES[out_params.dtype])
 
 
 def apply_lut(q: np.ndarray, lut: np.ndarray, in_params: QuantParams) -> np.ndarray:
@@ -108,9 +111,3 @@ def wrap_to_bits(acc: np.ndarray, bits: int) -> np.ndarray:
     """
     half = 2 ** (bits - 1)
     return ((acc.astype(np.int64) + half) % (2 * half) - half).astype(np.float64)
-
-
-def _np_dtype(name: str) -> np.dtype:
-    return np.dtype(
-        {"int8": np.int8, "uint8": np.uint8, "int16": np.int16, "int32": np.int32}[name]
-    )

@@ -15,7 +15,7 @@ each in its correct form plus the buggy variants the paper benchmarks:
   conventions from "different training pipelines" (Figure 4(c)).
 
 All functions are vectorized: resize builds (out, in) weight matrices once
-and contracts them with ``tensordot`` — no Python loops over pixels.
+and contracts them in one planned einsum — no Python loops over pixels.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ _WEIGHT_BUILDERS = {
 }
 
 _weights_cache: dict[tuple[str, int, int], np.ndarray] = {}
+_RESIZE_SUBSCRIPTS = "oh,nhwc,pw->nopc"
+_path_cache: dict[tuple, list] = {}  # (input shape, out_h, out_w) -> einsum path
 
 
 def _resize_weights(method: str, n_in: int, n_out: int) -> np.ndarray:
@@ -91,7 +93,11 @@ def _resize_weights(method: str, n_in: int, n_out: int) -> np.ndarray:
 
 def resize(images: np.ndarray, out_h: int, out_w: int,
            method: str = "area") -> np.ndarray:
-    """Resize (N, H, W, C) or (H, W, C) float images with the given method."""
+    """Resize (N, H, W, C) or (H, W, C) float images with the given method.
+
+    The einsum path ``optimize=True`` picks is planned once per shape and
+    reused, so output bytes match; a float64 input is not copied first.
+    """
     squeeze = images.ndim == 3
     if squeeze:
         images = images[None]
@@ -99,8 +105,12 @@ def resize(images: np.ndarray, out_h: int, out_w: int,
         raise KernelError(f"resize expects (N,H,W,C) or (H,W,C), got {images.shape}")
     wh = _resize_weights(method, images.shape[1], out_h)
     ww = _resize_weights(method, images.shape[2], out_w)
-    out = np.einsum("oh,nhwc,pw->nopc", wh, images.astype(np.float64), ww,
-                    optimize=True)
+    operands = (wh, images.astype(np.float64, copy=False), ww)
+    key = (images.shape, out_h, out_w)
+    if key not in _path_cache:
+        _path_cache[key] = np.einsum_path(_RESIZE_SUBSCRIPTS, *operands,
+                                          optimize=True)[0]
+    out = np.einsum(_RESIZE_SUBSCRIPTS, *operands, optimize=_path_cache[key])
     return out[0] if squeeze else out
 
 

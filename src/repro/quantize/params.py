@@ -21,6 +21,9 @@ _DTYPE_RANGES: dict[str, tuple[int, int]] = {
     "int32": (-(2**31), 2**31 - 1),
 }
 
+#: numpy storage dtype of each quantized dtype name.
+NP_DTYPES: dict[str, np.dtype] = {name: np.dtype(name) for name in _DTYPE_RANGES}
+
 
 def dtype_range(dtype: str) -> tuple[int, int]:
     """Return the (qmin, qmax) representable range of a quantized dtype."""
@@ -98,7 +101,7 @@ class QuantParams:
         zp = self._broadcast(self.zero_point, x.ndim)
         q = np.round(x / scale) + zp
         q = np.clip(q, self.qmin, self.qmax)
-        return q.astype(_np_dtype(self.dtype))
+        return q.astype(NP_DTYPES[self.dtype])
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
         """Reconstruct float values: ``(q - zero_point) * scale``."""
@@ -124,11 +127,6 @@ class QuantParams:
             dtype=data["dtype"],
             axis=data["axis"],
         )
-
-
-def _np_dtype(name: str) -> np.dtype:
-    return np.dtype({"int8": np.int8, "uint8": np.uint8,
-                     "int16": np.int16, "int32": np.int32}[name])
 
 
 def choose_qparams(

@@ -390,6 +390,45 @@ class TestExecutorViewAnnotationRule:
         assert checked == 2  # float, quant
 
 
+# ----------------------------------------------------- repo rule: no np.pad
+
+class TestNoNpPadRule:
+    SOURCE = ("import numpy as np\n"
+              "from numpy import pad\n"
+              "def f(x):\n"
+              "    return np.pad(x, 1)\n")
+
+    def test_flagged_in_runtime_modules(self):
+        rules = _repo_rules()
+        for module in ("src/repro/kernels/conv.py",
+                       "src/repro/runtime/interpreter.py",
+                       "src/repro/pipelines/preprocess.py"):
+            violations = rules.check_source(module, self.SOURCE)
+            assert [line for _, line, _ in violations] == [2, 4], module
+            assert all("pad_spatial" in msg for _, _, msg in violations)
+
+    def test_other_modules_and_calls_clean(self):
+        rules = _repo_rules()
+        assert rules.check_source("src/repro/zoo/backends.py",
+                                  self.SOURCE) == []
+        helper = ("import numpy\n"
+                  "from repro.kernels.common import pad_spatial\n"
+                  "def f(x, arr):\n"
+                  "    return pad_spatial(x, ((1, 1), (1, 1))), arr.pad\n")
+        assert rules.check_source("src/repro/kernels/x.py", helper) == []
+
+    def test_real_runtime_modules_clean(self):
+        rules = _repo_rules()
+        root = Path(__file__).resolve().parents[1]
+        checked = 0
+        for sub in ("kernels", "runtime", "pipelines"):
+            for path in sorted((root / "src/repro" / sub).rglob("*.py")):
+                rel = str(path.relative_to(root))
+                checked += 1
+                assert rules.check_source(rel, path.read_text()) == [], rel
+        assert checked > 10
+
+
 # ---------------------------------------------- repo rule: dangling __all__
 
 class TestDanglingAllRule:

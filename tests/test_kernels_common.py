@@ -10,6 +10,9 @@ from repro.kernels.common import (
     resolve_padding,
     same_padding,
 )
+from repro.kernels.elementwise import pad2d
+from repro.kernels.quantized.optimized import qpad2d
+from repro.quantize import choose_qparams
 from repro.util.errors import KernelError
 
 
@@ -88,3 +91,35 @@ class TestExtractPatches:
     def test_rejects_oversized_window(self):
         with pytest.raises(KernelError):
             extract_patches(np.ones((1, 2, 2, 1)), 4, 4, 1, 1, ((0, 0), (0, 0)))
+
+
+class TestPadOpValidation:
+    """The ``pad2d`` op's paddings bypass :func:`resolve_padding`, so the
+    shared pad helper itself rejects what the op cannot mean."""
+
+    PARAMS = choose_qparams(-1.0, 3.0, "int8")
+
+    def _pads(self, x, paddings):
+        return (lambda: pad2d(x.astype(np.float32), paddings),
+                lambda: qpad2d(x.astype(np.int8), self.PARAMS, paddings))
+
+    @pytest.mark.parametrize("paddings", [((-1, 0), (0, 0)), ((0, -2), (1, 1)),
+                                          ((1, 1), (-1, 0)), ((0, 0), (0, -3))])
+    def test_negative_pad_rejected(self, paddings):
+        for pad in self._pads(np.ones((1, 4, 4, 2)), paddings):
+            with pytest.raises(KernelError, match="negative padding"):
+                pad()
+
+    def test_non_nhwc_rejected(self):
+        for pad in self._pads(np.ones((4, 4, 2)), ((1, 1), (1, 1))):
+            with pytest.raises(KernelError, match="NHWC"):
+                pad()
+
+    def test_qpad2d_fills_zero_point(self):
+        out = qpad2d(np.full((1, 2, 2, 1), 5, np.int8), self.PARAMS,
+                     ((1, 0), (0, 1)))
+        zp = int(self.PARAMS.zero_point.item())
+        assert out.dtype == np.int8 and out.shape == (1, 3, 3, 1)
+        assert out[0, 0, :, 0].tolist() == [zp] * 3
+        assert out[0, 1:, 2, 0].tolist() == [zp] * 2
+        assert (out[0, 1:, :2] == 5).all()

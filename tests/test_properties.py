@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import conv2d, softmax
+from repro.kernels.common import pad_spatial
 from repro.kernels.quantized.requant import (
     fused_activation_bounds,
     requantize,
     rescale_tensor,
     wrap_to_bits,
 )
+from repro.pipelines import preprocess
 from repro.pipelines.preprocess import _resize_weights, resize
 from repro.quantize import choose_qparams
 from repro.util.rng import derive_rng
@@ -42,6 +44,73 @@ class TestResizeWeightProperties:
         img = rng.uniform(size=(1, n_in, n_in, 3))
         out = resize(img, n_in // factor, n_in // factor, "area")
         np.testing.assert_allclose(out.mean(), img.mean(), atol=1e-9)
+
+
+class TestResizePathCacheProperties:
+    @given(h=st.integers(2, 24), w=st.integers(2, 24), c=st.integers(1, 3),
+           out=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           method=st.sampled_from(["area", "bilinear", "nearest"]),
+           dtype=st.sampled_from(["float64", "float32"]),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unplanned_einsum(self, h, w, c, out, method, dtype, seed):
+        """The cached contraction path is the one ``optimize=True`` plans,
+        so the planning (cache-miss) call and the cache-hit call are
+        byte-identical to the unplanned einsum at every batch and size."""
+        preprocess._path_cache.clear()
+        for batch in (1, 4, 32):
+            images = derive_rng(seed, "resize-path", batch).uniform(
+                size=(batch, h, w, c)).astype(dtype)
+            for out_h, out_w in (out, out[::-1]):
+                expected = np.einsum(
+                    "oh,nhwc,pw->nopc", _resize_weights(method, h, out_h),
+                    images.astype(np.float64),
+                    _resize_weights(method, w, out_w), optimize=True)
+                for _ in ("miss", "hit"):
+                    got = resize(images, out_h, out_w, method)
+                    assert got.dtype == expected.dtype
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8, 3), (1, 8, 8, 3), (32, 8, 8, 3)])
+    def test_float64_input_not_copied(self, monkeypatch, shape):
+        seen = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            seen.append(operands[1])
+            return einsum(subscripts, *operands, **kwargs)
+
+        images = np.ones(shape)
+        monkeypatch.setattr(np, "einsum", spy)
+        resize(images, 4, 4)
+        assert len(seen) == 1 and np.shares_memory(seen[0], images)
+
+
+PAD_FILLS = {"float32": [0.0, -np.inf, 1.5], "float64": [0.0, -np.inf, -2.25],
+             "int8": [0, -128, -3, 127], "uint8": [0, 128, 255]}
+
+
+class TestPadSpatialProperties:
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 6),
+                           st.integers(1, 6), st.integers(1, 4)),
+           pad=st.tuples(*[st.integers(0, 3)] * 4),
+           fill=st.sampled_from([(dtype, value) for dtype, values
+                                 in PAD_FILLS.items() for value in values]),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_np_pad(self, shape, pad, fill, seed):
+        """One preallocated fill plus a slice is byte-identical to
+        ``np.pad`` with a constant, dtype and fill rounding included."""
+        dtype, value = fill
+        x = derive_rng(seed, "pad-spatial").integers(
+            -100, 100, size=shape).astype(dtype)
+        pt, pb, pl, pr = pad
+        out = pad_spatial(x, ((pt, pb), (pl, pr)), value)
+        expected = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
+                          mode="constant", constant_values=value)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestQuantizationProperties:

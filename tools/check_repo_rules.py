@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-level AST lint: conventions the test suite can't see.
 
-Five rules:
+Six rules:
 
 * **no-numpy-random** (kernel modules only): kernels must never reach into
   ``numpy.random`` directly.  Kernels are supposed to be pure array
@@ -28,6 +28,11 @@ Five rules:
   ``class`` or assignment.  A deletion that forgets its package re-export
   leaves a name that ``from pkg import *`` and the docs promise but that
   raises ``AttributeError`` on use.
+* **no-np-pad** (``src/repro/kernels``, ``runtime`` and ``pipelines``): no
+  ``np.pad``/``numpy.pad`` calls.  Every spatial pad goes through
+  ``repro.kernels.common.pad_spatial``, one preallocated fill plus a slice
+  assignment; ``np.pad``'s fixed per-call cost is about ten times that at
+  batch 1, where a streamed edge frame pads on every depthwise layer.
 
 Stdlib only (``ast``) so CI can run it before any dependency install.
 
@@ -46,23 +51,30 @@ from pathlib import Path
 
 SRC_ROOT = Path("src")
 KERNEL_ROOT = Path("src/repro/kernels")
+PAD_HELPER_ROOTS = (KERNEL_ROOT, Path("src/repro/runtime"),
+                    Path("src/repro/pipelines"))
 SANCTIONED = "repro.util.rng"
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set,
                      ast.ListComp, ast.DictComp, ast.SetComp)
 
 
+def _numpy_aliases(tree: ast.AST) -> set[str]:
+    """Names ``import numpy [as x]`` binds anywhere in the module."""
+    return {alias.asname or "numpy" for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "numpy"}
+
+
 def _check_numpy_random(path: str, tree: ast.AST) -> list[tuple[str, int, str]]:
     """Kernel-only rule: no direct numpy.random use."""
     violations: list[tuple[str, int, str]] = []
-    numpy_aliases: set[str] = set()
+    numpy_aliases = _numpy_aliases(tree)
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "numpy":
-                    numpy_aliases.add(alias.asname or "numpy")
-                elif alias.name.startswith("numpy.random"):
+                if alias.name.startswith("numpy.random"):
                     violations.append((path, node.lineno,
                                        f"imports {alias.name}; use "
                                        f"{SANCTIONED} instead"))
@@ -86,6 +98,23 @@ def _check_numpy_random(path: str, tree: ast.AST) -> list[tuple[str, int, str]]:
             violations.append((path, node.lineno,
                                f"calls {node.value.id}.random directly; "
                                f"use {SANCTIONED} instead"))
+    return violations
+
+
+def _check_no_np_pad(path: str, tree: ast.AST) -> list[tuple[str, int, str]]:
+    """Runtime-only rule: pad through ``pad_spatial``, never ``numpy.pad``."""
+    aliases = _numpy_aliases(tree)
+    message = ("numpy.pad in a runtime module; pad through "
+               "repro.kernels.common.pad_spatial instead")
+    violations: list[tuple[str, int, str]] = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(alias.name == "pad" for alias in node.names)):
+            violations.append((path, node.lineno, message))
+        elif (isinstance(node, ast.Attribute) and node.attr == "pad"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            violations.append((path, node.lineno, message))
     return violations
 
 
@@ -220,8 +249,11 @@ def check_source(path: str, text: str) -> list[tuple[str, int, str]]:
     violations = _check_mutable_defaults(path, tree)
     violations += _check_bare_except(path, tree)
     violations += _check_dangling_all(path, tree)
-    if KERNEL_ROOT in Path(path).parents:
+    parents = Path(path).parents
+    if KERNEL_ROOT in parents:
         violations += _check_numpy_random(path, tree)
+    if any(root in parents for root in PAD_HELPER_ROOTS):
+        violations += _check_no_np_pad(path, tree)
     if Path(path).name.startswith("executors") and path.endswith(".py"):
         violations += _check_executor_view_annotations(path, tree)
     return sorted(violations, key=lambda v: v[1])
