@@ -14,19 +14,26 @@ The byte sizes of these files are exactly the "Disk" columns of Tables 2,
 
 :class:`EXrayLog` is a *lazy* reader: loading a directory parses only the
 small per-frame documents; tensor payloads stay on disk until a frame is
-materialized, and then only the requested keys are read, each by one
-positioned read. :meth:`EXrayLog.iter_frames` streams frames one at a time —
-per-layer validation of a 10k-frame trace touches one frame (pair) of
-tensors at a time instead of holding the whole trace in memory.
-``EXrayLog.frames`` remains the eager view (materializes and caches all
-frames).
+materialized. Every keyed read — :meth:`EXrayLog.iter_frames`,
+:meth:`EXrayLog.frame`, :meth:`EXrayLog.stacked` and
+:meth:`EXrayLog.stack_frames` — goes through one helper
+(:class:`_TensorReader`): one open ``tensors.bin`` handle per call or
+iteration, one ``seek`` + ``readinto`` of the byte span a frame's requested
+keys occupy, and each key's array a view of that buffer.
+:meth:`EXrayLog.iter_frames` streams frames one at a time;
+:meth:`EXrayLog.stack_frames` reads a bounded run of frames into one
+frame-major buffer, so per-layer validation of a 10k-frame trace holds one
+chunk of frames at a time instead of the whole trace. ``EXrayLog.frames``
+remains the eager view (materializes and caches all frames).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Iterator
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +125,99 @@ def log_digest(root: str | Path) -> str:
 
 def _open_tensors(path: Path):
     """Open a log's ``tensors.bin`` for keyed reads (seam for read-counting
-    tests)."""
+    tests).
+
+    The returned object is a context manager with ``seek(offset)`` and
+    ``readinto(buffer)``; keyed reads use nothing else of it. Each frame's
+    requested tensors cost exactly one ``seek`` + ``readinto``.
+    """
     return path.open("rb")
+
+
+def _layout(index: dict, keys) -> tuple[int, int, list[tuple]]:
+    """Where one frame's requested tensors lie in ``tensors.bin``.
+
+    ``index`` is the frame document's ``key -> [dtype.str, shape, offset]``
+    map; ``keys`` (``None`` for all) selects entries. Returns ``(lo, size,
+    entries)``: the selected tensors lie within bytes ``[lo, lo + size)``,
+    and ``entries`` holds ``(key, dtype, shape, start, nbytes)`` with
+    ``start`` relative to ``lo``. Two frames whose ``entries`` are equal can
+    share one buffer layout.
+    """
+    entries, lo, hi = [], math.inf, 0
+    for key, (dtype, shape, offset) in index.items():
+        if keys is None or key in keys:
+            dtype = np.dtype(dtype)
+            nbytes = dtype.itemsize * math.prod(shape)
+            entries.append((key, dtype, tuple(shape), offset, nbytes))
+            if offset < lo:
+                lo = offset
+            if offset + nbytes > hi:
+                hi = offset + nbytes
+    if not entries:
+        return 0, 0, []
+    return lo, hi - lo, [(key, dtype, shape, offset - lo, nbytes)
+                         for key, dtype, shape, offset, nbytes in entries]
+
+
+def _views(buffer: np.ndarray, entries: list[tuple]) -> dict[str, np.ndarray]:
+    """Each entry's tensor as a view of ``buffer``'s last axis (frame-major
+    when ``buffer`` is 2-D: one row per frame)."""
+    lead = buffer.shape[:-1]
+    return {key: buffer[..., start:start + nbytes].view(dtype)
+            .reshape(lead + shape)
+            for key, dtype, shape, start, nbytes in entries}
+
+
+class _TensorReader:
+    """The one read path for a directory log's tensors.
+
+    Opens ``tensors.bin`` (through :func:`_open_tensors`) on the first read
+    and keeps that handle until the reader closes, so a whole iteration
+    costs one open. :meth:`fill` reads one frame's byte span with one
+    positioned read; a short read names the first tensor whose bytes are
+    missing.
+    """
+
+    def __init__(self, source: "_DirectorySource"):
+        self._source = source
+        self._files = ExitStack()
+        self._handle = None
+
+    def __enter__(self) -> "_TensorReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._files.close()
+
+    def fill(self, doc: dict, lo: int, entries: list[tuple],
+             buffer: np.ndarray) -> None:
+        """Read ``len(buffer)`` bytes from offset ``lo`` into ``buffer``."""
+        if self._handle is None:
+            try:
+                handle = _open_tensors(self._source.root / TENSORS_NAME)
+            except FileNotFoundError:
+                raise self._source._missing(
+                    doc["step"], entries[0][0],
+                    f"{TENSORS_NAME} is missing") from None
+            self._handle = self._files.enter_context(handle)
+        self._handle.seek(lo)
+        got = self._handle.readinto(buffer)
+        if got != len(buffer):
+            key = next(entry[0] for entry in entries
+                       if entry[3] + entry[4] > got)
+            raise self._source._missing(
+                doc["step"], key,
+                f"{TENSORS_NAME} ends before its bytes (truncated log?)")
+
+    def read(self, doc: dict, keys=None) -> dict[str, np.ndarray]:
+        """One frame's requested tensors, as views of one fresh buffer."""
+        lo, size, entries = _layout(doc["tensors"], keys)
+        if not entries:
+            return {}
+        buffer = np.empty(size, np.uint8)
+        self.fill(doc, lo, entries, buffer)
+        return _views(buffer, entries)
 
 
 def _drain_source(sink: LogSink) -> LogSink:
@@ -194,6 +292,11 @@ class _ListSource:
               keys=None) -> FrameLog:
         return self._frames[index]
 
+    def stack(self, start: int, stop: int, keys) -> dict[str, np.ndarray]:
+        frames = self._frames[start:stop]
+        return {key: np.stack([frame.tensor(key) for frame in frames])
+                for key in keys}
+
     def tensor_keys(self, index: int) -> list[str]:
         return sorted(self._frames[index].tensors)
 
@@ -239,45 +342,66 @@ class _DirectorySource:
     def tensor_keys(self, index: int) -> list[str]:
         return list(self._docs[index]["tensors"])
 
-    def _attach(self, doc: dict, frame: FrameLog, keys=None) -> None:
-        index = doc["tensors"]
-        wanted = [k for k in index if keys is None or k in keys]
-        if not wanted:
-            return
-        path = self.root / TENSORS_NAME
-        try:
-            handle = _open_tensors(path)
-        except FileNotFoundError:
-            raise self._missing(frame.step, wanted[0],
-                                f"{TENSORS_NAME} is missing") from None
-        with handle:
-            for key in wanted:
-                dtype, shape, offset = index[key]
-                array = np.empty(shape, dtype=dtype)
-                handle.seek(offset)
-                if handle.readinto(array.reshape(-1).view(np.uint8)) \
-                        != array.nbytes:
-                    raise self._missing(
-                        frame.step, key,
-                        f"{TENSORS_NAME} ends before its bytes (truncated log?)")
-                frame.tensors[key] = array
+    def _require(self, doc: dict, entries: list[tuple], keys) -> None:
+        missing = sorted(set(keys) - {entry[0] for entry in entries})
+        if missing:
+            raise KeyError(f"frame {doc['step']} has no tensor "
+                           f"{missing[0]!r}; available: "
+                           f"{sorted(doc['tensors'])}")
 
     # ------------------------------------------------------------ iteration
     def iter_frames(self, load_tensors: bool = True,
                     keys=None) -> Iterator[FrameLog]:
-        for doc in self._docs:
-            frame = frame_from_doc(doc)
-            if load_tensors:
-                self._attach(doc, frame, keys)
-            yield frame
+        with _TensorReader(self) as reader:
+            for doc in self._docs:
+                frame = frame_from_doc(doc)
+                if load_tensors:
+                    frame.tensors.update(reader.read(doc, keys))
+                yield frame
 
     def frame(self, index: int, load_tensors: bool = True,
               keys=None) -> FrameLog:
         doc = self._docs[index]
         frame = frame_from_doc(doc)
         if load_tensors:
-            self._attach(doc, frame, keys)
+            with _TensorReader(self) as reader:
+                frame.tensors.update(reader.read(doc, keys))
         return frame
+
+    def stack(self, start: int, stop: int, keys) -> dict[str, np.ndarray]:
+        """Frames ``[start, stop)`` of ``keys``, stacked frame-major.
+
+        Frames laid out like the first (same keys, dtypes, shapes and
+        relative offsets — every frame of an ordinary capture) are each
+        read with one positioned read into their row of one shared buffer,
+        and every key comes back as a column view of it. A frame laid out
+        differently (a custom tensor logged on some frames only shifts the
+        offsets) is read by itself and copied into its row key by key.
+        """
+        docs = self._docs[start:stop]
+        _, size, entries = _layout(docs[0]["tensors"], keys)
+        self._require(docs[0], entries, keys)
+        rows = np.empty((len(docs), size), np.uint8)
+        stacked = _views(rows, entries)
+        with _TensorReader(self) as reader:
+            for row, doc in enumerate(docs):
+                frame_lo, _, frame_entries = _layout(doc["tensors"], keys)
+                if frame_entries == entries:
+                    reader.fill(doc, frame_lo, entries, rows[row])
+                    continue
+                self._require(doc, frame_entries, keys)
+                for key, array in reader.read(doc, keys).items():
+                    column = stacked[key]
+                    if (array.dtype, array.shape) != \
+                            (column.dtype, column.shape[1:]):
+                        raise ValidationError(
+                            f"EXray log at {self.root}: tensor {key!r} is "
+                            f"{array.dtype}{list(array.shape)} in frame "
+                            f"{doc['step']} but {column.dtype}"
+                            f"{list(column.shape[1:])} in frame "
+                            f"{docs[0]['step']}; cannot stack them")
+                    column[row] = array
+        return stacked
 
     def materialize(self) -> list[FrameLog]:
         return list(self.iter_frames())
@@ -362,6 +486,9 @@ class EXrayLog:
         ``keys={"model_output"}`` reads one array per frame of a per-layer
         trace instead of every layer's). Both knobs only
         affect directory-backed logs; in-memory frames arrive as-is.
+        A directory-backed iteration keeps one ``tensors.bin`` handle open
+        and reads each frame's requested tensors with one positioned read;
+        the frame's arrays are views of that one buffer.
         """
         if self._frames is not None:
             yield from self._frames
@@ -389,9 +516,29 @@ class EXrayLog:
         """The value of one tensor key across all frames (must exist in each)."""
         return [frame.tensor(key) for frame in self.iter_frames(keys={key})]
 
+    def stack_frames(self, keys, start: int = 0,
+                     stop: int | None = None) -> dict[str, np.ndarray]:
+        """Each of ``keys``' tensors over frames ``[start, stop)``, stacked
+        on a new leading frame axis.
+
+        Directory-backed logs read each frame's span of ``keys`` with one
+        positioned read into one frame-major buffer and hand out views of
+        it; in-memory logs stack their arrays. Every frame must hold every
+        key (``KeyError`` otherwise) with one dtype and shape per key
+        (:class:`ValidationError` otherwise).
+        """
+        stop = len(self) if stop is None else min(stop, len(self))
+        if start >= stop:
+            raise ValidationError(
+                f"no frames to stack in [{start}, {stop}) of a "
+                f"{len(self)}-frame log")
+        source = self._source if self._frames is None \
+            else _ListSource(self._frames)
+        return source.stack(start, stop, keys)
+
     def stacked(self, key: str) -> np.ndarray:
         """Tensor series stacked on a new frame axis (frames, ...)."""
-        return np.stack(self.tensor_series(key))
+        return self.stack_frames({key})[key]
 
     def scalar_series(self, key: str) -> np.ndarray:
         return np.array([frame.scalars[key]

@@ -10,7 +10,10 @@ and the save/load canonicalization + format-version guarantees.
 import gc
 import io
 import json
+import math
 import weakref
+from dataclasses import replace
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +33,13 @@ from repro.instrument import store
 from repro.runtime import Interpreter
 from repro.util.errors import ValidationError
 from repro.validate.latency import layer_latency_profile
-from repro.validate.layerdiff import per_layer_diff
+from repro.validate.layerdiff import (
+    CHUNK_FRAMES,
+    ERROR_FUNCTIONS,
+    LayerDiff,
+    per_layer_diff,
+    ref_span,
+)
 from repro.validate.session import DebugSession
 
 
@@ -525,6 +534,26 @@ class TestMetadataReads:
         assert len(tensor_reads) == len(x_frames)
         assert sum(tensor_reads) == sum(o.nbytes for o in outputs)
 
+    def test_unkeyed_iteration_reads_once_per_frame(self, log_root, x_frames,
+                                                    tensor_reads):
+        frames = list(EXrayLog.load(log_root).iter_frames())
+        assert len(tensor_reads) == len(x_frames)
+        assert sum(tensor_reads) == sum(
+            a.nbytes for f in frames for a in f.tensors.values())
+
+    def test_layer_diff_reads_only_layer_tensors(self, log_root, x_frames,
+                                                 tensor_reads):
+        layer_bytes = sum(
+            np.dtype(dtype).itemsize * math.prod(shape)
+            for doc in frame_docs(log_root)
+            for key, (dtype, shape, _) in doc["tensors"].items()
+            if key.startswith("layer/"))
+        per_layer_diff(EXrayLog.load(log_root), EXrayLog.load(log_root))
+        # At most one positioned read per frame per log, of exactly the
+        # layer/* bytes: model_input and model_output stay on disk.
+        assert len(tensor_reads) <= 2 * len(x_frames)
+        assert sum(tensor_reads) == 2 * layer_bytes
+
     def test_tensor_keys_match_between_sources(self, small_cnn, x_frames,
                                                log_root):
         monitor = EdgeMLMonitor(per_layer=True)
@@ -533,13 +562,44 @@ class TestMetadataReads:
             EXrayLog.load(log_root).tensor_keys(0)
 
 
+def per_frame_oracle(edge_log, ref_log, error_fn="nrmse", max_frames=None):
+    """``per_layer_diff`` as one frame pair at a time: the error function
+    per frame, then ``np.mean`` over frames."""
+    fn = ERROR_FUNCTIONS[error_fn]
+    ref_layers = set(ref_log.layer_names())
+    schedule = [(name, op) for name, op in edge_log.layer_schedule()
+                if name in ref_layers]
+    n_frames = min(len(edge_log), len(ref_log), max_frames or math.inf)
+    errors = [[] for _ in schedule]
+    degenerate = [False] * len(schedule)
+    pairs = zip(edge_log.iter_frames(), ref_log.iter_frames())
+    for edge_frame, ref_frame in islice(pairs, n_frames):
+        for index, (layer, _) in enumerate(schedule):
+            edge_out = edge_frame.tensor(f"layer/{layer}")
+            ref_out = ref_frame.tensor(f"layer/{layer}")
+            errors[index].append(fn(edge_out, ref_out))
+            degenerate[index] |= error_fn == "nrmse" and ref_span(ref_out) <= 0
+    return [LayerDiff(index, layer, op, float(np.mean(errors[index])),
+                      degenerate[index]).to_doc()
+            for index, (layer, op) in enumerate(schedule)]
+
+
+FRAME_COUNTS = (1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
+                2 * CHUNK_FRAMES + 1)
+
+
 class TestStreamedValidationParity:
     """Acceptance: validation is sink-agnostic — a streamed DirectorySink
     log produces the identical report and layer diffs as the eager
-    MemorySink log of the same run."""
+    MemorySink log of the same run — and chunked comparison equals the
+    per-frame formula on both, across chunk boundaries."""
 
-    def run_pair(self, small_cnn, rng, tmp_path):
-        x = rng.normal(size=(3, 8, 8, 3)).astype(np.float32)
+    def run_pair(self, small_cnn, rng, tmp_path,
+                 n_frames=2 * CHUNK_FRAMES + 1):
+        x = rng.normal(size=(n_frames, 8, 8, 3)).astype(np.float32)
+        # An all-zero last frame makes the bias-free stem conv's output
+        # constant there: its nrMSE falls back to absolute units.
+        x[-1] = 0.0
         ref_mon = EdgeMLMonitor("reference", per_layer=True)
         stream_frames(small_cnn, ref_mon, x)
         # ONE edge run teed into both sinks: the eager and the streamed
@@ -548,8 +608,20 @@ class TestStreamedValidationParity:
         edge = EdgeMLMonitor("edge", per_layer=True,
                              sink=TeeSink(memory,
                                           DirectorySink(tmp_path / "edge")))
-        # A scale bug so the per-layer analysis has real drift to localize.
-        stream_frames(small_cnn, edge, x, scale=1.5)
+        interp = Interpreter(small_cnn)
+        edge.attach(interp)
+        for i in range(n_frames):
+            if i % 3 == 1:
+                # A custom tensor that sorts inside the layer/* span, on
+                # some frames only: those frames' layer tensors sit at
+                # other relative offsets than the chunk's first frame's.
+                edge.log("layer/probe", np.arange(i + 1, dtype=np.int16))
+            # A scale bug so the per-layer analysis has real drift to
+            # localize.
+            edge.log("model_input", x[i] * 1.5)
+            with edge.frame(interp) as frame:
+                out = interp.invoke(x[i:i + 1] * 1.5)
+                frame.tensors["model_output"] = next(iter(out.values()))[0]
         edge.close()
         mem_log = EXrayLog("edge", True, memory.frames)
         return (mem_log,
@@ -559,6 +631,51 @@ class TestStreamedValidationParity:
     def test_layerdiff_identical(self, small_cnn, rng, tmp_path):
         mem_log, dir_log, ref_log = self.run_pair(small_cnn, rng, tmp_path)
         assert per_layer_diff(mem_log, ref_log) == per_layer_diff(dir_log, ref_log)
+
+    @pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+    def test_layerdiff_matches_per_frame_oracle(self, small_cnn, rng,
+                                                tmp_path, n_frames):
+        mem_log, dir_log, ref_log = self.run_pair(small_cnn, rng, tmp_path,
+                                                  n_frames)
+        for error_fn in ERROR_FUNCTIONS:
+            want = per_frame_oracle(mem_log, ref_log, error_fn)
+            for edge_log in (mem_log, dir_log):
+                got = [d.to_doc() for d in
+                       per_layer_diff(edge_log, ref_log, error_fn)]
+                assert got == want, (error_fn, type(edge_log._source))
+        nrmse = per_frame_oracle(mem_log, ref_log)
+        assert {d["layer"] for d in nrmse if d["degenerate_ref"]} == {"stem"}
+
+    def test_layerdiff_directory_reference(self, small_cnn, rng, tmp_path):
+        # The streamed log, with its uneven layout, as the reference side.
+        _, dir_log, ref_log = self.run_pair(small_cnn, rng, tmp_path)
+        want = per_frame_oracle(ref_log, dir_log)
+        assert [d.to_doc() for d in per_layer_diff(ref_log, dir_log)] == want
+
+    @pytest.mark.parametrize("max_frames", [1, CHUNK_FRAMES, CHUNK_FRAMES + 3])
+    def test_layerdiff_max_frames(self, small_cnn, rng, tmp_path, max_frames):
+        mem_log, dir_log, ref_log = self.run_pair(small_cnn, rng, tmp_path)
+        want = per_frame_oracle(mem_log, ref_log, max_frames=max_frames)
+        for edge_log in (mem_log, dir_log):
+            got = per_layer_diff(edge_log, ref_log, max_frames=max_frames)
+            assert [d.to_doc() for d in got] == want
+
+    def test_layerdiff_shape_mismatch_rejected(self, small_cnn, rng,
+                                              tmp_path):
+        mem_log, _, ref_log = self.run_pair(small_cnn, rng, tmp_path,
+                                            CHUNK_FRAMES + 1)
+        cut = [replace(frame, tensors={
+                   **frame.tensors,
+                   "layer/logits": frame.tensors["layer/logits"][..., :-1]})
+               for frame in mem_log.frames]
+        sink = DirectorySink(tmp_path / "cut", per_layer=True)
+        for frame in cut:
+            sink.emit(frame)
+        sink.close()
+        for edge_log in (EXrayLog("edge", True, cut),
+                         EXrayLog.load(tmp_path / "cut")):
+            with pytest.raises(ValidationError, match="shape mismatch"):
+                per_layer_diff(edge_log, ref_log)
 
     def test_session_report_identical(self, small_cnn, rng, tmp_path):
         mem_log, dir_log, ref_log = self.run_pair(small_cnn, rng, tmp_path)
