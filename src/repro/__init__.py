@@ -3,7 +3,7 @@
 ML-EXray provides visibility into layer-level details of ML execution on
 edge devices and validates cloud-to-edge deployments. This package contains
 the full system: the instrumentation API and EdgeML monitor
-(:mod:`repro.instrument`), reference pipelines and data playback
+(:mod:`repro.instrument`), reference pipelines and seeded synthetic datasets
 (:mod:`repro.pipelines`, :mod:`repro.datasets`), the deployment-validation
 framework (:mod:`repro.validate`) — plus every substrate the evaluation
 needs, built from scratch: a TFLite-style graph runtime with optimized and

@@ -57,7 +57,6 @@ from repro.analysis.liveness import (
     VIEW_OPS,
     LiveRange,
     check_liveness_consistency,
-    interference_graph,
     liveness_from_graph,
     liveness_from_plan,
     merge_alias_ranges,
@@ -102,7 +101,6 @@ __all__ = [
     "check_liveness_consistency",
     "default_input_ranges",
     "explain_rule",
-    "interference_graph",
     "jsonable_evidence",
     "lint_graph",
     "liveness_from_graph",

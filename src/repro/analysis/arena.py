@@ -18,11 +18,10 @@ the verifier returns no findings; rule A001 surfaces the same check through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import (
-    LiveRange,
     liveness_from_graph,
     liveness_from_plan,
     merge_alias_ranges,
@@ -329,38 +328,11 @@ def verify_layout(graph: Graph, layout: ArenaLayout,
     return problems
 
 
-def corrupt_layout_for_test(layout: ArenaLayout) -> ArenaLayout:
-    """Return a copy with two interfering slots forced to collide.
-
-    Test/demo helper: injects exactly the offset-collision defect
-    :func:`verify_layout` exists to catch.
-    """
-    ranges = {s.tensor: LiveRange(s.tensor, s.start, s.end, s.nbytes)
-              for s in layout.slots}
-    slots = list(layout.slots)
-    for i, a in enumerate(slots):
-        for b in slots[i + 1:]:
-            # Alias slots share their base's offset on purpose; collide two
-            # genuinely independent buffers.
-            if a.alias_of is not None or b.alias_of is not None:
-                continue
-            if a.nbytes and b.nbytes and a.offset != b.offset and \
-                    ranges[a.tensor].overlaps(ranges[b.tensor]):
-                slots[i] = replace(a, offset=b.offset)
-                return ArenaLayout(graph=layout.graph, batch=layout.batch,
-                                   slots=tuple(slots),
-                                   arena_bytes=layout.arena_bytes)
-    raise ValidationError(
-        f"layout for {layout.graph!r} has no pair of interfering slots "
-        "to collide (single-tensor graph?)")
-
-
 __all__ = [
     "ALIGNMENT",
     "ARENA_SCHEMA_VERSION",
     "ArenaLayout",
     "ArenaSlot",
-    "corrupt_layout_for_test",
     "pack_arena",
     "peak_live_bytes",
     "verify_layout",

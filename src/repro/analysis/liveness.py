@@ -187,20 +187,6 @@ def merge_alias_ranges(
     return merged
 
 
-def interference_graph(
-    ranges: dict[str, LiveRange]
-) -> dict[str, set[str]]:
-    """Adjacency: tensors whose live ranges overlap must not share bytes."""
-    names = sorted(ranges)
-    adjacency: dict[str, set[str]] = {t: set() for t in names}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if ranges[a].overlaps(ranges[b]):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    return adjacency
-
-
 def peak_live_bytes(ranges: dict[str, LiveRange]) -> int:
     """Max bytes simultaneously live — the lower bound any arena must meet."""
     if not ranges:

@@ -2,13 +2,11 @@
 
 from repro.autograd import ops
 from repro.autograd.losses import mse, softmax_cross_entropy
-from repro.autograd.optim import SGD, Adam, Optimizer
+from repro.autograd.optim import Adam
 from repro.autograd.variable import Var, as_var, unbroadcast
 
 __all__ = [
     "Adam",
-    "Optimizer",
-    "SGD",
     "Var",
     "as_var",
     "mse",

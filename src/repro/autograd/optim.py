@@ -1,4 +1,4 @@
-"""Optimizers over named parameter dictionaries."""
+"""The optimizer over named parameter dictionaries."""
 
 from __future__ import annotations
 
@@ -7,51 +7,14 @@ import numpy as np
 from repro.autograd.variable import Var
 
 
-class Optimizer:
-    """Base optimizer over a ``{name: Var}`` parameter dict."""
-
-    def __init__(self, params: dict[str, Var]):
-        self.params = params
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, params: dict[str, Var], lr: float = 0.05,
-                 momentum: float = 0.9, weight_decay: float = 0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            v = self._velocity[name]
-            v *= self.momentum
-            v -= self.lr * g
-            p.data += v
-
-
-class Adam(Optimizer):
-    """Adam with bias correction — the workhorse for the zoo trainings."""
+class Adam:
+    """Adam with bias correction over a ``{name: Var}`` parameter dict —
+    the optimizer of every zoo training."""
 
     def __init__(self, params: dict[str, Var], lr: float = 3e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        super().__init__(params)
+        self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -59,6 +22,10 @@ class Adam(Optimizer):
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1

@@ -160,6 +160,16 @@ def _layout(index: dict, keys) -> tuple[int, int, list[tuple]]:
                          for key, dtype, shape, offset, nbytes in entries]
 
 
+def _unstackable(log: str, key: str, step: int, array: np.ndarray,
+                 first_step: int, first: np.ndarray) -> ValidationError:
+    """The error for a key whose dtype or shape changes across frames;
+    ``first`` is the key's array in frame ``first_step``."""
+    return ValidationError(
+        f"{log}: tensor {key!r} is {array.dtype}{list(array.shape)} in "
+        f"frame {step} but {first.dtype}{list(first.shape)} in frame "
+        f"{first_step}; cannot stack them")
+
+
 def _views(buffer: np.ndarray, entries: list[tuple]) -> dict[str, np.ndarray]:
     """Each entry's tensor as a view of ``buffer``'s last axis (frame-major
     when ``buffer`` is 2-D: one row per frame)."""
@@ -294,8 +304,17 @@ class _ListSource:
 
     def stack(self, start: int, stop: int, keys) -> dict[str, np.ndarray]:
         frames = self._frames[start:stop]
-        return {key: np.stack([frame.tensor(key) for frame in frames])
-                for key in keys}
+        stacked = {}
+        for key in keys:
+            arrays = [np.asarray(frame.tensor(key)) for frame in frames]
+            first = arrays[0]
+            for frame, array in zip(frames, arrays):
+                if (array.dtype, array.shape) != (first.dtype, first.shape):
+                    raise _unstackable("in-memory EXray log", key,
+                                       frame.step, array, frames[0].step,
+                                       first)
+            stacked[key] = np.stack(arrays)
+        return stacked
 
     def tensor_keys(self, index: int) -> list[str]:
         return sorted(self._frames[index].tensors)
@@ -394,12 +413,9 @@ class _DirectorySource:
                     column = stacked[key]
                     if (array.dtype, array.shape) != \
                             (column.dtype, column.shape[1:]):
-                        raise ValidationError(
-                            f"EXray log at {self.root}: tensor {key!r} is "
-                            f"{array.dtype}{list(array.shape)} in frame "
-                            f"{doc['step']} but {column.dtype}"
-                            f"{list(column.shape[1:])} in frame "
-                            f"{docs[0]['step']}; cannot stack them")
+                        raise _unstackable(
+                            f"EXray log at {self.root}", key, doc["step"],
+                            array, docs[0]["step"], column[0])
                     column[row] = array
         return stacked
 

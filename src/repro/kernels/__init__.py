@@ -12,7 +12,6 @@ from repro.kernels.activations import (
     gelu,
     hard_sigmoid,
     hard_swish,
-    log_softmax,
     relu,
     relu6,
     sigmoid,
@@ -57,7 +56,6 @@ __all__ = [
     "hard_sigmoid",
     "hard_swish",
     "layer_norm",
-    "log_softmax",
     "matmul",
     "max_pool2d",
     "merge_heads",

@@ -10,7 +10,7 @@ from repro.perfmodel.device import (
     X86_EMULATOR,
     Device,
 )
-from repro.perfmodel.work import OP_CLASS, NodeWork, graph_work, node_work, total_macs
+from repro.perfmodel.work import OP_CLASS, NodeWork, node_work
 
 __all__ = [
     "DEVICES",
@@ -23,7 +23,5 @@ __all__ = [
     "PIXEL4_GPU",
     "WORKSTATION",
     "X86_EMULATOR",
-    "graph_work",
     "node_work",
-    "total_macs",
 ]

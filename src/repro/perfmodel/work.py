@@ -96,13 +96,3 @@ def node_work(graph: Graph, node: Node, batch: int = 1) -> NodeWork:
 
     # Elementwise / data-movement ops: no MACs, charged per element.
     return NodeWork(macs=0, elements=out_elems)
-
-
-def graph_work(graph: Graph, batch: int = 1) -> dict[str, NodeWork]:
-    """Work of every node, keyed by node name."""
-    return {node.name: node_work(graph, node, batch) for node in graph.nodes}
-
-
-def total_macs(graph: Graph, batch: int = 1) -> int:
-    """Total multiply-accumulate count of the model."""
-    return sum(w.macs for w in graph_work(graph, batch).values())

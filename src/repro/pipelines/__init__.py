@@ -12,11 +12,9 @@ from repro.pipelines.preprocess import (
     normalize,
     resize,
     rgb_to_bgr,
-    rgb_to_yuv,
     rotate90,
     spectrogram,
     to_float,
-    yuv_to_rgb,
 )
 from repro.pipelines.reference import build_reference_app
 
@@ -36,9 +34,7 @@ __all__ = [
     "normalize",
     "resize",
     "rgb_to_bgr",
-    "rgb_to_yuv",
     "rotate90",
     "spectrogram",
     "to_float",
-    "yuv_to_rgb",
 ]

@@ -3,8 +3,8 @@
 ``EdgeApp`` models the mobile app of Figure 1: it owns an interpreter on a
 simulated device, a preprocessing recipe (possibly buggy — that is the whole
 point), and an attached :class:`~repro.instrument.monitor.EdgeMLMonitor`.
-Frames come from a playback stream so the reference pipeline can replay the
-same bytes (§3.3).
+Frames come from seeded playback arrays (``repro.zoo.playback_data``) so the
+reference pipeline can replay the same bytes (§3.3).
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ each in its correct form plus the buggy variants the paper benchmarks:
 * **resizing** — area-averaging (the training-pipeline default) vs bilinear
   resampling *without anti-aliasing* (the historical ``tf.image.resize``
   behaviour that aliases high-frequency content) vs nearest;
-* **channel extraction** — RGB vs BGR ordering, and YUV conversion with the
-  BT.601 matrix (sensor-native storage);
+* **channel extraction** — RGB vs BGR ordering;
 * **numerical conversion / normalization** — named schemes like [-1,1] and
   [0,1] whose silent mismatch "appears as a washed-out image";
 * **orientation** — 90° rotations and flips;
@@ -124,23 +123,6 @@ def to_float(images: np.ndarray) -> np.ndarray:
 def rgb_to_bgr(images: np.ndarray) -> np.ndarray:
     """Reverse the channel axis (the classic RGB/BGR mix-up)."""
     return images[..., ::-1]
-
-
-_RGB_TO_YUV = np.array([
-    [0.299, 0.587, 0.114],
-    [-0.14713, -0.28886, 0.436],
-    [0.615, -0.51499, -0.10001],
-])
-
-
-def rgb_to_yuv(images: np.ndarray) -> np.ndarray:
-    """BT.601 RGB -> YUV on [0,1] floats (sensor-native representation)."""
-    return images @ _RGB_TO_YUV.T
-
-
-def yuv_to_rgb(images: np.ndarray) -> np.ndarray:
-    """BT.601 YUV -> RGB; inverse of :func:`rgb_to_yuv`."""
-    return images @ np.linalg.inv(_RGB_TO_YUV).T
 
 
 # ---------------------------------------------------------------- orientation

@@ -15,7 +15,7 @@ from repro.util.errors import (
 )
 from repro.util.retry import backoff_delays, with_retries
 from repro.util.rng import derive_rng, stable_hash
-from repro.util.sizes import human_bytes, array_nbytes
+from repro.util.sizes import array_nbytes
 from repro.util.tabulate import format_table
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "with_retries",
     "derive_rng",
     "stable_hash",
-    "human_bytes",
     "array_nbytes",
     "format_table",
 ]

@@ -22,15 +22,3 @@ def array_nbytes(value: object) -> int:
     if value is None:
         return 0
     return len(repr(value).encode("utf-8"))
-
-
-def human_bytes(n: float) -> str:
-    """Format a byte count as a short human-readable string (e.g. ``"3.7MB"``)."""
-    n = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(n) < 1024.0 or unit == "TB":
-            if unit == "B":
-                return f"{n:.0f}{unit}"
-            return f"{n:.2f}{unit}"
-        n /= 1024.0
-    raise AssertionError("unreachable")

@@ -320,44 +320,6 @@ class QuantizationHealthAssertion(DeploymentAssertion):
         return "per-layer outputs track the reference"
 
 
-class LatencyBudgetAssertion(DeploymentAssertion):
-    """End-to-end latency budget check (system-metrics validation)."""
-
-    name = "latency_budget"
-
-    def __init__(self, budget_ms: float):
-        self.budget_ms = budget_ms
-
-    def check(self, ctx: ValidationContext) -> str:
-        mean = ctx.edge_log.mean_latency_ms()
-        if mean > self.budget_ms:
-            raise AssertionFailure(
-                self.name,
-                f"mean latency {mean:.1f}ms exceeds budget {self.budget_ms:.1f}ms",
-                {"mean_latency_ms": mean},
-            )
-        return f"mean latency {mean:.1f}ms within budget"
-
-
-class MemoryBudgetAssertion(DeploymentAssertion):
-    """Peak memory budget check."""
-
-    name = "memory_budget"
-
-    def __init__(self, budget_mb: float):
-        self.budget_mb = budget_mb
-
-    def check(self, ctx: ValidationContext) -> str:
-        peak = ctx.edge_log.peak_memory_mb()
-        if peak > self.budget_mb:
-            raise AssertionFailure(
-                self.name,
-                f"peak memory {peak:.1f}MB exceeds budget {self.budget_mb:.1f}MB",
-                {"peak_memory_mb": peak},
-            )
-        return f"peak memory {peak:.1f}MB within budget"
-
-
 class StragglerLatencyAssertion(DeploymentAssertion):
     """Per-layer latency validation: flags straggler layers (§4.5)."""
 

@@ -479,3 +479,85 @@ class TestDanglingAllRule:
         assert with_all
         for path in with_all:
             assert rules.check_source(str(path), path.read_text()) == []
+
+
+# --------------------------------------------- repo rule: test-only definition
+
+class TestTestOnlyDefinitionRule:
+    @staticmethod
+    def _check(root, files, allowlist=None):
+        for rel, text in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return _repo_rules().check_test_only_definitions(
+            root, {} if allowlist is None else allowlist)
+
+    @staticmethod
+    def _names(violations):
+        return sorted(msg.split("'")[1] for _, _, msg in violations)
+
+    def test_docstring_import_all_and_test_uses_do_not_count(self, tmp_path):
+        violations = self._check(tmp_path, {
+            "src/pkg/__init__.py": ("from pkg.color import rgb_to_yuv\n"
+                                    "__all__ = ['rgb_to_yuv']\n"),
+            "src/pkg/color.py": (
+                "_MATRIX = 1.0\n"
+                "def rgb_to_yuv(x):\n"
+                "    return x * _MATRIX\n"
+                "def yuv_to_rgb(x):\n"
+                "    '''Inverse of :func:`rgb_to_yuv`.'''\n"
+                "    return yuv_to_rgb(x) / _MATRIX\n"),
+            "tests/test_color.py": ("from pkg.color import rgb_to_yuv, "
+                                    "yuv_to_rgb\n"
+                                    "yuv_to_rgb(rgb_to_yuv(1.0))\n"),
+        })
+        assert self._names(violations) == ["rgb_to_yuv", "yuv_to_rgb"]
+        path, line, _ = violations[0]
+        assert (path, line) == (str(tmp_path / "src/pkg/color.py"), 2)
+
+    @pytest.mark.parametrize("root", ["bench", "benchmarks", "examples",
+                                      "tools", "src"])
+    def test_non_test_reference_counts(self, tmp_path, root):
+        assert self._check(tmp_path, {
+            "src/pkg/util.py": ("def helper():\n    return 1\n"
+                                "class Thing:\n    pass\n"
+                                "LIMIT: int = 3\n"),
+            f"{root}/use.py": ("import pkg.util as u\n"
+                               "from pkg.util import helper\n"
+                               "helper(), u.Thing(), u.LIMIT\n"),
+        }) == []
+
+    def test_decorated_definition_exempt(self, tmp_path):
+        assert self._check(tmp_path, {
+            "src/pkg/rules.py": ("REGISTRY = []\n"
+                                 "def register(fn):\n"
+                                 "    REGISTRY.append(fn)\n"
+                                 "    return fn\n"
+                                 "@register\n"
+                                 "def rule():\n"
+                                 "    return REGISTRY\n"),
+        }) == []
+
+    def test_allowlisted_name_passes(self, tmp_path):
+        files = {"src/pkg/hooks.py": "def hook():\n    return 1\n"}
+        assert self._names(self._check(tmp_path, files)) == ["hook"]
+        assert self._check(tmp_path, files, {"hook": "public hook"}) == []
+
+    def test_stale_allowlist_entry_fails(self, tmp_path):
+        violations = self._check(tmp_path, {
+            "src/pkg/hooks.py": "def hook():\n    return 1\n",
+            "examples/demo.py": "from pkg.hooks import hook\nhook()\n",
+        }, {"hook": "public hook", "gone": "deleted long ago"})
+        assert self._names(violations) == ["gone", "hook"]
+        messages = " ".join(msg for _, _, msg in violations)
+        assert "non-test code references it" in messages
+        assert "names no top-level definition" in messages
+
+    def test_real_tree_clean_with_three_reasoned_entries(self):
+        rules = _repo_rules()
+        assert len(rules.TEST_ONLY_ALLOWLIST) == 3
+        assert all(reason.strip()
+                   for reason in rules.TEST_ONLY_ALLOWLIST.values())
+        root = Path(__file__).resolve().parents[1]
+        assert rules.check_test_only_definitions(root) == []

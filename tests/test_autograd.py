@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import SGD, Adam, Var, mse, ops, softmax_cross_entropy
+from repro.autograd import Adam, Var, mse, ops, softmax_cross_entropy
 
 
 def numerical_grad(f, var, eps=1e-3):
@@ -208,16 +208,6 @@ class TestOptimizers:
         w = Var(np.zeros(2, np.float32), requires_grad=True)
         return w, target
 
-    def test_sgd_converges(self):
-        w, target = self.quadratic_problem()
-        opt = SGD({"w": w}, lr=0.1, momentum=0.5)
-        for _ in range(100):
-            loss = mse(w, target)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, target, atol=1e-2)
-
     def test_adam_converges(self):
         w, target = self.quadratic_problem()
         opt = Adam({"w": w}, lr=0.1)
@@ -230,7 +220,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks(self):
         w = Var(np.full(2, 10.0, np.float32), requires_grad=True)
-        opt = SGD({"w": w}, lr=0.1, momentum=0.0, weight_decay=1.0)
+        opt = Adam({"w": w}, lr=0.1, weight_decay=1.0)
         loss = mse(w, w.data.copy())  # zero data gradient
         opt.zero_grad()
         loss.backward()

@@ -25,19 +25,20 @@ from repro.analysis import (
     analyze_ranges,
     check_liveness_consistency,
     default_input_ranges,
-    interference_graph,
     liveness_from_graph,
     liveness_from_plan,
     pack_arena,
     peak_live_bytes,
     verify_layout,
 )
-from repro.analysis.arena import ALIGNMENT, corrupt_layout_for_test
+from repro.analysis.arena import ALIGNMENT
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.plan import compile_plan
 from repro.runtime.resolver import OpResolver
 from repro.util.errors import QuantizationError, ValidationError
 from repro.zoo import get_model, list_models
+
+from arena_faults import corrupt_layout_for_test
 
 INF = float("inf")
 
@@ -187,14 +188,6 @@ class TestLiveness:
         plan.initial_refcounts[tensor] += 1
         mismatches = check_liveness_consistency(small_cnn_mobile, plan)
         assert mismatches and tensor in "".join(mismatches)
-
-    def test_interference_is_symmetric_and_irreflexive(self, small_cnn_mobile):
-        live = liveness_from_graph(small_cnn_mobile)
-        adj = interference_graph(live)
-        for a, neighbours in adj.items():
-            assert a not in neighbours
-            for b in neighbours:
-                assert a in adj[b] and live[a].overlaps(live[b])
 
     def test_peak_is_between_largest_tensor_and_naive(self, small_cnn_mobile):
         live = liveness_from_graph(small_cnn_mobile)

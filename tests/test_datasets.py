@@ -1,18 +1,14 @@
 """Dataset tests: determinism, structure, and the engineered class signals."""
 
 import numpy as np
-import pytest
 
 from repro.datasets import (
     COMMANDS,
-    PlaybackReader,
-    PlaybackRecorder,
     SyntheticDetection,
     SyntheticImageClassification,
     SyntheticSegmentation,
     SyntheticSentiment,
     SyntheticSpeechCommands,
-    record_arrays,
 )
 
 
@@ -164,33 +160,3 @@ class TestText:
         acc = ((score > 0).astype(int) == labels).mean()
         assert acc > 0.8
 
-
-class TestPlayback:
-    def test_roundtrip(self, tmp_path, rng):
-        items = rng.integers(0, 255, (10, 4, 4, 3)).astype(np.uint8)
-        labels = rng.integers(0, 5, 10)
-        n = record_arrays(tmp_path / "pb", items, labels)
-        assert n == 10
-        reader = PlaybackReader(tmp_path / "pb")
-        assert len(reader) == 10
-        replayed = list(reader)
-        for i, (item, label) in enumerate(replayed):
-            np.testing.assert_array_equal(item, items[i])
-            assert label == labels[i]
-
-    def test_sharding(self, tmp_path, rng):
-        rec = PlaybackRecorder(tmp_path / "pb", shard_size=3)
-        for i in range(8):
-            rec.append(rng.normal(size=(2, 2)))
-        rec.close()
-        reader = PlaybackReader(tmp_path / "pb")
-        assert len(list(reader)) == 8
-
-    def test_missing_index_rejected(self, tmp_path):
-        from repro.util.errors import ValidationError
-        with pytest.raises(ValidationError):
-            PlaybackReader(tmp_path / "nothing")
-
-    def test_none_labels(self, tmp_path, rng):
-        record_arrays(tmp_path / "pb", rng.normal(size=(3, 2)))
-        assert all(label is None for _, label in PlaybackReader(tmp_path / "pb"))

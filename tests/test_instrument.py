@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.instrument import EXrayLog, EdgeMLMonitor, MLEXray, save_log
+from repro.instrument import (
+    DirectorySink,
+    EXrayLog,
+    EdgeMLMonitor,
+    MLEXray,
+    save_log,
+)
 from repro.runtime import Interpreter
 from repro.util.errors import ValidationError
 
@@ -233,6 +239,30 @@ class TestLogStore:
             monitor.frames[-1].tensors["model_output"] = next(iter(out.values()))[0]
         log = EXrayLog.from_monitor(monitor)
         assert log.stacked("model_output").shape == (3, 4)
+
+    @pytest.mark.parametrize("backing", ["memory", "directory"])
+    @pytest.mark.parametrize("changed", [np.zeros(2, np.int8),
+                                         np.zeros(3, np.float32)],
+                             ids=["dtype", "shape"])
+    def test_stack_frames_rejects_key_changing_across_frames(
+            self, backing, changed, tmp_path):
+        sink = DirectorySink(tmp_path / "log") if backing == "directory" \
+            else None
+        monitor = EdgeMLMonitor(sink=sink)
+        for array in (np.ones(2, np.float32), changed):
+            with monitor.frame() as frame:
+                frame.tensors["x"] = array
+        if sink is None:
+            log = EXrayLog.from_monitor(monitor)
+        else:
+            monitor.close()
+            log = EXrayLog.load(tmp_path / "log")
+        with pytest.raises(ValidationError) as err:
+            log.stack_frames({"x"})
+        message = str(err.value)
+        assert "'x'" in message
+        assert f"{changed.dtype}{list(changed.shape)} in frame 1" in message
+        assert "float32[2] in frame 0" in message
 
     def test_layer_latency_by_type(self, small_cnn, rng):
         monitor = EdgeMLMonitor()

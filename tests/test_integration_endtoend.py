@@ -17,7 +17,6 @@ from repro import (
     PAPER_OPTIMIZED_BUGS,
     PAPER_REFERENCE_BUGS,
 )
-from repro.datasets import PlaybackReader, record_arrays
 from repro.instrument import EXrayLog, save_log
 from repro.pipelines import build_reference_app, make_preprocess
 from repro.runtime import Interpreter
@@ -119,20 +118,17 @@ class TestQuantizationBugStory:
 
 
 class TestPlaybackParity:
-    def test_edge_and_reference_see_identical_bytes(self, demo_data, v2_mobile,
-                                                    tmp_path):
-        sensor, labels = demo_data
-        record_arrays(tmp_path / "sd", sensor, labels)
-        replayed = np.stack([item for item, _ in PlaybackReader(tmp_path / "sd")])
-        np.testing.assert_array_equal(replayed, sensor)
+    def test_edge_and_reference_see_identical_bytes(self, demo_data,
+                                                    v2_mobile):
+        sensor, _ = demo_data
         edge = EdgeApp(v2_mobile, monitor=MLEXray("edge"))
-        edge.run(replayed[:4])
+        edge.run(sensor[:4])
         ref = build_reference_app(v2_mobile, per_layer=False)
         ref.run(sensor[:4])
         for i in range(4):
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 edge.log().frames[i].tensor("model_input"),
-                ref.log().frames[i].tensor("model_input"), atol=1e-7)
+                ref.log().frames[i].tensor("model_input"))
 
 
 class TestLogPersistenceFlow:

@@ -240,11 +240,6 @@ class TestActivations:
         np.testing.assert_allclose(K.softmax(x), K.softmax(x + 100),
                                    rtol=1e-5, atol=1e-7)
 
-    def test_log_softmax_consistent(self, rng):
-        x = rng.normal(size=(3, 5))
-        np.testing.assert_allclose(K.log_softmax(x), np.log(K.softmax(x)),
-                                   rtol=1e-5, atol=1e-7)
-
     def test_gelu_midpoint(self):
         assert K.gelu(np.array([0.0]))[0] == 0.0
 

@@ -30,7 +30,7 @@ from repro.analysis import (
     severity_rank,
     verify_pass,
 )
-from repro.analysis.arena import corrupt_layout_for_test, pack_arena
+from repro.analysis.arena import pack_arena
 from repro.graph.spec import TensorSpec
 from repro.quantize.params import QuantParams
 from repro.runtime.plan import compile_plan
@@ -38,6 +38,8 @@ from repro.runtime.resolver import OpResolver
 from repro.util.errors import GraphError, ValidationError
 from repro.validate.variants import SweepVariant
 from repro.zoo import get_model, list_models
+
+from arena_faults import corrupt_layout_for_test
 
 
 # --------------------------------------------------------------------------

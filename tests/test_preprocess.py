@@ -13,11 +13,9 @@ from repro.pipelines.preprocess import (
     normalize,
     resize,
     rgb_to_bgr,
-    rgb_to_yuv,
     rotate90,
     spectrogram,
     to_float,
-    yuv_to_rgb,
 )
 from repro.util.errors import KernelError
 
@@ -75,16 +73,6 @@ class TestChannels:
         np.testing.assert_array_equal(out[..., 0], x[..., 2])
         np.testing.assert_array_equal(out[..., 1], x[..., 1])
 
-    def test_yuv_roundtrip(self, rng):
-        x = rng.uniform(size=(2, 4, 4, 3))
-        np.testing.assert_allclose(yuv_to_rgb(rgb_to_yuv(x)), x, atol=1e-10)
-
-    def test_yuv_luma_of_white(self):
-        white = np.ones((1, 1, 1, 3))
-        yuv = rgb_to_yuv(white)
-        # BT.601 published coefficients carry ~1e-5 rounding in the U row.
-        np.testing.assert_allclose(yuv[..., 0], 1.0, atol=2e-5)
-        np.testing.assert_allclose(yuv[..., 1:], 0.0, atol=2e-5)
 
 
 class TestOrientation:

@@ -8,7 +8,6 @@ from repro.util import (
     array_nbytes,
     derive_rng,
     format_table,
-    human_bytes,
     stable_hash,
 )
 
@@ -60,13 +59,6 @@ class TestSizes:
         arr = np.zeros(4, dtype=np.int8)
         assert array_nbytes({"a": arr, "b": [arr, arr]}) >= 3 * arr.nbytes
 
-    def test_human_bytes_units(self):
-        assert human_bytes(10) == "10B"
-        assert human_bytes(2048) == "2.00KB"
-        assert human_bytes(3 * 2**20) == "3.00MB"
-
-    def test_human_bytes_monotonic_in_text(self):
-        assert "GB" in human_bytes(5 * 2**30)
 
 
 class TestFormatTable:

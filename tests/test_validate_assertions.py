@@ -8,8 +8,6 @@ from repro.util.errors import AssertionFailure, ValidationError
 from repro.validate import (
     ChannelArrangementAssertion,
     FunctionAssertion,
-    LatencyBudgetAssertion,
-    MemoryBudgetAssertion,
     NormalizationRangeAssertion,
     OrientationAssertion,
     QuantizationHealthAssertion,
@@ -155,29 +153,6 @@ class TestQuantizationHealthAssertion:
                       self.diffs([0.5, 0.6]), edge_outputs=out)
         result = QuantizationHealthAssertion().run(ctx)
         assert result.passed and "preprocessing" in result.diagnosis
-
-
-class TestBudgetAssertions:
-    def make_log(self, latency_ms, memory_mb):
-        monitor = EdgeMLMonitor()
-        monitor.on_inf_start()
-        frame = monitor.on_inf_stop()
-        frame.latency_ms = latency_ms
-        frame.memory_mb = memory_mb
-        return EXrayLog.from_monitor(monitor)
-
-    def test_latency_within(self, base_inputs):
-        ctx = ValidationContext(self.make_log(10, 1), self.make_log(1, 1))
-        assert LatencyBudgetAssertion(50).run(ctx).passed
-
-    def test_latency_exceeded(self):
-        ctx = ValidationContext(self.make_log(100, 1), self.make_log(1, 1))
-        result = LatencyBudgetAssertion(50).run(ctx)
-        assert not result.passed and "100.0ms" in result.diagnosis
-
-    def test_memory_exceeded(self):
-        ctx = ValidationContext(self.make_log(1, 200), self.make_log(1, 1))
-        assert not MemoryBudgetAssertion(64).run(ctx).passed
 
 
 class TestStragglerAssertion:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-level AST lint: conventions the test suite can't see.
 
-Six rules:
+Seven rules:
 
 * **no-numpy-random** (kernel modules only): kernels must never reach into
   ``numpy.random`` directly.  Kernels are supposed to be pure array
@@ -33,6 +33,17 @@ Six rules:
   ``repro.kernels.common.pad_spatial``, one preallocated fill plus a slice
   assignment; ``np.pad``'s fixed per-call cost is about ten times that at
   batch 1, where a streamed edge frame pads on every depthwise layer.
+* **test-only-definition** (whole tree, when a root named ``src`` is
+  checked): every undecorated top-level ``def``, ``class`` or assignment
+  in ``src/`` must be referenced — by a ``Name`` or ``Attribute`` node
+  outside its own definition — somewhere in ``src/``, ``bench/``,
+  ``benchmarks/``, ``examples/`` or ``tools/``.  Imports, ``__all__``
+  strings and docstrings do not count, and neither does ``tests/``: a
+  definition only tests reach is code nothing ships.  Decorated
+  definitions are exempt (registries such as ``@register_rule`` call
+  them); :data:`TEST_ONLY_ALLOWLIST` names the few kept on purpose, and
+  an entry that is no longer defined or has gained a caller is itself a
+  violation, so the list cannot rot.
 
 Stdlib only (``ast``) so CI can run it before any dependency install.
 
@@ -54,6 +65,16 @@ KERNEL_ROOT = Path("src/repro/kernels")
 PAD_HELPER_ROOTS = (KERNEL_ROOT, Path("src/repro/runtime"),
                     Path("src/repro/pipelines"))
 SANCTIONED = "repro.util.rng"
+
+NON_TEST_ROOTS = ("src", "bench", "benchmarks", "examples", "tools")
+TEST_ONLY_ALLOWLIST = {
+    "register_resolver": "the paper's custom-OpResolver hook, documented "
+                         "in README \"Kernel backends\"",
+    "rule_catalog": "the README library surface, and the source the "
+                    "README rule-table sync test reads",
+    "check_liveness_consistency": "the dataflow-soundness oracle the "
+                                  "tests run",
+}
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set,
                      ast.ListComp, ast.DictComp, ast.SetComp)
@@ -239,6 +260,91 @@ def _check_dangling_all(path: str,
     return violations
 
 
+def _top_level_definitions(tree: ast.Module):
+    """Yield ``(name, node)`` for each undecorated module-body ``def``,
+    ``class`` and assigned name, dunders (``__all__``...) excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if not node.decorator_list:
+                yield node.name, node
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name)
+                        and not name.id.startswith("__")):
+                    yield name.id, node
+
+
+def _references(tree: ast.Module):
+    """Yield ``(name, top-level statement)`` for each ``Name``/``Attribute``
+    load, tagged with the module-body statement it sits in."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, stmt
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                yield node.attr, stmt
+
+
+def _allowlist_line(name: str) -> int:
+    for lineno, line in enumerate(Path(__file__).read_text().splitlines(),
+                                  1):
+        if line.lstrip().startswith(f'"{name}":'):
+            return lineno
+    return 1
+
+
+def check_test_only_definitions(
+        repo: Path, allowlist: dict[str, str] | None = None,
+) -> list[tuple[str, int, str]]:
+    """Whole-tree rule: flag ``src/`` definitions only tests reference."""
+    allowlist = TEST_ONLY_ALLOWLIST if allowlist is None else allowlist
+    definitions: list[tuple[str, str, ast.AST]] = []
+    callers: dict[str, set[ast.stmt]] = {}
+    for root in NON_TEST_ROOTS:
+        for path in sorted((repo / root).rglob("*.py")):
+            try:
+                tree = ast.parse(path.read_text(), filename=str(path))
+            except SyntaxError:
+                continue  # check_source reports it
+            if root == "src":
+                definitions += [(str(path), name, node)
+                                for name, node in _top_level_definitions(tree)]
+            for name, stmt in _references(tree):
+                callers.setdefault(name, set()).add(stmt)
+    violations: list[tuple[str, int, str]] = []
+    defined: set[str] = set()
+    for path, name, node in definitions:
+        defined.add(name)
+        used = bool(callers.get(name, set()) - {node})
+        if name in allowlist:
+            if used:
+                violations.append((
+                    path, node.lineno,
+                    f"{name!r} is allowlisted as test-only but non-test "
+                    "code references it; drop its TEST_ONLY_ALLOWLIST "
+                    "entry"))
+        elif not used:
+            violations.append((
+                path, node.lineno,
+                f"{name!r} is referenced only by tests (or not at all); "
+                "delete it, move it into tests/, or allowlist it with a "
+                "reason"))
+    violations += [(__file__, _allowlist_line(name),
+                    f"TEST_ONLY_ALLOWLIST entry {name!r} names no top-level "
+                    "definition in src/; drop the entry")
+                   for name in allowlist if name not in defined]
+    return violations
+
+
 def check_source(path: str, text: str) -> list[tuple[str, int, str]]:
     """Return ``(path, line, message)`` for every rule violation in a file."""
     try:
@@ -276,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     violations = [v for root in roots for v in check_tree(root)]
+    violations += [v for root in roots if root.resolve().name == "src"
+                   for v in check_test_only_definitions(root.parent)]
     for path, line, message in violations:
         print(f"{path}:{line}: {message}")
     if violations:
