@@ -13,8 +13,8 @@ package is the static complement — ``repro lint``. A registry of
 * **dataflow** rules (D001–D004): proofs from the interval abstract
   interpreter — accumulator overflow, guaranteed requant saturation,
   constant-foldable subgraphs, range contradictions;
-* **plan** rules (P001–P002): kernel-binding completeness, arena refcount
-  consistency;
+* **plan** rules (P001–P002): kernel-binding completeness, a free
+  schedule that releases each tensor exactly at its last consumer;
 * **arena** rules (A001): the static memory layout's independent
   soundness proof (no two live tensors share bytes);
 * **pipeline** rules (S001–S005): preprocess-recipe contract vs the input
@@ -56,9 +56,7 @@ from repro.analysis.diagnostics import (
 from repro.analysis.liveness import (
     VIEW_OPS,
     LiveRange,
-    check_liveness_consistency,
     liveness_from_graph,
-    liveness_from_plan,
     merge_alias_ranges,
     packable_aliases,
     peak_live_bytes,
@@ -98,13 +96,11 @@ __all__ = [
     "analyze_graph",
     "analyze_ranges",
     "VIEW_OPS",
-    "check_liveness_consistency",
     "default_input_ranges",
     "explain_rule",
     "jsonable_evidence",
     "lint_graph",
     "liveness_from_graph",
-    "liveness_from_plan",
     "merge_alias_ranges",
     "make_diagnostic",
     "pack_arena",

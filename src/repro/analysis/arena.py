@@ -3,13 +3,14 @@
 An :class:`ArenaLayout` assigns every activation tensor a static byte
 offset in a single preallocated arena, sized so that any two tensors that
 are ever simultaneously live occupy disjoint byte ranges — the TFLite-style
-static memory plan the ROADMAP's arena item asks for, with the plan-refcount
-consistency rule (P002) as its safety precondition.
+static memory plan the ROADMAP's arena item asks for. Live ranges come
+from :func:`~repro.analysis.liveness.liveness_from_graph`, the same
+derivation the runtime frees tensors by.
 
 The packer is greedy first-fit over tensors in decreasing size order; the
 interesting part is the **independent verifier**: :func:`verify_layout`
-re-derives liveness from the graph alone (never from the plan that produced
-the layout) and proves that no two overlapping live ranges share
+re-derives liveness from the graph itself (never from the layout it
+checks) and proves that no two overlapping live ranges share
 overlapping byte ranges, that every slot matches its spec's size, and that
 everything fits inside the declared arena. A layout is only trusted when
 the verifier returns no findings; rule A001 surfaces the same check through
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import (
     liveness_from_graph,
-    liveness_from_plan,
     merge_alias_ranges,
     packable_aliases,
     peak_live_bytes,
@@ -141,15 +141,14 @@ def _align(offset: int) -> int:
 def pack_arena(graph: Graph, plan=None, batch: int = 1) -> ArenaLayout:
     """Greedy first-fit packing of live ranges into static offsets.
 
-    With a plan, live ranges come from the plan's own schedule/refcounts
-    (what the runtime will actually do); without one, from the graph.
-    View-op outputs are *aliased* into their input's slot under
-    :func:`~repro.analysis.liveness.packable_aliases`: the shared buffer is
-    placed once, over the union of the group's live ranges. Either way the result must pass :func:`verify_layout` —
-    which always re-derives from the graph — before anything trusts it.
+    Live ranges come from the graph. View-op outputs are *aliased* into
+    their input's slot under
+    :func:`~repro.analysis.liveness.packable_aliases`; with a plan, only the
+    view ops whose bound executor returns a view are eligible. The shared
+    buffer is placed once, over the union of the group's live ranges. The
+    result must pass :func:`verify_layout` before anything trusts it.
     """
-    ranges = liveness_from_plan(plan, batch) if plan is not None \
-        else liveness_from_graph(graph, batch)
+    ranges = liveness_from_graph(graph, batch)
     aliases = packable_aliases(graph, ranges, plan)
     merged = merge_alias_ranges(ranges, aliases)
     order = sorted(merged.values(),

@@ -115,9 +115,6 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def clamp(self, lo: float, hi: float) -> "Interval":
-        return self.intersect(Interval(lo, hi))
-
     def add(self, other: "Interval") -> "Interval":
         if self.is_empty or other.is_empty:
             return Interval.empty()

@@ -1,33 +1,26 @@
-"""Per-tensor live intervals, the interference graph they induce, and the
+"""Per-tensor live intervals, the view aliases that share a buffer, and the
 activation-memory peak.
 
-The interpreter's reference-counted activation arena gives every tensor a
-life span over the plan's topological schedule: a tensor is born when its
-producer runs (graph inputs are born before node 0), and dies after its
-last consumer runs (graph outputs never die — the keep set). Because the
-interpreter allocates a node's output *before* freeing its inputs, a
-node's inputs and its output are simultaneously live: live ranges are
-closed intervals, and two tensors interfere iff their intervals overlap.
+Every tensor has a life span over the graph's topological node order (the
+plan's schedule): it is born when its producer runs (graph inputs are born
+before node 0), and dies after its last consumer runs (graph outputs never
+die). Because the interpreter allocates a node's output *before* freeing
+its inputs, a node's inputs and its output are simultaneously live: live
+ranges are closed intervals, and two tensors interfere iff their intervals
+overlap.
 
-This module is the only activation-memory model. The interpreter's
+:func:`liveness_from_graph` is the one place that decides when a tensor
+dies. The execution plan frees each tensor where it says
+(:attr:`~repro.runtime.plan.ExecutionPlan.frees`), and lint rule P002
+re-checks that free schedule against its own walk of the graph.
+
+This module is also the only activation-memory model. The interpreter's
 ``last_peak_activation_bytes``
 (:meth:`~repro.runtime.plan.ExecutionPlan.peak_activation_bytes`),
 ``repro analyze`` and the arena packer all take :func:`peak_live_bytes`
 over live ranges with view outputs folded into their roots by one alias
 rule, :func:`packable_aliases`. The number is static — the TFLite-style
 planned arena — so it never depends on who owns the feed buffers.
-
-Two independent derivations are provided on purpose:
-
-* :func:`liveness_from_plan` replays the plan's own schedule and
-  ``initial_refcounts`` — what the runtime will actually do (P002 verifies
-  those refcounts against the graph);
-* :func:`liveness_from_graph` re-derives everything from the graph alone —
-  what the arena verifier (:func:`~repro.analysis.arena.verify_layout`)
-  uses, so a corrupted plan cannot vouch for its own layout.
-
-:func:`check_liveness_consistency` cross-checks the two, the same
-relationship rule P002 establishes for the raw refcounts.
 """
 
 from __future__ import annotations
@@ -68,7 +61,7 @@ class LiveRange:
 
 
 def liveness_from_graph(graph: Graph, batch: int = 1) -> dict[str, LiveRange]:
-    """Derive live ranges from the graph alone (no plan involved)."""
+    """Derive every tensor's live range from the graph's node order."""
     start: dict[str, int] = {t: -1 for t in graph.inputs}
     end: dict[str, int] = {}
     for index, node in enumerate(graph.nodes):
@@ -81,38 +74,6 @@ def liveness_from_graph(graph: Graph, batch: int = 1) -> dict[str, LiveRange]:
     outputs = set(graph.outputs)
     for t, born in start.items():
         died = horizon if t in outputs else end.get(t, born)
-        ranges[t] = LiveRange(tensor=t, start=born, end=died,
-                              nbytes=graph.spec(t).nbytes(batch))
-    return ranges
-
-
-def liveness_from_plan(plan, batch: int = 1) -> dict[str, LiveRange]:
-    """Replay a plan's schedule and refcounts into live ranges.
-
-    This trusts the plan the way the interpreter does: a refcount overcount
-    keeps the tensor live to the end of the schedule (the leak P002 warns
-    about), an undercount ends its range at the node that drained it.
-    """
-    graph = plan.graph
-    refcounts = dict(plan.initial_refcounts)
-    start: dict[str, int] = {t: -1 for t in graph.inputs}
-    end: dict[str, int] = {}
-    keep = set(plan.keep)
-    for binding in plan.bindings:
-        node = binding.node
-        for t in node.outputs:
-            start[t] = binding.index
-        for t in node.inputs:
-            refcounts[t] = refcounts.get(t, 0) - 1
-            if refcounts[t] == 0 and t not in keep:
-                end[t] = binding.index
-    horizon = len(plan.bindings)
-    ranges: dict[str, LiveRange] = {}
-    for t, born in start.items():
-        if t in keep or refcounts.get(t, 0) > 0:
-            died = horizon
-        else:
-            died = end.get(t, born)
         ranges[t] = LiveRange(tensor=t, start=born, end=died,
                               nbytes=graph.spec(t).nbytes(batch))
     return ranges
@@ -200,26 +161,3 @@ def peak_live_bytes(ranges: dict[str, LiveRange]) -> int:
         peak = max(peak, live)
     return peak
 
-
-def check_liveness_consistency(graph: Graph, plan,
-                               batch: int = 1) -> list[str]:
-    """Cross-check plan-derived live ranges against graph-derived ones.
-
-    Returns human-readable mismatch descriptions (empty means consistent —
-    the P002 relationship extended from refcounts to whole live ranges).
-    """
-    from_graph = liveness_from_graph(graph, batch)
-    from_plan = liveness_from_plan(plan, batch)
-    problems: list[str] = []
-    for t in sorted(set(from_graph) | set(from_plan)):
-        a, b = from_graph.get(t), from_plan.get(t)
-        if a is None or b is None:
-            problems.append(
-                f"tensor {t!r} is known to "
-                f"{'the plan only' if a is None else 'the graph only'}")
-        elif (a.start, a.end, a.nbytes) != (b.start, b.end, b.nbytes):
-            problems.append(
-                f"tensor {t!r}: graph derives [{a.start}, {a.end}] "
-                f"({a.nbytes} B), plan derives [{b.start}, {b.end}] "
-                f"({b.nbytes} B)")
-    return problems

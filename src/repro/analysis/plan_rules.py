@@ -1,10 +1,10 @@
-"""Execution-plan rules (P001–P002): bindings and refcounts.
+"""Execution-plan rules (P001–P002): bindings and the free schedule.
 
 These compile (or accept) an :class:`~repro.runtime.plan.ExecutionPlan` and
 verify the properties the runtime silently assumes: every node has a kernel
-under the chosen backend (P001), and the activation-arena refcounts match
-the graph's actual consumer counts — the safety precondition the ROADMAP's
-arena planner needs (P002).
+under the chosen backend (P001), and the plan frees every activation
+exactly where its live range ends, re-derived here from the graph
+independently of :mod:`repro.analysis.liveness` (P002).
 """
 
 from __future__ import annotations
@@ -38,42 +38,51 @@ def binding_completeness(ctx: RuleContext) -> Iterator[Diagnostic]:
 
 
 @register_rule("P002", severity="error", category="plan",
-               title="refcount/binding inconsistency")
-def refcount_consistency(ctx: RuleContext) -> Iterator[Diagnostic]:
-    """The plan's arena refcounts disagree with actual consumer counts.
+               title="free schedule/binding inconsistency")
+def free_schedule_consistency(ctx: RuleContext) -> Iterator[Diagnostic]:
+    """The plan frees a tensor early, late or never, or frees an output.
 
-    ``initial_refcounts`` drives the reference-counted activation arena: an
-    overcount leaks the tensor for the whole invoke (the memory regression
-    an arena planner would lock in), an undercount frees it while a
-    consumer still needs it. Recomputed independently from the graph here.
+    Invoke deletes the tensors ``plan.frees`` lists after each node: a free
+    before the last consumer makes that consumer read a deleted tensor, a
+    later or missing one holds the buffer past its life (the memory
+    regression an arena planner would lock in), and a freed graph output
+    never reaches the caller. Recomputed here by walking the graph's nodes.
     """
     try:
         plan = ctx.get_plan()
     except GraphError:
         return  # P001 already reported the unbindable node
     g = ctx.graph
-    expected: dict[str, int] = {t: 0 for t in g.tensors}
-    for node in g.nodes:
+    dies = {t: -1 for t in g.inputs}  # last consumer, else producer
+    for index, node in enumerate(g.nodes):
+        for t in node.outputs:
+            dies.setdefault(t, index)
         for t in node.inputs:
-            expected[t] = expected.get(t, 0) + 1
-    for t in sorted(set(expected) | set(plan.initial_refcounts)):
-        want = expected.get(t)
-        got = plan.initial_refcounts.get(t)
-        if want != got:
-            yield ctx.diag(
-                f"plan refcount for tensor {t!r} is {got!r}, but the graph "
-                f"has {want!r} consumer(s); the activation arena would "
-                + ("free it early" if (got or 0) < (want or 0)
-                   else "leak it"),
-                tensor=t, evidence={"plan": got, "graph": want})
-    keep = set(plan.keep)
+            dies[t] = index
     outputs = set(g.outputs)
-    if keep != outputs:
+    freed = {t for dead in plan.frees for t in dead}
+    for index, dead in enumerate(plan.frees):
+        for t in dead:
+            if t in outputs:
+                yield ctx.diag(
+                    f"plan frees graph output {t!r} after node {index}; "
+                    "invoke could not return it",
+                    tensor=t, evidence={"freed_at": index})
+            elif dies.get(t) != index:
+                yield ctx.diag(
+                    f"plan frees tensor {t!r} after node {index}, but it "
+                    f"dies after node {dies.get(t)}; invoke would "
+                    + ("free it while a consumer still needs it"
+                       if index < dies.get(t, index)
+                       else "hold it past its last use"),
+                    tensor=t,
+                    evidence={"freed_at": index, "dies_at": dies.get(t)})
+    consumed = {t for node in g.nodes for t in node.inputs}
+    for t in sorted(consumed - outputs - freed):
         yield ctx.diag(
-            f"plan keep-set {sorted(keep)} != graph outputs "
-            f"{sorted(outputs)}; outputs outside the keep-set are freed "
-            "before invoke returns",
-            evidence={"keep": sorted(keep), "outputs": sorted(outputs)})
+            f"plan never frees tensor {t!r}, last consumed by node "
+            f"{dies[t]}; invoke would hold it until it returns",
+            tensor=t, evidence={"freed_at": None, "dies_at": dies[t]})
     if len(plan.bindings) != len(g.nodes):
         yield ctx.diag(
             f"plan has {len(plan.bindings)} binding(s) for "

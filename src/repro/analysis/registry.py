@@ -81,9 +81,9 @@ class RuleContext:
     def get_plan(self):
         """A compiled execution plan for (graph, resolver), built on demand."""
         if self.plan is None:
-            from repro.runtime.plan import compile_plan
+            from repro.runtime.plan import ExecutionPlan
 
-            self.plan = compile_plan(self.graph, self.get_resolver())
+            self.plan = ExecutionPlan(self.graph, self.get_resolver())
         return self.plan
 
     def get_ranges(self):

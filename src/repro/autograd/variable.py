@@ -59,10 +59,6 @@ class Var:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Var":
-        """A new leaf Var sharing data but cut from the graph."""
-        return Var(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -528,10 +528,6 @@ class EXrayLog:
         return len(self._source)
 
     # --------------------------------------------------------------- queries
-    def tensor_series(self, key: str) -> list[np.ndarray]:
-        """The value of one tensor key across all frames (must exist in each)."""
-        return [frame.tensor(key) for frame in self.iter_frames(keys={key})]
-
     def stack_frames(self, keys, start: int = 0,
                      stop: int | None = None) -> dict[str, np.ndarray]:
         """Each of ``keys``' tensors over frames ``[start, stop)``, stacked

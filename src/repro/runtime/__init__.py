@@ -10,7 +10,6 @@ from repro.runtime.interpreter import (
 from repro.runtime.plan import (
     ExecutionPlan,
     NodeBinding,
-    compile_plan,
     derive_bindings,
 )
 from repro.runtime.resolver import (
@@ -35,7 +34,6 @@ __all__ = [
     "RESOLVERS",
     "ReferenceOpResolver",
     "aliases_input",
-    "compile_plan",
     "derive_bindings",
     "make_resolver",
     "node_is_quantized",

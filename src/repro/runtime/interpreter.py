@@ -9,8 +9,8 @@ exposes exactly the observation surface ML-EXray needs:
   when a :class:`~repro.perfmodel.device.Device` is attached, else from the
   wall clock;
 * **memory accounting**: attached-weight bytes plus the peak activation
-  bytes of the reference-counted arena, the "memory footprint" metric of
-  Tables 2/3/5. The peak is the plan's static liveness
+  bytes, the "memory footprint" metric of Tables 2/3/5. The peak is the
+  static liveness peak
   (:meth:`~repro.runtime.plan.ExecutionPlan.peak_activation_bytes`), from
   the same function ``repro analyze`` and the arena packer use
   (:mod:`repro.analysis.liveness`), so like the arena a TFLite-style
@@ -21,12 +21,14 @@ exposes exactly the observation surface ML-EXray needs:
 
 There is one execution path: a compiled
 :class:`~repro.runtime.plan.ExecutionPlan` (executor bindings, quantized
-flags, output specs, op-class labels, and initial refcounts resolved once
-per (graph, resolver)), executed node by node. Each node's inputs are freed
-after their last consumer runs, and the latency model's MAC/element counts
-and the activation peak are memoized per batch size. Static arena layouts
-are an analysis (:mod:`repro.analysis.arena`, ``repro analyze --arena``),
-not an execution mode.
+flags, output specs, op-class labels, and the tensors to free after each
+node, resolved once per (graph, resolver)), executed node by node. After a
+node's observers run, invoke deletes the tensors the plan frees there —
+each at its last consumer, as :mod:`repro.analysis.liveness` derives it —
+and the latency model's MAC/element counts and the activation peak are
+memoized per batch size. Static arena layouts are an analysis
+(:mod:`repro.analysis.arena`, ``repro analyze --arena``), not an execution
+mode.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from repro.perfmodel.device import Device
 from repro.runtime.plan import (
     ExecutionPlan,
     NodeBinding,
-    compile_plan,
     node_is_quantized,
 )
 from repro.runtime.resolver import BaseOpResolver, OpResolver
@@ -141,7 +142,7 @@ class Interpreter:
     def plan(self) -> ExecutionPlan:
         """The compiled plan, (re)compiled on demand when stale."""
         if self._plan is None or self._plan.stale():
-            self._plan = compile_plan(self.graph, self.resolver)
+            self._plan = ExecutionPlan(self.graph, self.resolver)
         return self._plan
 
     # ------------------------------------------------------------- observers
@@ -169,8 +170,6 @@ class Interpreter:
         values = self._prepare_feeds(feeds)
         batch = self._feed_batch(values)
         plan = self.plan
-        refcounts = dict(plan.initial_refcounts)
-        keep = plan.keep
 
         profile: list[dict] = []
         total_latency = 0.0
@@ -178,7 +177,7 @@ class Interpreter:
         simulate = self.device is not None
         ctx = self._ctx
 
-        for binding in plan.bindings:
+        for binding, dead in zip(plan.bindings, plan.frees):
             node = binding.node
             inputs = [values[t] for t in node.inputs]
             t0 = time.perf_counter()
@@ -208,11 +207,8 @@ class Interpreter:
             })
 
             values[node.output] = out
-            # Reference-counted arena: free after the last consumer.
-            for t in node.inputs:
-                refcounts[t] -= 1
-                if refcounts[t] == 0 and t not in keep and t in values:
-                    del values[t]
+            for t in dead:
+                del values[t]
 
         self.last_latency_ms = total_latency
         self.last_peak_activation_bytes = plan.peak_activation_bytes(batch)

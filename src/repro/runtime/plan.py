@@ -1,11 +1,16 @@
 """Compiled execution plans: per-node bindings precomputed once per graph.
 
 Re-deriving, for every node of every call, the executor lookup, the
-quantized-domain flag, the output spec, the op-class label, and the
-activation refcounts would be pure Python overhead on a hot path the paper
-sells as "cheap, always-on" (Table 2). An :class:`ExecutionPlan` hoists all
-of that to compile time: it is built once per (graph, resolver) pair and
-replayed by every ``Interpreter.invoke``.
+quantized-domain flag, the output spec, the op-class label, and which
+activations die after the node would be pure Python overhead on a hot path
+the paper sells as "cheap, always-on" (Table 2). An :class:`ExecutionPlan`
+hoists all of that to compile time: it is built once per (graph, resolver)
+pair and replayed by every ``Interpreter.invoke``.
+
+When a tensor dies is decided in one place,
+:func:`~repro.analysis.liveness.liveness_from_graph`: the plan's free
+schedule, its activation peak and the arena packer all read it, and lint
+rule P002 re-checks the free schedule against the graph independently.
 
 Plans are invalidated automatically when the resolver registers new kernels
 (see :attr:`~repro.runtime.resolver.BaseOpResolver.version`), so the custom
@@ -87,11 +92,10 @@ class ExecutionPlan:
     ----------
     bindings:
         One :class:`NodeBinding` per graph node, in execution order.
-    initial_refcounts:
-        Consumer counts per tensor; invoke copies this dict and decrements
-        it to drive the reference-counted activation arena.
-    keep:
-        Graph outputs — never freed by the arena.
+    frees:
+        One tuple per binding: the tensors invoke deletes after that node
+        runs — those whose live range ends there, graph outputs never. A
+        tensor no node consumes dies right after its producer.
     resolver_version:
         The resolver's :attr:`~repro.runtime.resolver.BaseOpResolver.version`
         at compile time; a mismatch means kernels were (re)registered and
@@ -111,17 +115,20 @@ class ExecutionPlan:
         self.resolver_version = resolver.version
         self.latency_resolver_kind = (
             "reference" if resolver.kind == "reference" else "optimized")
-        self.keep = frozenset(graph.outputs)
-
-        counts: dict[str, int] = {t: 0 for t in graph.tensors}
-        for node in graph.nodes:
-            for t in node.inputs:
-                counts[t] += 1
-        self.initial_refcounts = counts
-
         self.bindings: tuple[NodeBinding, ...] = tuple(
             derive_bindings(graph, resolver))
         self.schedule = self.bindings
+        # Function-level: repro.analysis imports this module.
+        from repro.analysis.liveness import liveness_from_graph
+
+        outputs = set(graph.outputs)
+        frees: list[list[str]] = [[] for _ in self.bindings]
+        for t, live in liveness_from_graph(graph).items():
+            # end -1: a graph input nothing consumes; there is no node
+            # after which to free it.
+            if t not in outputs and live.end >= 0:
+                frees[live.end].append(t)
+        self.frees: tuple[tuple[str, ...], ...] = tuple(map(tuple, frees))
         self._work_cache: dict[tuple[int, int], NodeWork] = {}
         self._peak_cache: dict[int, int] = {}
 
@@ -144,26 +151,20 @@ class ExecutionPlan:
     def peak_activation_bytes(self, batch: int) -> int:
         """Memoized peak resident activation bytes at a batch size.
 
-        The static liveness peak of the plan's own schedule and refcounts,
-        each view output folded into the buffer it aliases — the arena a
-        TFLite-style planner sizes before the first invoke.
+        The static liveness peak of the graph, each view output folded
+        into the buffer it aliases — the arena a TFLite-style planner sizes
+        before the first invoke.
         """
         cached = self._peak_cache.get(batch)
         if cached is None:
-            # Function-level: repro.analysis imports this module.
             from repro.analysis.liveness import (
-                liveness_from_plan,
+                liveness_from_graph,
                 merge_alias_ranges,
                 packable_aliases,
                 peak_live_bytes,
             )
-            ranges = liveness_from_plan(self, batch)
+            ranges = liveness_from_graph(self.graph, batch)
             cached = peak_live_bytes(merge_alias_ranges(
                 ranges, packable_aliases(self.graph, ranges, self)))
             self._peak_cache[batch] = cached
         return cached
-
-
-def compile_plan(graph: Graph, resolver: BaseOpResolver) -> ExecutionPlan:
-    """Compile an execution plan for a validated graph and a resolver."""
-    return ExecutionPlan(graph, resolver)

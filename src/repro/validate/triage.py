@@ -12,7 +12,7 @@ hypothesis via the paper's localization rule (§3.4, Figure 6):
   that op class;
 * **uniform** elevated drift with no jump ⇒ *stage mismatch* (wrong model
   artifact deployed);
-* latency/memory assertion failures without drift ⇒ *performance* budget
+* per-layer latency assertion failures without drift ⇒ *performance*
   issue; no drift and no failures ⇒ *healthy*;
 * broken under some kernel **backends** but healthy under others with the
   *same* preprocessing, bug preset, stage, and device ⇒
@@ -52,10 +52,8 @@ PREPROCESS_CHECKS = frozenset({
 })
 """Assertion names that implicate the preprocessing stage when they fail."""
 
-PERFORMANCE_CHECKS = frozenset({
-    "latency_budget", "memory_budget", "per_layer_latency",
-})
-"""Assertion names about budgets, not numerical drift."""
+PERFORMANCE_CHECKS = frozenset({"per_layer_latency"})
+"""Assertion names about latency, not numerical drift."""
 
 
 def root_cause_hypothesis(
@@ -145,12 +143,6 @@ class TriageReport:
 
     clusters: list[TriageCluster]
     unfingerprinted: list[str]
-
-    def cluster_of(self, variant: str) -> TriageCluster:
-        for cluster in self.clusters:
-            if variant in cluster.variant_names:
-                return cluster
-        raise KeyError(f"variant {variant!r} was not fingerprinted")
 
     def render(self) -> str:
         rows = []

@@ -14,8 +14,9 @@ Pinned from every side:
   plan-free reference walk (``reference_invoke`` in ``conftest.py``) on
   every zoo model, float and quantized, both resolvers, batch 1/4/32, and
   its static peak equals the walk's concrete peak;
-* **spec conformance** — every layer's output carries its spec dtype, and
-  the runtime's peak activation bytes equal the static liveness peak;
+* **spec conformance** — every layer's output carries its spec dtype, the
+  runtime's peak activation bytes equal the static liveness peak, and the
+  plan frees every tensor exactly once, right after its last consumer;
 * **verifier skepticism** — ``verify_layout`` re-proves every alias claim
   from the graph; a layout asserting a false alias is rejected, never
   trusted.
@@ -294,6 +295,24 @@ class TestZooSpecConformance:
                 assert interp.last_peak_activation_bytes == static, \
                     (stage, batch)
 
+    @pytest.mark.parametrize("model", sorted(list_models()))
+    def test_plan_frees_each_tensor_after_last_consumer(self, model):
+        for stage in model_stages(model):
+            graph = get_model(model, stage)
+            # Walk the graph: a tensor dies after its last consumer, or
+            # after its producer when nothing consumes it; outputs never.
+            dies = {}
+            for index, node in enumerate(graph.nodes):
+                for t in (*node.outputs, *node.inputs):
+                    dies[t] = index
+            for t in graph.outputs:
+                dies.pop(t, None)
+            frees = Interpreter(graph).plan.frees
+            freed = [(t, index) for index, dead in enumerate(frees)
+                     for t in dead]
+            assert len(frees) == len(graph.nodes), stage
+            assert sorted(freed) == sorted(dies.items()), stage
+
 
 # --------------------------------------------------- verifier skepticism
 
@@ -554,9 +573,42 @@ class TestTestOnlyDefinitionRule:
         assert "non-test code references it" in messages
         assert "names no top-level definition" in messages
 
-    def test_real_tree_clean_with_three_reasoned_entries(self):
+    def test_public_methods_of_src_classes_checked(self, tmp_path):
+        violations = self._check(tmp_path, {
+            "src/pkg/shapes.py": (
+                "import http.server\n"
+                "class Box:\n"
+                "    def area(self):\n"
+                "        return self.side() ** 2\n"
+                "    def side(self):\n"
+                "        return 1\n"
+                "    def grow(self):\n"
+                "        return self.grow()\n"
+                "    def _private(self):\n"
+                "        return 0\n"
+                "    @property\n"
+                "    def volume(self):\n"
+                "        return 0\n"
+                "class Crate(Box):\n"
+                "    def stack(self):\n"
+                "        return 2\n"
+                "class Handler(http.server.BaseHTTPRequestHandler):\n"
+                "    def do_GET(self):\n"
+                "        return None\n"),
+            "examples/demo.py": ("from pkg.shapes import Box, Crate, "
+                                 "Handler\n"
+                                 "Box().area(), Crate(), Handler\n"),
+        })
+        # `side` is called by a sibling method and `area` by an example;
+        # `grow` only calls itself and `stack` is never called. Private,
+        # decorated and stdlib-derived (hook) methods are not checked.
+        assert self._names(violations) == ["Box.grow", "Crate.stack"]
+        assert self._check(tmp_path, {}, {"Box.grow": "kept on purpose",
+                                          "Crate.stack": "kept too"}) == []
+
+    def test_real_tree_clean_with_four_reasoned_entries(self):
         rules = _repo_rules()
-        assert len(rules.TEST_ONLY_ALLOWLIST) == 3
+        assert len(rules.TEST_ONLY_ALLOWLIST) == 4
         assert all(reason.strip()
                    for reason in rules.TEST_ONLY_ALLOWLIST.values())
         root = Path(__file__).resolve().parents[1]

@@ -34,6 +34,11 @@ from repro.validate.triage import CAUSE_BACKEND, CAUSE_HEALTHY, triage_sweep
 MODEL = "micro_mobilenet_v1"
 
 
+def cluster_of(triage, variant):
+    """The triage cluster holding ``variant``."""
+    return next(c for c in triage.clusters if variant in c.variant_names)
+
+
 def _resolver_registered(name: str) -> bool:
     """Top-level pool probe: is ``name`` visible in this process' registry?"""
     return name in RESOLVERS
@@ -186,9 +191,9 @@ class TestBackendAxis:
             frames=10, executor="thread",
             backends=["optimized", "reference", "batched"])
         triage = triage_sweep(report)
-        assert triage.cluster_of("dw@reference").cause == CAUSE_HEALTHY
-        broken = triage.cluster_of("dw@optimized")
-        assert broken is triage.cluster_of("dw@batched")
+        assert cluster_of(triage, "dw@reference").cause == CAUSE_HEALTHY
+        broken = cluster_of(triage, "dw@optimized")
+        assert broken is cluster_of(triage, "dw@batched")
         assert broken.cause == CAUSE_BACKEND
         assert "depthwise_conv2d" in broken.label
         assert "fail on optimized" in broken.detail

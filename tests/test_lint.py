@@ -33,7 +33,7 @@ from repro.analysis import (
 from repro.analysis.arena import pack_arena
 from repro.graph.spec import TensorSpec
 from repro.quantize.params import QuantParams
-from repro.runtime.plan import compile_plan
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.resolver import OpResolver
 from repro.util.errors import GraphError, ValidationError
 from repro.validate.variants import SweepVariant
@@ -144,12 +144,27 @@ def _break_p001(mobile, quantized):
     return mobile, {"categories": ("plan",), "resolver": resolver}
 
 
+def _tamper_frees(graph, how):
+    """A plan for ``graph`` whose free schedule is broken ``how``: "leak"
+    drops the last free, "early" moves it one node earlier, "output" frees
+    a graph output after the last node. Returns (tensor, plan)."""
+    plan = ExecutionPlan(graph, OpResolver())
+    frees = [list(dead) for dead in plan.frees]
+    index = max(i for i, dead in enumerate(frees) if dead)
+    if how == "output":
+        tensor = graph.outputs[0]
+        frees[-1].append(tensor)
+    else:
+        tensor = frees[index].pop()
+        if how == "early":
+            frees[index - 1].append(tensor)
+    plan.frees = tuple(map(tuple, frees))
+    return tensor, plan
+
+
 def _break_p002(mobile, quantized):
-    resolver = OpResolver()
-    plan = compile_plan(mobile, resolver)
-    tensor = next(iter(plan.initial_refcounts))
-    plan.initial_refcounts[tensor] += 1  # the arena would leak this tensor
-    return mobile, {"categories": ("plan",), "resolver": resolver,
+    _, plan = _tamper_frees(mobile, "leak")
+    return mobile, {"categories": ("plan",), "resolver": plan.resolver,
                     "plan": plan}
 
 
@@ -197,7 +212,7 @@ def _break_a001(mobile, quantized):
     # tensors aliased onto the same bytes) must be rejected by the
     # independent verifier.
     resolver = OpResolver()
-    plan = compile_plan(mobile, resolver)
+    plan = ExecutionPlan(mobile, resolver)
     plan.arena = corrupt_layout_for_test(pack_arena(mobile, plan))
     return mobile, {"categories": ("arena",), "resolver": resolver,
                     "plan": plan}
@@ -265,6 +280,20 @@ class TestRuleCoverage:
         report = lint_graph(graph, **kwargs)
         fired = {d.rule_id for d in report.diagnostics}
         assert rule_id in fired, report.render()
+
+    @pytest.mark.parametrize("how, verdict", [
+        ("leak", "never frees"),
+        ("early", "while a consumer still needs it"),
+        ("output", "frees graph output"),
+    ], ids=["leak", "early", "output"])
+    def test_p002_flags_tampered_free_schedule(self, small_cnn_mobile,
+                                               how, verdict):
+        tensor, plan = _tamper_frees(small_cnn_mobile, how)
+        report = lint_graph(small_cnn_mobile, categories=("plan",),
+                            plan=plan)
+        assert [(d.rule_id, d.tensor) for d in report.diagnostics] == \
+            [("P002", tensor)], report.render()
+        assert verdict in report.diagnostics[0].message
 
     def test_s005_fires_when_stage_cannot_build(self):
         # nnlm_lite has an embedding op, which full-integer quantization

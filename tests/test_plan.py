@@ -10,12 +10,13 @@ excepted, as they are measured, not computed.
 import numpy as np
 import pytest
 
+from repro.analysis import lint_graph
+from repro.graph import GraphBuilder
 from repro.perfmodel import PIXEL4_CPU
 from repro.runtime import (
     ExecutionPlan,
     Interpreter,
     OpResolver,
-    compile_plan,
     node_is_quantized,
 )
 
@@ -42,25 +43,29 @@ def assert_invoke_parity(reference_invoke, graph, x, resolver_fn=OpResolver,
 
 class TestCompile:
     def test_bindings_cover_every_node(self, small_cnn):
-        plan = compile_plan(small_cnn, OpResolver())
+        plan = ExecutionPlan(small_cnn, OpResolver())
         assert len(plan) == len(small_cnn.nodes)
         assert [b.node.name for b in plan.bindings] == \
             [n.name for n in small_cnn.nodes]
 
     def test_quantized_flags_match_helper(self, small_cnn_quantized):
-        plan = compile_plan(small_cnn_quantized, OpResolver())
+        plan = ExecutionPlan(small_cnn_quantized, OpResolver())
         for binding in plan.bindings:
             assert binding.quantized == node_is_quantized(
                 small_cnn_quantized, binding.node)
 
-    def test_refcounts_match_consumer_counts(self, small_cnn):
-        plan = compile_plan(small_cnn, OpResolver())
-        for tensor, count in plan.initial_refcounts.items():
-            consumers = sum(tensor in n.inputs for n in small_cnn.nodes)
-            assert count == consumers
+    def test_frees_follow_last_consumer(self, small_cnn):
+        plan = ExecutionPlan(small_cnn, OpResolver())
+        assert len(plan.frees) == len(small_cnn.nodes)
+        for index, dead in enumerate(plan.frees):
+            for tensor in dead:
+                last = max(i for i, n in enumerate(small_cnn.nodes)
+                           if tensor in n.inputs)
+                assert last == index
+                assert tensor not in small_cnn.outputs
 
     def test_work_memoized(self, small_cnn):
-        plan = compile_plan(small_cnn, OpResolver())
+        plan = ExecutionPlan(small_cnn, OpResolver())
         assert plan.work(0, 4) is plan.work(0, 4)  # same cached object
         assert plan.work(0, 4) != plan.work(0, 8)  # batch-dependent
 
@@ -83,6 +88,44 @@ class TestCompile:
         assert interp.plan is interp.plan
 
 
+class TestDeadNode:
+    """A node nothing consumes: its output dies right after its producer's
+    observers ran, and the rest of the graph is unaffected."""
+
+    @staticmethod
+    def build(rng, dead: bool):
+        b = GraphBuilder("dead_branch")
+        x = b.input("input", (None, 6))
+        h = b.dense(x, rng.normal(size=(6, 4)).astype(np.float32),
+                    name="fc")
+        if dead:
+            b.activation(x, "relu", name="unused")
+        b.mark_output(b.softmax(h, name="probs"))
+        return b.finish()
+
+    def test_outputs_and_observers_unchanged(self, rng):
+        graph = self.build(np.random.default_rng(5), dead=True)
+        live = self.build(np.random.default_rng(5), dead=False)
+        x = rng.normal(size=(3, 6)).astype(np.float32)
+        interp = Interpreter(graph, device=PIXEL4_CPU)
+        records = []
+        interp.add_observer(records.append)
+        out = interp.invoke(x)
+        np.testing.assert_array_equal(
+            out["probs"], Interpreter(live).invoke(x)["probs"])
+        seen = {r.node.name: r.output for r in records}
+        assert list(seen) == ["fc", "unused", "probs"]
+        np.testing.assert_array_equal(seen["unused"], np.maximum(x, 0))
+
+    def test_freed_after_producer_and_p002_clean(self, rng):
+        graph = self.build(rng, dead=True)
+        fc, unused = graph.node("fc"), graph.node("unused")
+        plan = ExecutionPlan(graph, OpResolver())
+        assert plan.frees == ((), ("input", unused.output), (fc.output,))
+        report = lint_graph(graph, categories=("plan",), plan=plan)
+        assert not report.diagnostics, report.render()
+
+
 class TestStaleness:
     def test_register_after_invoke_recompiles(self, small_cnn, rng):
         resolver = OpResolver()
@@ -103,7 +146,7 @@ class TestStaleness:
 
     def test_stale_flag(self, small_cnn):
         resolver = OpResolver()
-        plan = compile_plan(small_cnn, resolver)
+        plan = ExecutionPlan(small_cnn, resolver)
         assert not plan.stale()
         resolver.register("softmax", False, lambda n, i, c: i[0])
         assert plan.stale()

@@ -421,8 +421,9 @@ class TestLazyReader:
         assert set(frame.tensors) == {"model_output"}
         for f in log.iter_frames(keys={"model_input"}):
             assert set(f.tensors) == {"model_input"}
-        # tensor_series goes through the filter and stays correct.
-        series = log.tensor_series("model_output")
+        # A filtered pass over every frame stays correct.
+        series = [f.tensor("model_output")
+                  for f in log.iter_frames(keys={"model_output"})]
         assert len(series) == 4
 
 

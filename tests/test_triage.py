@@ -18,9 +18,16 @@ from repro.validate.triage import (
     CAUSE_PERFORMANCE,
     CAUSE_PREPROCESSING,
     CAUSE_STAGE,
+    PERFORMANCE_CHECKS,
+    PREPROCESS_CHECKS,
     root_cause_hypothesis,
     triage_sweep,
 )
+
+
+def cluster_of(triage, variant):
+    """The triage cluster holding ``variant``."""
+    return next(c for c in triage.clusters if variant in c.variant_names)
 
 
 def make_fp(name, drift, flagged=(), failed=(), degenerate=(), ops=None):
@@ -88,9 +95,20 @@ class TestRootCauseHypothesis:
         assert cause == CAUSE_PREPROCESSING
 
     def test_budget_only_failure_is_performance(self):
-        fp = make_fp("v", [0.01, 0.01], failed=("latency_budget",))
+        fp = make_fp("v", [0.01, 0.01], failed=("per_layer_latency",))
         cause, _ = root_cause_hypothesis(fp)
         assert cause == CAUSE_PERFORMANCE
+
+    def test_check_names_are_builtin_assertions(self):
+        # A name no built-in assertion carries can never fail, so it can
+        # never steer a hypothesis.
+        import inspect
+
+        from repro.validate import assertions
+        builtin = {cls.name for _, cls in inspect.getmembers(
+            assertions, inspect.isclass)
+            if issubclass(cls, assertions.DeploymentAssertion)}
+        assert PREPROCESS_CHECKS | PERFORMANCE_CHECKS <= builtin
 
     def test_accuracy_drop_without_drift_is_not_healthy(self):
         # Metric degraded but nothing localized: triage must not file the
@@ -123,7 +141,7 @@ class TestFingerprintDistance:
     def test_empty_with_disjoint_symptoms_do_not_cluster(self):
         # Without layer data, disjoint failure symptoms must still keep
         # variants apart (symptoms stand in for the drift component).
-        perf = make_fp("p", [], failed=("latency_budget",))
+        perf = make_fp("p", [], failed=("per_layer_latency",))
         prep = make_fp("q", [], failed=("channel_arrangement",))
         assert fingerprint_distance(perf, prep) > 0.3
         assert cluster_fingerprints([perf, prep]) != [[perf, prep]]
@@ -205,15 +223,15 @@ class TestTriageSweep:
 
         # Same-preset variants land in the same cluster, and the cluster
         # label names the first drifting op class (the injected root cause).
-        a, b = triage.cluster_of("dwconv_a"), triage.cluster_of("dwconv_b")
+        a, b = cluster_of(triage, "dwconv_a"), cluster_of(triage, "dwconv_b")
         assert a is b
         assert a.cause == CAUSE_KERNEL
         assert "depthwise_conv2d" in a.label
 
         # The clean and preprocessing-bug variants triage elsewhere.
-        assert triage.cluster_of("clean").cause == CAUSE_HEALTHY
-        assert triage.cluster_of("bgr").cause == CAUSE_PREPROCESSING
-        assert triage.cluster_of("bgr") is not a
+        assert cluster_of(triage, "clean").cause == CAUSE_HEALTHY
+        assert cluster_of(triage, "bgr").cause == CAUSE_PREPROCESSING
+        assert cluster_of(triage, "bgr") is not a
 
         # The attached cluster table renders inside the sweep report.
         text = report.render()
@@ -227,6 +245,5 @@ class TestTriageSweep:
             frames=12, executor="serial", max_failures=1)
         triage = triage_sweep(report)
         assert triage.unfingerprinted == ["clean"]
-        with pytest.raises(KeyError):
-            triage.cluster_of("clean")
+        assert not any("clean" in c.variant_names for c in triage.clusters)
         assert "not fingerprinted" in triage.render()

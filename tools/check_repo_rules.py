@@ -39,11 +39,15 @@ Seven rules:
   outside its own definition — somewhere in ``src/``, ``bench/``,
   ``benchmarks/``, ``examples/`` or ``tools/``.  Imports, ``__all__``
   strings and docstrings do not count, and neither does ``tests/``: a
-  definition only tests reach is code nothing ships.  Decorated
+  definition only tests reach is code nothing ships.  The same holds
+  for every undecorated public method of a ``src/`` class whose bases are
+  all ``src/`` classes (or none): a reference to the method's name outside
+  its own body counts. Classes deriving from a stdlib or third-party base
+  are skipped, since their methods may be hooks the base calls. Decorated
   definitions are exempt (registries such as ``@register_rule`` call
-  them); :data:`TEST_ONLY_ALLOWLIST` names the few kept on purpose, and
-  an entry that is no longer defined or has gained a caller is itself a
-  violation, so the list cannot rot.
+  them); :data:`TEST_ONLY_ALLOWLIST` names the few kept on purpose
+  (methods as ``Class.method``), and an entry that is no longer defined
+  or has gained a caller is itself a violation, so the list cannot rot.
 
 Stdlib only (``ast``) so CI can run it before any dependency install.
 
@@ -72,8 +76,10 @@ TEST_ONLY_ALLOWLIST = {
                          "in README \"Kernel backends\"",
     "rule_catalog": "the README library surface, and the source the "
                     "README rule-table sync test reads",
-    "check_liveness_consistency": "the dataflow-soundness oracle the "
-                                  "tests run",
+    "BaseOpResolver.register": "the paper's custom-op hook, documented in "
+                               "README \"Kernel backends\"",
+    "EdgeMLMonitor.detach": "the inverse of attach(); the only way to stop "
+                            "a monitor observing a long-lived interpreter",
 }
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set,
@@ -282,16 +288,40 @@ def _top_level_definitions(tree: ast.Module):
                     yield name.id, node
 
 
+def _public_methods(tree: ast.Module, src_classes: set[str]):
+    """Yield ``("Class.method", method, node)`` for each undecorated public
+    method of a module-level class whose bases are all ``src_classes``."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or not all(
+                getattr(base, "id", getattr(base, "attr", None))
+                in src_classes for base in cls.bases):
+            continue
+        for node in cls.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.decorator_list
+                    and not node.name.startswith("_")):
+                yield f"{cls.name}.{node.name}", node.name, node
+
+
 def _references(tree: ast.Module):
-    """Yield ``(name, top-level statement)`` for each ``Name``/``Attribute``
-    load, tagged with the module-body statement it sits in."""
+    """Yield ``(name, statement, member)`` for each ``Name``/``Attribute``
+    load: the module-body statement it sits in and, inside a class body,
+    the class-body statement (else ``None``)."""
     for stmt in tree.body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                yield node.id, stmt
-            elif (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)):
-                yield node.attr, stmt
+        if isinstance(stmt, ast.ClassDef):
+            scopes = [(member, member) for member in stmt.body]
+            scopes += [(node, None) for node in (
+                *stmt.bases, *stmt.keywords, *stmt.decorator_list)]
+        else:
+            scopes = [(stmt, None)]
+        for scope, member in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    yield node.id, stmt, member
+                elif (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    yield node.attr, stmt, member
 
 
 def _allowlist_line(name: str) -> int:
@@ -307,8 +337,8 @@ def check_test_only_definitions(
 ) -> list[tuple[str, int, str]]:
     """Whole-tree rule: flag ``src/`` definitions only tests reference."""
     allowlist = TEST_ONLY_ALLOWLIST if allowlist is None else allowlist
-    definitions: list[tuple[str, str, ast.AST]] = []
-    callers: dict[str, set[ast.stmt]] = {}
+    src_trees: list[tuple[str, ast.Module]] = []
+    callers: dict[str, list[tuple[ast.stmt, ast.stmt | None]]] = {}
     for root in NON_TEST_ROOTS:
         for path in sorted((repo / root).rglob("*.py")):
             try:
@@ -316,31 +346,41 @@ def check_test_only_definitions(
             except SyntaxError:
                 continue  # check_source reports it
             if root == "src":
-                definitions += [(str(path), name, node)
-                                for name, node in _top_level_definitions(tree)]
-            for name, stmt in _references(tree):
-                callers.setdefault(name, set()).add(stmt)
+                src_trees.append((str(path), tree))
+            for name, stmt, member in _references(tree):
+                callers.setdefault(name, []).append((stmt, member))
+    src_classes = {node.name for _, tree in src_trees for node in tree.body
+                   if isinstance(node, ast.ClassDef)}
+    # (path, allowlist key, referenced name, node, is a class member)
+    definitions: list[tuple[str, str, str, ast.AST, bool]] = []
+    for path, tree in src_trees:
+        definitions += [(path, name, name, node, False)
+                        for name, node in _top_level_definitions(tree)]
+        definitions += [(path, key, name, node, True)
+                        for key, name, node in _public_methods(tree,
+                                                               src_classes)]
     violations: list[tuple[str, int, str]] = []
     defined: set[str] = set()
-    for path, name, node in definitions:
-        defined.add(name)
-        used = bool(callers.get(name, set()) - {node})
-        if name in allowlist:
+    for path, key, name, node, is_member in definitions:
+        defined.add(key)
+        used = any((member if is_member else stmt) is not node
+                   for stmt, member in callers.get(name, ()))
+        if key in allowlist:
             if used:
                 violations.append((
                     path, node.lineno,
-                    f"{name!r} is allowlisted as test-only but non-test "
+                    f"{key!r} is allowlisted as test-only but non-test "
                     "code references it; drop its TEST_ONLY_ALLOWLIST "
                     "entry"))
         elif not used:
             violations.append((
                 path, node.lineno,
-                f"{name!r} is referenced only by tests (or not at all); "
+                f"{key!r} is referenced only by tests (or not at all); "
                 "delete it, move it into tests/, or allowlist it with a "
                 "reason"))
     violations += [(__file__, _allowlist_line(name),
                     f"TEST_ONLY_ALLOWLIST entry {name!r} names no top-level "
-                    "definition in src/; drop the entry")
+                    "definition or public method in src/; drop the entry")
                    for name in allowlist if name not in defined]
     return violations
 
