@@ -23,7 +23,7 @@ package is the static complement — ``repro lint``. A registry of
 
 Entry points: :func:`lint_graph` (the driver behind ``repro lint``),
 :func:`analyze_graph` (ranges + liveness + arena behind ``repro analyze``),
-:func:`verify_pass` (convert-pass post-conditions behind ``verify=True``),
+:func:`verify_pass` (the post-conditions every convert pass checks),
 and :func:`preflight_lineup` (sweep pre-flight gating).
 """
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.arena import ArenaLayout, pack_arena, verify_layout
-from repro.analysis.dataflow import Interval, analyze_ranges
+from repro.analysis.dataflow import analyze_ranges
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import (
     liveness_from_graph,
@@ -182,7 +182,6 @@ def analyze_graph(
     batch: int = 1,
     arena: bool = False,
     target: str | None = None,
-    input_ranges: dict[str, Interval] | None = None,
 ) -> AnalysisReport:
     """Run the full static analysis over one graph.
 
@@ -191,7 +190,7 @@ def analyze_graph(
     recording its diagnostics (an unverified layout is still reported — the
     caller decides whether that fails the run, as the CLI and CI gate do).
     """
-    facts = analyze_ranges(graph, input_ranges)
+    facts = analyze_ranges(graph)
     live = liveness_from_graph(graph, batch)
     tensors = []
     for name, r in sorted(live.items(), key=lambda kv: (kv[1].start,

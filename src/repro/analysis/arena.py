@@ -183,8 +183,7 @@ def pack_arena(graph: Graph, plan=None, batch: int = 1) -> ArenaLayout:
                        arena_bytes=arena_bytes)
 
 
-def verify_layout(graph: Graph, layout: ArenaLayout,
-                  batch: int | None = None) -> list[Diagnostic]:
+def verify_layout(graph: Graph, layout: ArenaLayout) -> list[Diagnostic]:
     """Independently prove an arena layout sound against its graph.
 
     Re-derives liveness from the graph alone, then checks that the slot set
@@ -214,7 +213,7 @@ def verify_layout(graph: Graph, layout: ArenaLayout,
             f"layout was planned for graph {layout.graph!r}, not "
             f"{graph.name!r}",
             evidence={"layout_graph": layout.graph, "graph": graph.name}))
-    batch = layout.batch if batch is None else batch
+    batch = layout.batch
     derived = liveness_from_graph(graph, batch)
     slots = {s.tensor: s for s in layout.slots}
     for t in sorted(set(derived) - set(slots)):

@@ -101,9 +101,8 @@ class Interval:
     def width(self) -> float:
         return 0.0 if self.is_empty else self.hi - self.lo
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return not self.is_empty and \
-            self.lo - tol <= value <= self.hi + tol
+    def contains(self, value: float) -> bool:
+        return not self.is_empty and self.lo <= value <= self.hi
 
     def hull(self, other: "Interval") -> "Interval":
         if self.is_empty:
@@ -212,14 +211,9 @@ def _pipeline_input_range(pipeline: dict) -> Interval:
     return Interval.top()
 
 
-def analyze_ranges(
-    graph: Graph,
-    input_ranges: dict[str, Interval] | None = None,
-) -> RangeFacts:
+def analyze_ranges(graph: Graph) -> RangeFacts:
     """Run the forward interval analysis over every tensor of ``graph``."""
     seeds = default_input_ranges(graph)
-    if input_ranges:
-        seeds.update(input_ranges)
     facts = RangeFacts(graph=graph, input_ranges=dict(seeds))
     facts.ranges.update(seeds)
     for node in graph.nodes:

@@ -121,28 +121,11 @@ def recipe_contract(ctx: RuleContext) -> Iterator[Diagnostic]:
                title="unknown registry name in variant", needs_graph=False)
 def variant_registry_names(ctx: RuleContext) -> Iterator[Diagnostic]:
     """A variant names a stage/resolver/bug-preset/device no registry has."""
-    variant = ctx.variant
-    if variant is None:
+    if ctx.variant is None:
         return
-    from repro.perfmodel.device import DEVICES
-    from repro.runtime.resolver import KERNEL_BUG_PRESETS, RESOLVERS
-    from repro.validate.variants import STAGES
-
-    checks = (
-        ("stage", variant.stage, STAGES),
-        ("resolver", variant.resolver, tuple(RESOLVERS)),
-        ("kernel_bugs", variant.kernel_bugs, tuple(KERNEL_BUG_PRESETS)),
-        ("device", variant.device, tuple(DEVICES)),
-    )
-    for fieldname, value, options in checks:
-        if value in options:
-            continue
-        yield ctx.diag(
-            f"variant {variant.name!r}: unknown {fieldname} {value!r}"
-            f"{did_you_mean(value, options)}; available: "
-            f"{sorted(options)}",
-            evidence={"field": fieldname, "value": value,
-                      "available": sorted(options)})
+    for fieldname, value, available, message in ctx.variant.field_errors():
+        yield ctx.diag(message, evidence={"field": fieldname, "value": value,
+                                          "available": available})
 
 
 @register_rule("S003", severity="warning", category="pipeline",

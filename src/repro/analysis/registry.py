@@ -214,7 +214,7 @@ def explain_rule(rule_id: str) -> str:
 
 
 def make_diagnostic(rule_id: str, message: str, *, graph: str | None = None,
-                    node: str | None = None, tensor: str | None = None,
+                    tensor: str | None = None,
                     evidence: dict | None = None) -> Diagnostic:
     """Build a Diagnostic for a registered rule outside a driver run.
 
@@ -230,7 +230,7 @@ def make_diagnostic(rule_id: str, message: str, *, graph: str | None = None,
             f"{did_you_mean(rule_id, RULES)}") from None
     return Diagnostic(rule_id=rule.rule_id, severity=rule.severity,
                       category=rule.category, message=message, graph=graph,
-                      node=node, tensor=tensor, evidence=dict(evidence or {}))
+                      tensor=tensor, evidence=dict(evidence or {}))
 
 
 def lint_graph(
@@ -302,8 +302,8 @@ def verify_pass(graph, pass_name: str, *, forbid: Iterable[str] = ()) -> LintRep
     Runs the graph and quantization analyzers over the pass output and
     raises :class:`~repro.util.errors.GraphError` if any error-severity
     diagnostic — or any diagnostic whose rule id is in ``forbid``, whatever
-    its severity — survives. This is what ``verify=True`` on the convert
-    passes calls, so a pass bug surfaces at the pass that introduced it.
+    its severity — survives. Every convert pass calls it on its output, so
+    a pass bug surfaces at the pass that introduced it.
     """
     from repro.util.errors import GraphError
 

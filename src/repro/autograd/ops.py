@@ -393,13 +393,14 @@ def embedding(table: Var, ids: np.ndarray) -> Var:
 def batch_norm_train(
     x: Var, gamma: Var, beta: Var,
     running: dict[str, np.ndarray],
-    momentum: float = 0.9, eps: float = 1e-3,
 ) -> Var:
     """Training-mode batch norm over the channel (last) axis.
 
     Updates ``running["mean"]`` / ``running["variance"]`` in place as a side
-    effect; those statistics are what the exported checkpoint graph carries.
+    effect (momentum 0.9); those statistics are what the exported checkpoint
+    graph carries.
     """
+    momentum, eps = 0.9, 1e-3
     x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
     axes = tuple(range(x.ndim - 1))
     m = x.data.mean(axis=axes)

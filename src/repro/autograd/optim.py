@@ -11,14 +11,11 @@ class Adam:
     """Adam with bias correction over a ``{name: Var}`` parameter dict —
     the optimizer of every zoo training."""
 
-    def __init__(self, params: dict[str, Var], lr: float = 3e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Var], lr: float = 3e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._t = 0
@@ -35,8 +32,6 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m, v = self._m[name], self._v[name]
             m *= self.beta1
             m += (1 - self.beta1) * g

@@ -33,14 +33,13 @@ class Var:
         data: np.ndarray,
         requires_grad: bool = False,
         parents: tuple["Var", ...] = (),
-        backward_fn=None,
         name: str | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = parents
-        self._backward_fn = backward_fn
+        self._backward_fn = None
         self.name = name
 
     # ----------------------------------------------------------- properties

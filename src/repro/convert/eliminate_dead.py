@@ -6,10 +6,10 @@ from repro.convert.rebuild import rebuild
 from repro.graph.graph import Graph
 
 
-def eliminate_dead_nodes(graph: Graph, *, verify: bool = False) -> Graph:
+def eliminate_dead_nodes(graph: Graph) -> Graph:
     """Remove nodes not reachable (backwards) from the graph outputs.
 
-    ``verify=True`` lints the result's structural post-conditions
+    The result's structural post-conditions are linted
     (:func:`~repro.analysis.registry.verify_pass`); since this pass's whole
     contract is "no dead nodes remain", any G003 (dead-node) finding is
     escalated to a failure even though it is normally only a warning.
@@ -25,7 +25,6 @@ def eliminate_dead_nodes(graph: Graph, *, verify: bool = False) -> Graph:
         out = graph
     else:
         out = rebuild(graph, keep, metadata={"eliminated_dead_nodes": True})
-    if verify:
-        from repro.analysis.registry import verify_pass
-        verify_pass(out, "eliminate_dead_nodes", forbid=("G003",))
+    from repro.analysis.registry import verify_pass
+    verify_pass(out, "eliminate_dead_nodes", forbid=("G003",))
     return out

@@ -59,14 +59,14 @@ def _out_channels(node: Node) -> int:
     return int(w.shape[2] * w.shape[3])
 
 
-def fold_batch_norm(graph: Graph, *, verify: bool = False) -> Graph:
+def fold_batch_norm(graph: Graph) -> Graph:
     """Fold every foldable ``batch_norm`` node into its producer.
 
     A BN folds when its input is produced by a conv/depthwise/dense node that
     has no other consumer. Unfoldable BNs (e.g. directly on an input) are
     left in place.
 
-    ``verify=True`` lints the folded graph's structural post-conditions
+    Lints the folded graph's structural post-conditions
     (:func:`~repro.analysis.registry.verify_pass`) and raises
     :class:`~repro.util.errors.GraphError` listing the diagnostics if the
     pass produced a broken graph.
@@ -103,7 +103,6 @@ def fold_batch_norm(graph: Graph, *, verify: bool = False) -> Graph:
         new_nodes.append(copy.copy(node))
 
     out = rebuild(graph, new_nodes, metadata={"folded_batch_norm": True})
-    if verify:
-        from repro.analysis.registry import verify_pass
-        verify_pass(out, "fold_batch_norm")
+    from repro.analysis.registry import verify_pass
+    verify_pass(out, "fold_batch_norm")
     return out

@@ -17,10 +17,10 @@ _FUSABLE_INTO = ("conv2d", "depthwise_conv2d", "dense", "add")
 _FUSABLE_FNS = ("relu", "relu6")
 
 
-def fuse_activations(graph: Graph, *, verify: bool = False) -> Graph:
+def fuse_activations(graph: Graph) -> Graph:
     """Fuse eligible activation nodes into the producing op's ``activation`` attr.
 
-    ``verify=True`` lints the fused graph's structural post-conditions
+    Lints the fused graph's structural post-conditions
     (:func:`~repro.analysis.registry.verify_pass`) before returning it.
     """
     consumers = graph.consumers()
@@ -58,7 +58,6 @@ def fuse_activations(graph: Graph, *, verify: bool = False) -> Graph:
         new_nodes.append(copy.copy(node))
 
     out = rebuild(graph, new_nodes, metadata={"fused_activations": True})
-    if verify:
-        from repro.analysis.registry import verify_pass
-        verify_pass(out, "fuse_activations")
+    from repro.analysis.registry import verify_pass
+    verify_pass(out, "fuse_activations")
     return out

@@ -16,15 +16,15 @@ from repro.graph.graph import Graph
 MOBILE_PASSES = (fold_batch_norm, fuse_activations, eliminate_dead_nodes)
 
 
-def convert_to_mobile(graph: Graph, *, verify: bool = False) -> Graph:
+def convert_to_mobile(graph: Graph) -> Graph:
     """Run all conversion passes; returns the deployable float model.
 
-    ``verify=True`` threads per-pass post-condition linting through every
-    pass, so a conversion bug is pinned to the pass that introduced it
-    rather than surfacing as a downstream execution failure.
+    Every pass lints its own post-conditions, so a conversion bug is pinned
+    to the pass that introduced it rather than surfacing as a downstream
+    execution failure.
     """
     out = graph
     for pass_fn in MOBILE_PASSES:
-        out = pass_fn(out, verify=verify)
+        out = pass_fn(out)
     out.metadata["stage"] = "mobile"
     return out

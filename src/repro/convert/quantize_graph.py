@@ -157,16 +157,13 @@ def quantize_graph(
     graph: Graph,
     representative_batches: list[np.ndarray | dict[str, np.ndarray]],
     config: QuantizationConfig = QuantizationConfig(),
-    *,
-    verify: bool = False,
 ) -> Graph:
     """Convert a float mobile graph into a full-integer quantized graph.
 
-    ``verify=True`` lints the quantized graph's structural and
-    quantization-parameter post-conditions
-    (:func:`~repro.analysis.registry.verify_pass`) — scale/zero-point
-    sanity, per-channel axis lengths, quantize/dequantize domain bridging —
-    and raises :class:`~repro.util.errors.GraphError` on any error-severity
+    Lints the quantized graph's structural and quantization-parameter
+    post-conditions (:func:`~repro.analysis.registry.verify_pass`) —
+    scale/zero-point sanity, per-channel axis lengths, quantize/dequantize
+    domain bridging — and raises :class:`~repro.util.errors.GraphError` on any error-severity
     finding.
     """
     for node in graph.nodes:
@@ -250,7 +247,6 @@ def quantize_graph(
                   }},
     )
     qgraph.validate()
-    if verify:
-        from repro.analysis.registry import verify_pass
-        verify_pass(qgraph, "quantize_graph")
+    from repro.analysis.registry import verify_pass
+    verify_pass(qgraph, "quantize_graph")
     return qgraph

@@ -12,9 +12,7 @@ from repro.util.errors import GraphError
 def rebuild(
     graph: Graph,
     nodes: list[Node],
-    outputs: list[str] | None = None,
-    name: str | None = None,
-    metadata: dict | None = None,
+    metadata: dict,
 ) -> Graph:
     """Reconstruct a graph from a rewritten node list.
 
@@ -37,12 +35,12 @@ def rebuild(
         )
         tensors[node.output] = spec
     new = Graph(
-        name=name if name is not None else graph.name,
+        name=graph.name,
         inputs=list(graph.inputs),
-        outputs=list(outputs if outputs is not None else graph.outputs),
+        outputs=list(graph.outputs),
         nodes=nodes,
         tensors=tensors,
-        metadata={**graph.metadata, **(metadata or {})},
+        metadata={**graph.metadata, **metadata},
     )
     new.validate()
     return new

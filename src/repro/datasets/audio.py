@@ -17,17 +17,12 @@ COMMANDS = ("up", "down", "left", "right", "go", "stop", "yes", "no")
 
 
 class SyntheticSpeechCommands:
-    """One-second synthetic utterances at a small sample rate.
+    """One-second synthetic utterances at 4000 samples per second (Nyquist
+    2 kHz is plenty for the synthetic trajectories)."""
 
-    Parameters
-    ----------
-    sample_rate:
-        Samples per second (default 4000; Nyquist 2 kHz is plenty for the
-        synthetic trajectories).
-    """
+    sample_rate = 4000
 
-    def __init__(self, sample_rate: int = 4000, seed: int = 2022):
-        self.sample_rate = sample_rate
+    def __init__(self, seed: int = 2022):
         self.seed = seed
         self.num_classes = len(COMMANDS)
 

@@ -33,15 +33,16 @@ class SyntheticDetection:
         Object categories (colors/patterns).
     image_size:
         Sensor resolution (square).
-    max_objects:
-        Maximum objects per scene (at least one is always present).
+
+    A scene holds one to :attr:`max_objects` objects.
     """
 
+    max_objects = 3
+
     def __init__(self, num_classes: int = 4, image_size: int = 64,
-                 max_objects: int = 3, seed: int = 2022):
+                 seed: int = 2022):
         self.num_classes = num_classes
         self.image_size = image_size
-        self.max_objects = max_objects
         self.seed = seed
         self.palette = self._build_palette()
 

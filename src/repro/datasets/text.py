@@ -21,18 +21,15 @@ PAD, UNK = "<pad>", "<unk>"
 class SyntheticSentiment:
     """Token-id sentiment dataset with cased/uncased vocabulary variants.
 
-    Parameters
-    ----------
-    words_per_polarity:
-        Number of base lexemes per sentiment class (pos/neg/neutral); each
-        contributes two vocabulary entries (lower + Capitalized).
-    seq_len:
-        Fixed (padded/truncated) review length in tokens.
+    Each of the 40 base lexemes per sentiment class (pos/neg/neutral)
+    contributes two vocabulary entries (lower + Capitalized); reviews are
+    padded/truncated to :attr:`seq_len` tokens.
     """
 
-    def __init__(self, words_per_polarity: int = 40, seq_len: int = 16,
-                 seed: int = 2022):
-        self.seq_len = seq_len
+    seq_len = 16
+
+    def __init__(self, seed: int = 2022):
+        words_per_polarity = 40
         self.seed = seed
         self.pos_words = [f"good{i}" for i in range(words_per_polarity)]
         self.neg_words = [f"bad{i}" for i in range(words_per_polarity)]
@@ -83,9 +80,9 @@ class SyntheticSentiment:
             reviews.append(tokens)
         return reviews, labels
 
-    def sample(self, n: int, split: str = "train",
-               lowercase: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n: int,
+               split: str = "train") -> tuple[np.ndarray, np.ndarray]:
         """Generate encoded id sequences: (int64 (n, seq_len), int64 (n,))."""
         reviews, labels = self.sample_tokens(n, split)
-        ids = np.stack([self.encode(r, lowercase=lowercase) for r in reviews])
+        ids = np.stack([self.encode(r) for r in reviews])
         return ids, labels

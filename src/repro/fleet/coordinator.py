@@ -104,14 +104,8 @@ class ShardRecord:
 def _check_same_sweep(manifests: list[ShardManifest]) -> None:
     """All manifests must describe one sweep (same identity the merge checks)."""
     first = manifests[0]
-    lineup_docs = [v.to_doc() for v in first.lineup]
     for manifest in manifests[1:]:
-        same = (manifest.model == first.model
-                and manifest.frames == first.frames
-                and manifest.tag == first.tag
-                and manifest.always_assert == first.always_assert
-                and [v.to_doc() for v in manifest.lineup] == lineup_docs)
-        if not same:
+        if not manifest.same_sweep(first):
             raise ValidationError(
                 f"coordinator seeded with manifests from different sweeps: "
                 f"{manifest.shard_id} disagrees with {first.shard_id} on "

@@ -43,6 +43,11 @@ Three beats per TTL window means two may be lost to transient faults
 before the coordinator declares the lease expired.
 """
 
+MAX_SHARD_FAILURES = 3
+"""Local shard failures after which a worker stops leasing: a shard that
+deterministically fails here would otherwise ping-pong between this worker
+and the pool forever."""
+
 
 class _HeartbeatThread:
     """Background lease keep-alive for one shard run.
@@ -110,7 +115,6 @@ def run_worker(
     poll_s: float = 1.0,
     attempts: int = 5,
     base_delay: float = 0.5,
-    max_shard_failures: int = 3,
     on_event=None,
     sleep=time.sleep,
     client: CoordinatorClient | None = None,
@@ -121,9 +125,8 @@ def run_worker(
     run_shard` into ``out_root/<shard_id>`` (a temporary directory per
     shard when ``out_root`` is ``None``), packed, and uploaded under the
     lease. The loop ends when the coordinator answers a lease request
-    with ``complete`` or ``finalized``, or after ``max_shard_failures``
-    local shard failures (a shard that deterministically fails here would
-    otherwise ping-pong between this worker and the pool forever).
+    with ``complete`` or ``finalized``, or after
+    :data:`MAX_SHARD_FAILURES` local shard failures.
 
     ``on_event(kind, detail)`` receives progress strings (``lease``,
     ``run``, ``upload``, ``duplicate``, ``wait``, ``error``) — the CLI
@@ -191,7 +194,7 @@ def run_worker(
         except (ReproError, ValidationError) as exc:
             summary.failures.append(f"{shard_id}: {exc}")
             emit("error", f"{shard_id}: {exc}")
-            if len(summary.failures) >= max_shard_failures:
+            if len(summary.failures) >= MAX_SHARD_FAILURES:
                 summary.stop_reason = "too many shard failures"
                 return summary
             sleep(poll_s)

@@ -14,7 +14,6 @@ import numpy as np
 from repro.graph.node import Node
 from repro.graph.shapes import infer_output_spec
 from repro.graph.spec import TensorSpec
-from repro.quantize.params import QuantParams
 from repro.util.errors import GraphError
 
 
@@ -61,10 +60,8 @@ class Graph:
         return out
 
     # ------------------------------------------------------------------ stats
-    def num_layers(self, include_infra: bool = False) -> int:
-        """Node count; by default excludes quantize/dequantize plumbing."""
-        if include_infra:
-            return len(self.nodes)
+    def num_layers(self) -> int:
+        """Node count, excluding quantize/dequantize plumbing."""
         return sum(1 for n in self.nodes if n.op not in ("quantize", "dequantize"))
 
     def num_params(self) -> int:
@@ -156,7 +153,6 @@ class GraphBuilder:
         name: str | None = None,
         attrs: dict | None = None,
         weights: dict[str, np.ndarray] | None = None,
-        weight_quant: dict[str, QuantParams] | None = None,
     ) -> str:
         """Append a node; returns the name of its output tensor."""
         if isinstance(inputs, str):
@@ -177,7 +173,6 @@ class GraphBuilder:
             outputs=[name],
             attrs=attrs,
             weights=weights,
-            weight_quant=dict(weight_quant or {}),
         )
         self._nodes.append(node)
         self._tensors[name] = spec
@@ -205,34 +200,36 @@ class GraphBuilder:
         return graph
 
     # ------------------------------------------------------- op conveniences
+    # Activations are separate nodes here; convert's fuse_activations pass
+    # folds them into the producer's ``activation`` attr.
     def conv2d(self, x: str, weights: np.ndarray, bias: np.ndarray | None = None,
                stride: int | tuple[int, int] = 1, padding: str = "same",
-               activation: str = "linear", name: str | None = None) -> str:
+               name: str | None = None) -> str:
         w: dict[str, np.ndarray] = {"weights": weights}
         if bias is not None:
             w["bias"] = bias
         return self.add("conv2d", x, name=name, weights=w,
                         attrs={"stride": stride, "padding": padding,
-                               "activation": activation})
+                               "activation": "linear"})
 
     def depthwise_conv2d(self, x: str, weights: np.ndarray,
                          bias: np.ndarray | None = None,
                          stride: int | tuple[int, int] = 1, padding: str = "same",
-                         activation: str = "linear", name: str | None = None) -> str:
+                         name: str | None = None) -> str:
         w: dict[str, np.ndarray] = {"weights": weights}
         if bias is not None:
             w["bias"] = bias
         return self.add("depthwise_conv2d", x, name=name, weights=w,
                         attrs={"stride": stride, "padding": padding,
-                               "activation": activation})
+                               "activation": "linear"})
 
     def dense(self, x: str, weights: np.ndarray, bias: np.ndarray | None = None,
-              activation: str = "linear", name: str | None = None) -> str:
+              name: str | None = None) -> str:
         w: dict[str, np.ndarray] = {"weights": weights}
         if bias is not None:
             w["bias"] = bias
         return self.add("dense", x, name=name, weights=w,
-                        attrs={"activation": activation})
+                        attrs={"activation": "linear"})
 
     def batch_norm(self, x: str, mean, variance, gamma, beta, eps: float = 1e-3,
                    name: str | None = None) -> str:
@@ -246,9 +243,8 @@ class GraphBuilder:
     def softmax(self, x: str, name: str | None = None) -> str:
         return self.add("softmax", x, name=name)
 
-    def add_tensors(self, a: str, b: str, activation: str = "linear",
-                    name: str | None = None) -> str:
-        return self.add("add", [a, b], name=name, attrs={"activation": activation})
+    def add_tensors(self, a: str, b: str, name: str | None = None) -> str:
+        return self.add("add", [a, b], name=name, attrs={"activation": "linear"})
 
     def mul_tensors(self, a: str, b: str, name: str | None = None) -> str:
         return self.add("mul", [a, b], name=name)

@@ -57,10 +57,9 @@ class EdgeMLMonitor:
         When True, record every layer's output tensor (the fine-grained
         offline-validation mode of Tables 3/5 and Figure 6). When False only
         default logs are captured (model I/O, latency, memory) — the cheap
-        always-on mode of Table 2.
-    dequantize_layers:
-        Store per-layer outputs of quantized models in the real-valued
-        domain so they compare directly against float reference logs.
+        always-on mode of Table 2. Quantized layer outputs are stored in
+        the real-valued domain, so they compare directly against float
+        reference logs.
     sink:
         Where closed frames go (:class:`~repro.instrument.sinks.LogSink`).
         Defaults to a fresh :class:`~repro.instrument.sinks.MemorySink`
@@ -72,10 +71,9 @@ class EdgeMLMonitor:
     """
 
     def __init__(self, name: str = "edge", per_layer: bool = False,
-                 dequantize_layers: bool = True, sink: LogSink | None = None):
+                 sink: LogSink | None = None):
         self.name = name
         self.per_layer = per_layer
-        self.dequantize_layers = dequantize_layers
         self.sink = sink if sink is not None else MemorySink()
         self.monitor_overhead_ms = 0.0
         self._current: FrameLog | None = None
@@ -130,7 +128,7 @@ class EdgeMLMonitor:
         frame.layer_ops[record.node.name] = record.node.op
         if self.per_layer:
             output = record.output
-            if record.quantized and self.dequantize_layers and record.spec.quant:
+            if record.quantized and record.spec.quant:
                 output = record.spec.quant.dequantize(output)
             frame.tensors[f"layer/{record.node.name}"] = np.array(output, copy=True)
         self.monitor_overhead_ms += (time.perf_counter() - t0) * 1e3

@@ -298,8 +298,7 @@ class _ListSource:
                     keys=None) -> Iterator[FrameLog]:
         return iter(self._frames)
 
-    def frame(self, index: int, load_tensors: bool = True,
-              keys=None) -> FrameLog:
+    def frame(self, index: int, keys=None) -> FrameLog:
         return self._frames[index]
 
     def stack(self, start: int, stop: int, keys) -> dict[str, np.ndarray]:
@@ -378,13 +377,11 @@ class _DirectorySource:
                     frame.tensors.update(reader.read(doc, keys))
                 yield frame
 
-    def frame(self, index: int, load_tensors: bool = True,
-              keys=None) -> FrameLog:
+    def frame(self, index: int, keys=None) -> FrameLog:
         doc = self._docs[index]
         frame = frame_from_doc(doc)
-        if load_tensors:
-            with _TensorReader(self) as reader:
-                frame.tensors.update(reader.read(doc, keys))
+        with _TensorReader(self) as reader:
+            frame.tensors.update(reader.read(doc, keys))
         return frame
 
     def stack(self, start: int, stop: int, keys) -> dict[str, np.ndarray]:

@@ -32,19 +32,15 @@ def scaled_dot_product_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention(Q, K, V) = softmax(QK^T / sqrt(d)) V.
 
     Shapes: q (..., Lq, d), k (..., Lk, d), v (..., Lk, dv).
-    ``mask`` broadcasts against (..., Lq, Lk); masked positions get -inf.
     """
     d = q.shape[-1]
     # np.sqrt returns an np.float64 scalar, which promotes float32 scores;
     # the result is cast back to the input dtype once, at the end.
     scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(float(d))
-    if mask is not None:
-        scores = np.where(mask, scores, -1e30)
     return (softmax(scores, axis=-1) @ v).astype(q.dtype, copy=False)
 
 

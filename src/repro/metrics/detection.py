@@ -31,11 +31,17 @@ def iou(a: Box, b: Box) -> float:
     return inter / union if union > 0 else 0.0
 
 
+MATCH_IOU = 0.5
+"""IoU at which a detection matches a ground-truth box (mAP@0.5)."""
+
+NMS_IOU = 0.45
+"""IoU above which NMS suppresses the lower-scoring same-class box."""
+
+
 def average_precision(
     predictions: list[list[DetectionResult]],
     ground_truth: list[list[tuple[int, Box]]],
     label: int,
-    iou_threshold: float = 0.5,
 ) -> float:
     """11-point interpolated AP for one class over a dataset."""
     scored: list[tuple[float, bool]] = []
@@ -46,7 +52,7 @@ def average_precision(
         matched = [False] * len(gt_boxes)
         for det in sorted((p for p in preds if p.label == label),
                           key=lambda d: -d.score):
-            best, best_iou = -1, iou_threshold
+            best, best_iou = -1, MATCH_IOU
             for j, gt_box in enumerate(gt_boxes):
                 if matched[j]:
                     continue
@@ -78,23 +84,22 @@ def mean_average_precision(
     predictions: list[list[DetectionResult]],
     ground_truth: list[list[tuple[int, Box]]],
     num_classes: int,
-    iou_threshold: float = 0.5,
 ) -> float:
-    """mAP@IoU over all classes (the Figure 4(b) metric)."""
+    """mAP@0.5 IoU over all classes (the Figure 4(b) metric)."""
     aps = [
-        average_precision(predictions, ground_truth, c, iou_threshold)
+        average_precision(predictions, ground_truth, c)
         for c in range(num_classes)
     ]
     return float(np.mean(aps))
 
 
 def non_max_suppression(
-    detections: list[DetectionResult], iou_threshold: float = 0.45
+    detections: list[DetectionResult],
 ) -> list[DetectionResult]:
     """Greedy per-class NMS."""
     kept: list[DetectionResult] = []
     for det in sorted(detections, key=lambda d: -d.score):
-        if all(det.label != k.label or iou(det.box, k.box) < iou_threshold
+        if all(det.label != k.label or iou(det.box, k.box) < NMS_IOU
                for k in kept):
             kept.append(det)
     return kept

@@ -46,14 +46,20 @@ def encode_targets(
     return {"cls": cls, "box": box, "mask": mask}
 
 
+SCORE_THRESHOLD = 0.35
+"""Lowest object-class probability a decoded cell keeps."""
+
+
 def decode_predictions(
     head: np.ndarray,
     num_classes: int,
     image_size: int,
-    score_threshold: float = 0.35,
-    nms_iou: float = 0.45,
 ) -> list[list[DetectionResult]]:
-    """Turn head tensors (N, G, G, K+5) into per-image detection lists."""
+    """Turn head tensors (N, G, G, K+5) into per-image detection lists.
+
+    Cells whose best object-class probability is below
+    :data:`SCORE_THRESHOLD` are dropped; the rest go through per-class NMS.
+    """
     n, grid = head.shape[0], head.shape[1]
     cell = image_size / grid
     cls_probs = softmax(head[..., : num_classes + 1], axis=-1)
@@ -66,7 +72,7 @@ def decode_predictions(
                 probs = cls_probs[i, gy, gx]
                 label = int(probs[1:].argmax()) + 1
                 score = float(probs[label])
-                if score < score_threshold:
+                if score < SCORE_THRESHOLD:
                     continue
                 dy, dx, lh, lw = boxes[i, gy, gx]
                 cy = (gy + 0.5) * cell + dy * cell
@@ -77,5 +83,5 @@ def decode_predictions(
                     label=label - 1, score=score,
                     box=(cy - h / 2, cx - w / 2, cy + h / 2, cx + w / 2),
                 ))
-        results.append(non_max_suppression(dets, nms_iou))
+        results.append(non_max_suppression(dets))
     return results

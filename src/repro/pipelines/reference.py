@@ -18,36 +18,27 @@ from repro.graph.graph import Graph
 from repro.instrument.monitor import EdgeMLMonitor
 from repro.perfmodel.device import WORKSTATION
 from repro.pipelines.edge import EdgeApp, make_preprocess
-from repro.runtime.resolver import BaseOpResolver
 from repro.util.errors import ValidationError
 
 
-def build_reference_app(
-    graph: Graph,
-    per_layer: bool = True,
-    resolver: BaseOpResolver | None = None,
-    preprocess=None,
-    sink=None,
-) -> EdgeApp:
+def build_reference_app(graph: Graph, sink=None) -> EdgeApp:
     """Construct the reference pipeline for a model graph.
 
     The graph must carry its pipeline recipe in ``metadata["pipeline"]``
-    (every zoo export does); ``preprocess`` overrides it for user-defined
-    reference pipelines. ``sink`` routes the reference monitor's frames
+    (every zoo export does). ``sink`` routes the reference monitor's frames
     (e.g. a :class:`~repro.instrument.sinks.DirectorySink` streams the
     reference log to disk so sweeps can share it as a path).
     """
     meta = graph.metadata.get("pipeline")
-    if meta is None and preprocess is None:
+    if meta is None:
         raise ValidationError(
-            "graph has no pipeline metadata; pass an explicit preprocess "
-            "to define a custom reference pipeline"
+            "graph has no pipeline metadata; build a custom reference "
+            "pipeline with EdgeApp directly"
         )
-    monitor = EdgeMLMonitor(name="reference", per_layer=per_layer, sink=sink)
+    monitor = EdgeMLMonitor(name="reference", per_layer=True, sink=sink)
     return EdgeApp(
         graph,
-        preprocess=preprocess or make_preprocess(meta),
+        preprocess=make_preprocess(meta),
         device=WORKSTATION,
-        resolver=resolver,
         monitor=monitor,
     )

@@ -22,16 +22,16 @@ class RangeObserver:
     mode:
         ``"minmax"`` — exact running min/max (TFLite default; sensitive to
         outliers). ``"percentile"`` — clip to the given percentiles of a
-        bounded reservoir of observed values (robust to outliers).
+        reservoir of up to :attr:`reservoir` observed values, subsampled
+        with a fixed seed (robust to outliers).
     percentile:
         Two-sided coverage for percentile mode; 99.9 means clip to
         [p0.1, p99.9].
-    reservoir:
-        Maximum number of values retained for percentile estimation.
     """
 
-    def __init__(self, mode: str = "minmax", percentile: float = 99.9,
-                 reservoir: int = 200_000, seed: int = 0):
+    reservoir = 200_000
+
+    def __init__(self, mode: str = "minmax", percentile: float = 99.9):
         if mode not in ("minmax", "percentile"):
             raise QuantizationError(f"unknown calibration mode {mode!r}")
         self.mode = mode
@@ -39,9 +39,8 @@ class RangeObserver:
         self.min_val = np.inf
         self.max_val = -np.inf
         self.count = 0
-        self._reservoir_cap = int(reservoir)
         self._samples: list[np.ndarray] = []
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
 
     def observe(self, tensor: np.ndarray) -> None:
         """Fold one batch of activations into the running statistics."""
@@ -53,7 +52,7 @@ class RangeObserver:
         self.count += values.size
         if self.mode == "percentile":
             held = sum(s.size for s in self._samples)
-            budget = self._reservoir_cap - held
+            budget = self.reservoir - held
             if budget > 0:
                 if values.size > budget:
                     values = self._rng.choice(values, size=budget, replace=False)

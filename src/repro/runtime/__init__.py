@@ -19,7 +19,6 @@ from repro.runtime.resolver import (
     OpResolver,
     ReferenceOpResolver,
     make_resolver,
-    register_resolver,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "derive_bindings",
     "make_resolver",
     "node_is_quantized",
-    "register_resolver",
 ]

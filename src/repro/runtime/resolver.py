@@ -9,8 +9,9 @@ sets on the paper's reference-vs-optimized axis.
   kernels** (the debugging path, drastically slower on-device);
 * custom resolvers — "advanced users have the option to create their own
   OpResolver which could invoke their custom ops and kernels": construct a
-  resolver and call :meth:`BaseOpResolver.register`, or register a named
-  backend factory with :func:`register_resolver`.
+  resolver, call :meth:`BaseOpResolver.register`, and pass it as
+  ``resolver=`` to :class:`~repro.runtime.interpreter.Interpreter` or
+  :class:`~repro.pipelines.edge.EdgeApp`.
 
 :data:`RESOLVERS` maps backend names to factories. ``"batched"`` stays in it
 as an alias of :class:`OpResolver`: the batched backend's whole-batch
@@ -132,37 +133,8 @@ RESOLVERS: dict[str, ResolverFactory] = {
 
 The registry is the single source of truth for which backend names are
 valid: :func:`make_resolver`, the CLI ``--resolver``/``--backends``
-choices, and sweep variant validation all consult it, so registering a
-backend here makes it sweepable everywhere. Process-pool sweeps ship
-runtime registrations to workers via a pool initializer
-(:func:`runtime_registrations` / :func:`install_registrations`), so custom
-backends are visible under every executor as long as their factories are
-picklable.
+choices, and sweep variant validation all consult it.
 """
-
-_BUILTIN_BACKENDS = frozenset(RESOLVERS)
-
-
-def register_resolver(name: str, factory: ResolverFactory) -> None:
-    """Register a custom backend under ``name`` — the custom-op hook.
-
-    ``factory`` must accept a ``bugs=`` keyword (a :class:`KernelBugs`) and
-    return a :class:`BaseOpResolver`.
-    """
-    if not name or not isinstance(name, str):
-        raise ValidationError(f"resolver name must be a non-empty string, got {name!r}")
-    RESOLVERS[name] = factory
-
-
-def runtime_registrations() -> dict[str, ResolverFactory]:
-    """Backends registered after import — the delta pool workers need."""
-    return {name: factory for name, factory in RESOLVERS.items()
-            if name not in _BUILTIN_BACKENDS}
-
-
-def install_registrations(entries: dict[str, ResolverFactory]) -> None:
-    """Pool-worker initializer: replay the parent's runtime registrations."""
-    RESOLVERS.update(entries)
 
 
 def make_resolver(kind: str, kernel_bugs: str = "none") -> BaseOpResolver:

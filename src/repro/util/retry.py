@@ -22,19 +22,21 @@ from collections.abc import Callable
 
 from repro.util.errors import ValidationError
 
+MAX_DELAY_S = 8.0
+"""Cap on one backoff delay, before jitter."""
+
 
 def backoff_delays(
     attempts: int,
     *,
     base_delay: float = 0.25,
-    max_delay: float = 8.0,
     jitter: float = 0.5,
     rng: random.Random | None = None,
 ) -> list[float]:
     """The delay schedule ``with_retries`` sleeps between attempts.
 
     Delay ``i`` (after the ``i``-th failure, 0-based) is
-    ``min(base_delay * 2**i, max_delay)`` stretched by a random factor in
+    ``min(base_delay * 2**i, MAX_DELAY_S)`` stretched by a random factor in
     ``[1, 1 + jitter]`` — full-ratio jitter, so a fleet of workers that
     failed together does not retry in lockstep. ``attempts`` total calls
     means ``attempts - 1`` delays. Deterministic when ``rng`` is seeded;
@@ -42,14 +44,14 @@ def backoff_delays(
     """
     if attempts < 1:
         raise ValidationError(f"attempts must be >= 1, got {attempts}")
-    if base_delay < 0 or max_delay < 0 or jitter < 0:
+    if base_delay < 0 or jitter < 0:
         raise ValidationError(
-            "base_delay, max_delay, and jitter must all be >= 0, got "
-            f"{base_delay}/{max_delay}/{jitter}")
+            "base_delay and jitter must both be >= 0, got "
+            f"{base_delay}/{jitter}")
     rng = rng if rng is not None else random.Random()
     delays = []
     for i in range(attempts - 1):
-        delay = min(base_delay * (2.0 ** i), max_delay)
+        delay = min(base_delay * (2.0 ** i), MAX_DELAY_S)
         delays.append(delay * (1.0 + jitter * rng.random()))
     return delays
 
@@ -59,7 +61,6 @@ def with_retries(
     *,
     attempts: int = 4,
     base_delay: float = 0.25,
-    max_delay: float = 8.0,
     jitter: float = 0.5,
     retry_on: type[BaseException] | tuple[type[BaseException], ...] = Exception,
     sleep: Callable[[float], None] = time.sleep,
@@ -79,8 +80,8 @@ def with_retries(
     attempt, delay)`` is called before each backoff sleep — transports use
     it to log what they are waiting out.
     """
-    delays = backoff_delays(attempts, base_delay=base_delay,
-                            max_delay=max_delay, jitter=jitter, rng=rng)
+    delays = backoff_delays(attempts, base_delay=base_delay, jitter=jitter,
+                            rng=rng)
     for attempt in range(attempts):
         try:
             return fn()

@@ -80,21 +80,12 @@ def classification_accuracy_from_log(log: EXrayLog) -> float:
     return top_1_accuracy(scores, labels)
 
 
-def validate_accuracy(
-    edge_log: EXrayLog,
-    ref_log: EXrayLog,
-    metric=classification_accuracy_from_log,
-    tolerance: float = 0.02,
-    metric_name: str = "top1",
-) -> AccuracyReport:
-    """Stage-1 validation: edge metric vs reference metric on the same data.
-
-    ``metric`` is pluggable (mAP, mIoU, ...): any callable from a log to a
-    float, enabling the user-defined validation of §3.1 (e.g. lane distance).
-    """
+def validate_accuracy(edge_log: EXrayLog, ref_log: EXrayLog) -> AccuracyReport:
+    """Stage-1 validation: edge vs reference top-1 accuracy on the same
+    data, degraded when the edge drops more than 0.02 below the reference."""
     return AccuracyReport(
-        edge_metric=metric(edge_log),
-        ref_metric=metric(ref_log),
-        tolerance=tolerance,
-        metric_name=metric_name,
+        edge_metric=classification_accuracy_from_log(edge_log),
+        ref_metric=classification_accuracy_from_log(ref_log),
+        tolerance=0.02,
+        metric_name="top1",
     )

@@ -84,12 +84,10 @@ class ValidationContext:
         edge_log: EXrayLog,
         ref_log: EXrayLog,
         layer_diffs: list[LayerDiff] | None = None,
-        extras: dict | None = None,
     ):
         self.edge_log = edge_log
         self.ref_log = ref_log
         self.layer_diffs = layer_diffs or []
-        self.extras = dict(extras or {})
 
     def edge_input(self, frame: int = 0) -> np.ndarray:
         # Random access via EXrayLog.frame keeps directory-backed (lazy)
@@ -128,9 +126,9 @@ class DeploymentAssertion:
 class FunctionAssertion(DeploymentAssertion):
     """Adapter turning a plain user function into an assertion."""
 
-    def __init__(self, fn, name: str | None = None):
+    def __init__(self, fn):
         self.fn = fn
-        self.name = name or getattr(fn, "__name__", "user_assertion")
+        self.name = getattr(fn, "__name__", "user_assertion")
 
     def check(self, ctx: ValidationContext) -> str:
         result = self.fn(ctx)
@@ -139,8 +137,8 @@ class FunctionAssertion(DeploymentAssertion):
 
 # ----------------------------------------------------------------- built-ins
 
-def _mean_inputs(ctx: ValidationContext, frames: int = 4):
-    n = min(ctx.num_frames(), frames)
+def _mean_inputs(ctx: ValidationContext):
+    n = min(ctx.num_frames(), 4)
     edge = np.stack([ctx.edge_input(i) for i in range(n)]).astype(np.float64)
     ref = np.stack([ctx.ref_input(i) for i in range(n)]).astype(np.float64)
     return edge, ref
@@ -150,9 +148,7 @@ class ChannelArrangementAssertion(DeploymentAssertion):
     """Detects RGB/BGR mix-ups: the paper's §3.2 example assertion."""
 
     name = "channel_arrangement"
-
-    def __init__(self, atol: float = 2e-2):
-        self.atol = atol
+    atol = 2e-2
 
     def check(self, ctx: ValidationContext) -> str:
         edge, ref = _mean_inputs(ctx)
@@ -172,9 +168,7 @@ class NormalizationRangeAssertion(DeploymentAssertion):
     between edge and reference inputs and naming the offending scheme."""
 
     name = "normalization_range"
-
-    def __init__(self, tol: float = 0.05):
-        self.tol = tol
+    tol = 0.05
 
     def check(self, ctx: ValidationContext) -> str:
         edge, ref = _mean_inputs(ctx)
@@ -242,11 +236,10 @@ class ResizeFunctionAssertion(DeploymentAssertion):
     raw sensor frame, and compares it against the reference recipe."""
 
     name = "resize_function"
+    candidates = ("area", "bilinear", "nearest")
 
-    def __init__(self, expected: str = "area",
-                 candidates: tuple[str, ...] = ("area", "bilinear", "nearest")):
+    def __init__(self, expected: str = "area"):
         self.expected = expected
-        self.candidates = candidates
 
     def check(self, ctx: ValidationContext) -> str:
         frame = ctx.edge_log.frame(0, keys={"sensor_frame"})
@@ -280,10 +273,8 @@ class QuantizationHealthAssertion(DeploymentAssertion):
     model output (the 0%-accuracy failure mode of §4.4)."""
 
     name = "quantization_health"
-
-    def __init__(self, threshold: float = 0.1, jump_factor: float = 3.0):
-        self.threshold = threshold
-        self.jump_factor = jump_factor
+    threshold = 0.1
+    jump_factor = 3.0
 
     def check(self, ctx: ValidationContext) -> str:
         # Per §3.4: "if the error happens at the model input, the problem
@@ -324,10 +315,8 @@ class StragglerLatencyAssertion(DeploymentAssertion):
     """Per-layer latency validation: flags straggler layers (§4.5)."""
 
     name = "per_layer_latency"
-
-    def __init__(self, share_threshold: float = 0.2, median_factor: float = 10.0):
-        self.share_threshold = share_threshold
-        self.median_factor = median_factor
+    share_threshold = 0.2
+    median_factor = 10.0
 
     def check(self, ctx: ValidationContext) -> str:
         from repro.validate.latency import find_stragglers
@@ -352,9 +341,7 @@ class SpectrogramNormalizationAssertion(DeploymentAssertion):
     comparing input feature statistics (the Figure 4(c) bug)."""
 
     name = "spectrogram_normalization"
-
-    def __init__(self, tol: float = 0.15):
-        self.tol = tol
+    tol = 0.15
 
     def check(self, ctx: ValidationContext) -> str:
         edge, ref = _mean_inputs(ctx)

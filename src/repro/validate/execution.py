@@ -20,8 +20,6 @@ logs to per-variant DirectorySink directories.
 from __future__ import annotations
 
 import os
-import pickle
-import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
@@ -31,11 +29,7 @@ from repro.instrument.store import EXrayLog
 from repro.perfmodel.device import DEVICES
 from repro.pipelines.edge import EdgeApp, make_preprocess
 from repro.pipelines.reference import build_reference_app
-from repro.runtime.resolver import (
-    install_registrations,
-    make_resolver,
-    runtime_registrations,
-)
+from repro.runtime.resolver import make_resolver
 from repro.util.errors import ValidationError
 from repro.validate.reporting import VariantResult
 from repro.validate.session import DebugSession
@@ -54,45 +48,16 @@ def check_executor(executor: str, workers: int | None = None) -> None:
 
 
 def make_pool(
-    executor: str, n_jobs: int, workers: int | None, mp_context=None,
+    executor: str, n_jobs: int, workers: int | None,
 ) -> tuple[Executor, int]:
     """Build the process/thread pool for ``n_jobs`` variants.
-
-    Process pools replay the parent's runtime backend registrations
-    (:func:`~repro.runtime.resolver.register_resolver`) in every worker via
-    a pool initializer, so a sweep naming a custom resolver works under
-    ``--executor process`` regardless of the multiprocessing start method.
-    Registrations whose factories cannot be pickled (e.g. lambdas or
-    REPL-defined classes) cannot cross a process boundary at all; those
-    sweeps fall back to a thread pool with a warning rather than failing
-    inside the workers.
 
     Returns the pool plus its worker count (the scheduler's in-flight
     window).
     """
     max_workers = workers or min(n_jobs, os.cpu_count() or 1)
-    if executor == "process":
-        extras = runtime_registrations()
-        unpicklable = []
-        for name, descriptor in extras.items():
-            try:
-                pickle.dumps(descriptor)
-            except Exception:
-                unpicklable.append(name)
-        if unpicklable:
-            warnings.warn(
-                f"custom resolver registration(s) {sorted(unpicklable)} "
-                f"cannot be pickled for process-pool workers; falling back "
-                f"to threads",
-                RuntimeWarning, stacklevel=2)
-        else:
-            kwargs = {"mp_context": mp_context} if mp_context is not None else {}
-            if extras:
-                kwargs["initializer"] = install_registrations
-                kwargs["initargs"] = (extras,)
-            return ProcessPoolExecutor(max_workers=max_workers, **kwargs), \
-                max_workers
-    return ThreadPoolExecutor(max_workers=max_workers), max_workers
+    pool = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
+    return pool(max_workers=max_workers), max_workers
 
 
 def build_reference_log(

@@ -179,22 +179,26 @@ def fingerprint_distance(a: DriftFingerprint, b: DriftFingerprint) -> float:
     return 0.5 * drift_d + 0.3 * op_d + 0.2 * sym_d
 
 
+CLUSTER_THRESHOLD = 0.3
+"""Largest :func:`fingerprint_distance` at which a fingerprint joins a
+cluster."""
+
+
 def cluster_fingerprints(
     fingerprints: list[DriftFingerprint],
-    threshold: float = 0.3,
 ) -> list[list[DriftFingerprint]]:
     """Greedy exemplar clustering: deterministic, order-stable.
 
     Each fingerprint joins the first existing cluster whose exemplar (its
-    first member) is within ``threshold``; otherwise it founds a new
-    cluster. Good enough for fleet triage — sweeps have tens of variants
-    and a handful of root causes — while keeping results reproducible
-    across runs (no randomized seeding).
+    first member) is within :data:`CLUSTER_THRESHOLD`; otherwise it founds
+    a new cluster. Good enough for fleet triage — sweeps have tens of
+    variants and a handful of root causes — while keeping results
+    reproducible across runs (no randomized seeding).
     """
     clusters: list[list[DriftFingerprint]] = []
     for fp in fingerprints:
         for members in clusters:
-            if fingerprint_distance(members[0], fp) <= threshold:
+            if fingerprint_distance(members[0], fp) <= CLUSTER_THRESHOLD:
                 members.append(fp)
                 break
         else:

@@ -147,7 +147,6 @@ def per_layer_diff(
     edge_log: EXrayLog,
     ref_log: EXrayLog,
     error_fn: str = "nrmse",
-    max_frames: int | None = None,
 ) -> list[LayerDiff]:
     """Compare per-layer outputs of two logs, frame-averaged, in layer order.
 
@@ -181,8 +180,6 @@ def per_layer_diff(
             "no common per-layer logs; run both pipelines with per_layer=True"
         )
     n_frames = min(len(edge_log), len(ref_log))
-    if max_frames is not None:
-        n_frames = min(n_frames, max_frames)
     if n_frames == 0:
         raise ValidationError("logs contain no frames")
     keys = {f"layer/{name}" for name, _ in schedule}

@@ -205,17 +205,8 @@ def merge_shards(
             "nothing to merge")
     first_dir, first = readable[0]
     lineup = list(first.lineup)
-    lineup_docs = [v.to_doc() for v in lineup]
     for shard_dir, manifest in readable[1:]:
-        # tag and always_assert are part of sweep identity too: playback
-        # data derives from (model, frames, tag) and the assertion policy
-        # changes what "healthy" means.
-        same = (manifest.model == first.model
-                and manifest.frames == first.frames
-                and manifest.tag == first.tag
-                and manifest.always_assert == first.always_assert
-                and [v.to_doc() for v in manifest.lineup] == lineup_docs)
-        if not same:
+        if not manifest.same_sweep(first):
             raise ValidationError(
                 f"shard manifests disagree: {shard_dir / MANIFEST_NAME} "
                 f"describes a different sweep (model/frames/tag/"

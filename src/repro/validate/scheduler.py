@@ -110,7 +110,7 @@ def iter_sweep(
     """
     # Lineup *structure* problems (empty, duplicate names) always raise;
     # per-variant field problems become skipped results under pre-flight.
-    variants = plan_variants(variants, check=False)
+    variants = plan_variants(variants)
     check_executor(executor, workers)
     if max_failures is not None and max_failures < 1:
         raise ValidationError(f"max_failures must be >= 1, got {max_failures}")
@@ -135,9 +135,7 @@ def iter_sweep(
         if report.diagnostics:
             carried[variant.name] = list(report.diagnostics)
         runnable.append(variant)
-    # Survivors still pass full field validation; the pre-flight mirrors
-    # it rule for rule.
-    variants = plan_variants(runnable) if runnable else []
+    variants = runnable
     if not variants:
         return
 

@@ -17,11 +17,7 @@ import numpy as np
 from repro.instrument.store import EXrayLog
 from repro.util.errors import ValidationError
 from repro.util.tabulate import format_table
-from repro.validate.accuracy import (
-    AccuracyReport,
-    classification_accuracy_from_log,
-    validate_accuracy,
-)
+from repro.validate.accuracy import AccuracyReport, validate_accuracy
 from repro.validate.assertions import (
     AssertionResult,
     DeploymentAssertion,
@@ -151,12 +147,10 @@ class DebugSession:
         the streaming/random-access reader APIs, so validating a streamed
         trace never materializes all of its per-layer tensors at once.
     task:
-        Selects the built-in assertion suite and default accuracy metric.
-    accuracy_metric:
-        Optional custom metric (log -> float), e.g. mAP for detection.
-    tolerance:
-        Permitted edge-vs-reference metric drop before the fine-grained
-        analysis triggers.
+        Selects the built-in assertion suite and the accuracy metric (top-1
+        for classification, speech and text; other tasks skip the accuracy
+        gate). An edge-vs-reference drop above 0.02 triggers the
+        fine-grained analysis.
     """
 
     def __init__(
@@ -164,16 +158,10 @@ class DebugSession:
         edge_log: EXrayLog,
         ref_log: EXrayLog,
         task: str = "classification",
-        accuracy_metric=None,
-        tolerance: float = 0.02,
-        extras: dict | None = None,
     ):
         self.edge_log = edge_log
         self.ref_log = ref_log
         self.task = task
-        self.accuracy_metric = accuracy_metric
-        self.tolerance = tolerance
-        self.extras = dict(extras or {})
 
     def run(
         self,
@@ -191,13 +179,9 @@ class DebugSession:
         """
         # Stage 1: accuracy validation.
         accuracy: AccuracyReport | None = None
-        metric = self.accuracy_metric
-        if metric is None and self.task in ("classification", "speech", "text"):
-            metric = classification_accuracy_from_log
-        if metric is not None:
+        if self.task in ("classification", "speech", "text"):
             try:
-                accuracy = validate_accuracy(
-                    self.edge_log, self.ref_log, metric, self.tolerance)
+                accuracy = validate_accuracy(self.edge_log, self.ref_log)
             except (KeyError, ValidationError):
                 accuracy = None  # labels/outputs not logged: skip the gate
 
@@ -221,6 +205,6 @@ class DebugSession:
             else:
                 suite.append(FunctionAssertion(extra))
         ctx = ValidationContext(
-            self.edge_log, self.ref_log, report.layer_diffs, self.extras)
+            self.edge_log, self.ref_log, report.layer_diffs)
         report.assertions = [assertion.run(ctx) for assertion in suite]
         return report

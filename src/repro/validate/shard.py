@@ -89,6 +89,15 @@ class ShardManifest:
     reference: str | None = None
     reference_digest: str | None = None
 
+    def same_sweep(self, other: "ShardManifest") -> bool:
+        """Whether ``other`` is a shard of the same sweep: same model,
+        frames, tag, assertion policy and lineup. Playback data derives
+        from (model, frames, tag), and the assertion policy changes what
+        "healthy" means."""
+        def identity(m):
+            return m.model, m.frames, m.tag, m.always_assert, tuple(m.lineup)
+        return identity(self) == identity(other)
+
     # ------------------------------------------------------------ wire format
     def to_doc(self) -> dict:
         return {
@@ -175,7 +184,6 @@ def plan_shards(
     max_variants_per_shard: int | None = None,
     frames: int = 16,
     always_assert: bool = False,
-    tag: str = "sweep",
     reference: str | None = None,
     reference_digest: str | None = None,
 ) -> list[ShardManifest]:
@@ -199,7 +207,7 @@ def plan_shards(
     statically-broken variants as skipped results instead of refusing to
     plan the fleet.
     """
-    lineup = plan_variants(variants, check=False)
+    lineup = plan_variants(variants)
     if (n_shards is None) == (max_variants_per_shard is None):
         raise ValidationError(
             "plan_shards needs exactly one of n_shards / "
@@ -230,7 +238,6 @@ def plan_shards(
             variants=tuple(lineup[start:start + size]),
             lineup=tuple(lineup),
             always_assert=always_assert,
-            tag=tag,
             reference=reference,
             reference_digest=reference_digest,
         ))

@@ -56,9 +56,11 @@ PERFORMANCE_CHECKS = frozenset({"per_layer_latency"})
 """Assertion names about latency, not numerical drift."""
 
 
-def root_cause_hypothesis(
-    fp: DriftFingerprint, drift_threshold: float = 0.1,
-) -> tuple[str, str]:
+DRIFT_THRESHOLD = 0.1
+"""Per-layer nrMSE above which a layer counts as drifting."""
+
+
+def root_cause_hypothesis(fp: DriftFingerprint) -> tuple[str, str]:
     """Apply the Figure-6 decision rule to one fingerprint.
 
     Returns ``(cause, detail)`` where ``cause`` is one of the ``CAUSE_*``
@@ -70,7 +72,8 @@ def root_cause_hypothesis(
     # (as fingerprint_distance already does).
     drift = np.asarray([e for i, e in enumerate(fp.drift)
                         if i not in fp.degenerate])
-    if fp.healthy and (drift.size == 0 or float(drift.max()) <= drift_threshold):
+    if fp.healthy and (drift.size == 0
+                       or float(drift.max()) <= DRIFT_THRESHOLD):
         return CAUSE_HEALTHY, "no drift, all assertions pass"
     if fp.failed_checks & PREPROCESS_CHECKS:
         checks = sorted(fp.failed_checks & PREPROCESS_CHECKS)
@@ -84,7 +87,7 @@ def root_cause_hypothesis(
     if drift.size:
         mean = float(np.mean(drift))
         spread = float(drift.max() - drift.min())
-        if mean > drift_threshold and spread <= 0.25 * mean:
+        if mean > DRIFT_THRESHOLD and spread <= 0.25 * mean:
             return CAUSE_STAGE, (
                 f"uniform drift across all {drift.size} layers")
     if fp.first_flagged == 0:
@@ -171,7 +174,6 @@ class TriageReport:
 
 def triage_fingerprints(
     fingerprints: list[DriftFingerprint],
-    threshold: float = 0.3,
     unfingerprinted: list[str] | None = None,
 ) -> TriageReport:
     """Cluster fingerprints and label each cluster with its root cause.
@@ -180,7 +182,7 @@ def triage_fingerprints(
     break toward the earliest member — deterministic).
     """
     clusters = []
-    for members in cluster_fingerprints(fingerprints, threshold=threshold):
+    for members in cluster_fingerprints(fingerprints):
         hypotheses = [root_cause_hypothesis(m) for m in members]
         causes = [cause for cause, _ in hypotheses]
         majority = max(set(causes), key=lambda c: (causes.count(c), -causes.index(c)))
@@ -236,7 +238,7 @@ def backend_divergences(results) -> dict[str, str]:
     return divergent
 
 
-def triage_sweep(report: "SweepReport", threshold: float = 0.3) -> TriageReport:
+def triage_sweep(report: "SweepReport") -> TriageReport:
     """Fingerprint and cluster every completed variant of a sweep.
 
     When the sweep carries a backend axis (``expand_backends``), clusters
@@ -250,7 +252,7 @@ def triage_sweep(report: "SweepReport", threshold: float = 0.3) -> TriageReport:
     ]
     unfingerprinted = [
         r.variant.name for r in report.results if r.report is None]
-    triage = triage_fingerprints(fingerprints, threshold=threshold,
+    triage = triage_fingerprints(fingerprints,
                                  unfingerprinted=unfingerprinted)
     divergent = backend_divergences(report.results)
     for cluster in triage.clusters:

@@ -12,6 +12,7 @@ first.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.perfmodel.device import DEVICES
@@ -37,36 +38,28 @@ class SweepVariant:
     kernel_bugs: str = "none"
     device: str = "pixel4_cpu"
 
-    def check(self) -> None:
-        """Validate enum-like fields early, in the parent process.
+    def field_errors(self) -> Iterator[tuple[str, str, list[str], str]]:
+        """Yield ``(field, value, available, message)`` for each field that
+        names no entry of its registry (stage, resolver, kernel-bug preset,
+        device); lint rule S002 reports these and :meth:`check` raises on
+        the first."""
+        for fieldname, label, options in (
+                ("stage", "stage", STAGES),
+                ("resolver", "resolver", RESOLVERS),
+                ("kernel_bugs", "kernel-bug preset", KERNEL_BUG_PRESETS),
+                ("device", "device", DEVICES)):
+            value = getattr(self, fieldname)
+            if value not in options:
+                yield fieldname, value, sorted(options), (
+                    f"variant {self.name!r}: unknown {label} {value!r}"
+                    f"{did_you_mean(value, options)}; "
+                    f"available: {sorted(options)}")
 
-        The resolver name is validated against the live registry in
-        :mod:`repro.runtime.resolver`, so custom resolvers registered via
-        :func:`~repro.runtime.resolver.register_resolver` are sweepable
-        without touching this module (process pools replay runtime
-        registrations in their workers — see
-        :func:`~repro.validate.execution.make_pool`).
-        """
-        if self.stage not in STAGES:
-            raise ValidationError(
-                f"variant {self.name!r}: unknown stage {self.stage!r}"
-                f"{did_you_mean(self.stage, STAGES)}; use one of {STAGES}")
-        if self.resolver not in RESOLVERS:
-            raise ValidationError(
-                f"variant {self.name!r}: unknown resolver {self.resolver!r}"
-                f"{did_you_mean(self.resolver, RESOLVERS)}; "
-                f"available: {sorted(RESOLVERS)}")
-        if self.kernel_bugs not in KERNEL_BUG_PRESETS:
-            raise ValidationError(
-                f"variant {self.name!r}: unknown kernel-bug preset "
-                f"{self.kernel_bugs!r}"
-                f"{did_you_mean(self.kernel_bugs, KERNEL_BUG_PRESETS)}; "
-                f"available: {sorted(KERNEL_BUG_PRESETS)}")
-        if self.device not in DEVICES:
-            raise ValidationError(
-                f"variant {self.name!r}: unknown device {self.device!r}"
-                f"{did_you_mean(self.device, DEVICES)}; "
-                f"available: {sorted(DEVICES)}")
+    def check(self) -> None:
+        """Raise :class:`ValidationError` if a field names no registry
+        entry (see :meth:`field_errors`)."""
+        for *_, message in self.field_errors():
+            raise ValidationError(message)
 
     def describe(self) -> str:
         parts = [f"stage={self.stage}", f"resolver={self.resolver}",
@@ -97,10 +90,9 @@ class SweepVariant:
     def from_doc(cls, doc: dict) -> "SweepVariant":
         """Rebuild a variant from :meth:`to_doc` output.
 
-        Field values are *not* validated against the live registries here —
-        a merged fleet report may name resolvers or devices registered only
-        on the worker that ran them; :meth:`check` still runs before any
-        local execution.
+        Field values are *not* validated here: a shard worker's pre-flight
+        reports a bad field as a skipped variant, and :meth:`check` still
+        runs before any local execution.
         """
         try:
             return cls(
@@ -251,16 +243,13 @@ DEFAULT_IMAGE_VARIANTS = (
 
 def plan_variants(
     variants: list[SweepVariant] | tuple[SweepVariant, ...] | None,
-    *,
-    check: bool = True,
 ) -> list[SweepVariant]:
-    """Validate a sweep lineup: non-empty, unique names, fields in range.
+    """Check a sweep lineup's structure: non-empty, with unique names.
 
     ``None`` selects :data:`DEFAULT_IMAGE_VARIANTS`. Returns the lineup as
-    a list in its original order (the report order). ``check=False`` skips
-    the per-variant field validation (lineup structure only) — the seam
-    the sweep pre-flight uses, since it wants to *report* bad fields as
-    skipped-variant diagnostics rather than raise on the first one.
+    a list in its original order (the report order). Per-variant fields
+    are left to the sweep pre-flight (lint rule S002), which reports a bad
+    field as a skipped-variant diagnostic instead of raising on the first.
     """
     if variants is None:
         variants = DEFAULT_IMAGE_VARIANTS
@@ -271,9 +260,6 @@ def plan_variants(
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
         raise ValidationError(f"duplicate variant name(s): {dupes}")
-    if check:
-        for variant in variants:
-            variant.check()
     return variants
 
 

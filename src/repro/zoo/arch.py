@@ -37,22 +37,25 @@ class Layer:
 
 # ------------------------------------------------------------- spec builders
 
+# Builders record fixed settings (a conv's ``explicit_pad``, a depthwise
+# conv's ``bn``, the SE ``reduction``, the dense-block ``k``) as attrs too:
+# :func:`arch_signature` keys the trained-weights cache on every attr.
+
 def conv(name: str, out_ch: int, k: int = 3, stride: int = 1,
-         padding: str = "same", act: str = "relu6", bn: bool = True,
-         explicit_pad: bool = False) -> Layer:
+         padding: str = "same", act: str = "relu6", bn: bool = True) -> Layer:
     """Conv2D (+BN unless ``bn=False``) (+activation unless ``act='linear'``)."""
     return Layer("conv", name, {
         "out_ch": out_ch, "k": k, "stride": stride, "padding": padding,
-        "act": act, "bn": bn, "explicit_pad": explicit_pad,
+        "act": act, "bn": bn, "explicit_pad": False,
     })
 
 
 def dwconv(name: str, k: int = 3, stride: int = 1, padding: str = "same",
-           act: str = "relu6", bn: bool = True,
-           explicit_pad: bool = False) -> Layer:
-    """DepthwiseConv2D (+BN) (+activation)."""
+           act: str = "relu6", explicit_pad: bool = False) -> Layer:
+    """DepthwiseConv2D + BN (+activation); ``explicit_pad`` exports a
+    stride-2 layer's padding as its own Pad op (the Table 4 "Pad" rows)."""
     return Layer("dwconv", name, {
-        "k": k, "stride": stride, "padding": padding, "act": act, "bn": bn,
+        "k": k, "stride": stride, "padding": padding, "act": act, "bn": True,
         "explicit_pad": explicit_pad,
     })
 
@@ -104,13 +107,13 @@ def residual(name: str, body: list[Layer],
                  branches=[shortcut] if shortcut else None)
 
 
-def se_block(name: str, reduction: int = 4) -> Layer:
+def se_block(name: str) -> Layer:
     """Squeeze-and-excite: GAP -> 1x1 relu -> 1x1 hard_sigmoid -> gate.
 
     The average-pool layer this introduces into every v3 residual block is
     precisely where Figure 6 (right) localizes the reference-kernel bug.
     """
-    return Layer("se", name, {"reduction": reduction})
+    return Layer("se", name, {"reduction": 4})
 
 
 def inception(name: str, branches: list[list[Layer]]) -> Layer:
@@ -118,9 +121,9 @@ def inception(name: str, branches: list[list[Layer]]) -> Layer:
     return Layer("inception", name, {}, branches=branches)
 
 
-def dense_block(name: str, layers: int, growth: int, k: int = 3) -> Layer:
-    """DenseNet block: repeatedly concat conv features onto the input."""
-    return Layer("dense_block", name, {"layers": layers, "growth": growth, "k": k})
+def dense_block(name: str, layers: int, growth: int) -> Layer:
+    """DenseNet block: repeatedly concat 3x3 conv features onto the input."""
+    return Layer("dense_block", name, {"layers": layers, "growth": growth, "k": 3})
 
 
 def resize_nearest(name: str, out_h: int, out_w: int) -> Layer:

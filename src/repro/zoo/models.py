@@ -50,7 +50,11 @@ from repro.zoo.arch import (
 IMAGE_SIZE = 32
 IMAGE_CLASSES = 12
 DETECTION_SIZE = 48
+DETECTION_CLASSES = 4
 SEGMENTATION_SIZE = 48
+SEGMENTATION_CLASSES = 4
+SPEECH_CLASSES = 8
+TEXT_CLASSES = 2
 
 
 def _inverted_residual(name: str, expand_ch: int | None, out_ch: int,
@@ -69,7 +73,7 @@ def _inverted_residual(name: str, expand_ch: int | None, out_ch: int,
     return layers
 
 
-def micro_mobilenet_v1(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
+def micro_mobilenet_v1() -> list[Layer]:
     """Depthwise-separable classifier (MobileNet v1 family)."""
     spec: list[Layer] = [conv("stem", 8, stride=2)]
     blocks = [("b1", 16, 1), ("b2", 24, 2), ("b3", 24, 1), ("b4", 32, 2)]
@@ -77,11 +81,11 @@ def micro_mobilenet_v1(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
         spec.append(dwconv(f"{name}_dw", stride=stride,
                            explicit_pad=(stride == 2)))
         spec.append(conv(f"{name}_pw", out_ch, k=1))
-    spec += [gap(), dense("logits", num_classes), softmax()]
+    spec += [gap(), dense("logits", IMAGE_CLASSES), softmax()]
     return spec
 
 
-def micro_mobilenet_v2(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
+def micro_mobilenet_v2() -> list[Layer]:
     """Inverted-residual classifier (MobileNet v2 family)."""
     spec: list[Layer] = [conv("stem", 8, stride=2)]
     spec += _inverted_residual("b1", None, 12, 1, False)       # 2nd layer = dwconv
@@ -89,11 +93,11 @@ def micro_mobilenet_v2(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
     spec += _inverted_residual("b3", 24, 12, 1, True)
     spec += _inverted_residual("b4", 36, 16, 2, False)
     spec += _inverted_residual("b5", 48, 16, 1, True)
-    spec += [conv("head", 48, k=1), gap(), dense("logits", num_classes), softmax()]
+    spec += [conv("head", 48, k=1), gap(), dense("logits", IMAGE_CLASSES), softmax()]
     return spec
 
 
-def micro_mobilenet_v3(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
+def micro_mobilenet_v3() -> list[Layer]:
     """SE + hard-swish inverted residuals (MobileNet v3 family)."""
     spec: list[Layer] = [conv("stem", 8, stride=2, act="hard_swish")]
     spec += _inverted_residual("b1", None, 12, 1, False, se=True, act_fn="relu")
@@ -107,7 +111,7 @@ def micro_mobilenet_v3(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
     # 0%-accuracy, constant-output signature of Figure 5.
     spec += [conv("head", 48, k=1, act="relu"),
              avgpool_full("head_pool"), flatten("head_flat"),
-             dense("logits", num_classes), softmax()]
+             dense("logits", IMAGE_CLASSES), softmax()]
     return spec
 
 
@@ -124,7 +128,7 @@ def _inception_module(name: str, b1: int, b3: tuple[int, int],
     ])
 
 
-def micro_inception(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
+def micro_inception() -> list[Layer]:
     """Branch-and-concat classifier (Inception v3 family). Expects BGR input."""
     return [
         conv("stem", 12, stride=2, act="relu"),
@@ -133,12 +137,12 @@ def micro_inception(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
         _inception_module("inc2", 10, (8, 16), (4, 8), 8),
         _inception_module("inc3", 12, (8, 16), (6, 10), 8),
         gap(),
-        dense("logits", num_classes),
+        dense("logits", IMAGE_CLASSES),
         softmax(),
     ]
 
 
-def micro_resnet(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
+def micro_resnet() -> list[Layer]:
     """Projection-shortcut residual classifier (ResNet-50-v2 family)."""
     spec: list[Layer] = [conv("stem", 12, stride=2, act="relu")]
 
@@ -155,11 +159,11 @@ def micro_resnet(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
     for name, ch, stride in [("r1", 12, 1), ("r2", 16, 2), ("r3", 16, 1),
                              ("r4", 24, 2), ("r5", 24, 1), ("r6", 24, 1)]:
         spec += block(name, ch, stride)
-    spec += [gap(), dense("logits", num_classes), softmax()]
+    spec += [gap(), dense("logits", IMAGE_CLASSES), softmax()]
     return spec
 
 
-def micro_densenet(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
+def micro_densenet() -> list[Layer]:
     """Concatenative dense-block classifier (DenseNet-121 family)."""
     from repro.zoo.arch import dense_block
     return [
@@ -172,26 +176,27 @@ def micro_densenet(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
         avgpool("t2_pool", 2, 2),
         dense_block("d3", layers=4, growth=6),
         gap(),
-        dense("logits", num_classes),
+        dense("logits", IMAGE_CLASSES),
         softmax(),
     ]
 
 
-def effdet_lite(num_classes: int = IMAGE_CLASSES) -> list[Layer]:
+def effdet_lite() -> list[Layer]:
     """Classifier with in-graph normalization: immune to the §2 scale bug."""
     spec: list[Layer] = [image_normalize("in_graph_norm", 2.0, -1.0)]
     spec += [conv("stem", 8, stride=2)]
     spec += _inverted_residual("b1", None, 12, 1, False)
     spec += _inverted_residual("b2", 24, 16, 2, False)
-    spec += [conv("head", 32, k=1), gap(), dense("logits", num_classes), softmax()]
+    spec += [conv("head", 32, k=1), gap(), dense("logits", IMAGE_CLASSES), softmax()]
     return spec
 
 
 # ------------------------------------------------------------------ detection
 
-def ssd_lite(num_classes: int = 4) -> list[Layer]:
-    """Single-shot grid detector: 6x6 cells, (num_classes+1) logits + 4 box
-    offsets per cell, concatenated channel-wise into one head tensor."""
+def ssd_lite() -> list[Layer]:
+    """Single-shot grid detector: 6x6 cells, (DETECTION_CLASSES + 1) logits
+    + 4 box offsets per cell, concatenated channel-wise into one head
+    tensor."""
     return [
         conv("stem", 8, stride=2, act="relu"),        # 48 -> 24
         conv("c2", 16, stride=2, act="relu"),          # 24 -> 12
@@ -199,13 +204,13 @@ def ssd_lite(num_classes: int = 4) -> list[Layer]:
         conv("c3_pw", 24, k=1, act="relu"),
         conv("c4", 32, stride=2, act="relu"),          # 12 -> 6
         inception("heads", [
-            [conv("head_cls", num_classes + 1, k=1, act="linear", bn=False)],
+            [conv("head_cls", DETECTION_CLASSES + 1, k=1, act="linear", bn=False)],
             [conv("head_box", 4, k=1, act="linear", bn=False)],
         ]),
     ]
 
 
-def frcnn_lite(num_classes: int = 4) -> list[Layer]:
+def frcnn_lite() -> list[Layer]:
     """Two-stage-style stand-in: heavier backbone + intermediate 'proposal'
     feature conv before the heads (plays FasterRCNN's role in Fig. 4(b))."""
     return [
@@ -216,7 +221,7 @@ def frcnn_lite(num_classes: int = 4) -> list[Layer]:
         conv("c5", 32, stride=2, act="relu"),
         conv("rpn", 32, act="relu"),
         inception("heads", [
-            [conv("head_cls", num_classes + 1, k=1, act="linear", bn=False)],
+            [conv("head_cls", DETECTION_CLASSES + 1, k=1, act="linear", bn=False)],
             [conv("head_box", 4, k=1, act="linear", bn=False)],
         ]),
     ]
@@ -224,7 +229,7 @@ def frcnn_lite(num_classes: int = 4) -> list[Layer]:
 
 # --------------------------------------------------------------- segmentation
 
-def deeplab_lite(num_classes: int = 4) -> list[Layer]:
+def deeplab_lite() -> list[Layer]:
     """Encoder + parallel-branch context module + upsample decoder."""
     return [
         conv("stem", 12, stride=2, act="relu"),        # 48 -> 24
@@ -236,13 +241,13 @@ def deeplab_lite(num_classes: int = 4) -> list[Layer]:
         ]),
         conv("fuse", 16, k=1, act="relu"),
         resize_nearest("upsample", SEGMENTATION_SIZE, SEGMENTATION_SIZE),
-        conv("classifier", num_classes, k=1, act="linear", bn=False),
+        conv("classifier", SEGMENTATION_CLASSES, k=1, act="linear", bn=False),
     ]
 
 
 # ---------------------------------------------------------------------- audio
 
-def speech_cnn_a(num_classes: int = 8) -> list[Layer]:
+def speech_cnn_a() -> list[Layer]:
     """Spectrogram CNN from training pipeline A (global-dB normalization)."""
     return [
         conv("c1", 8, stride=2, act="relu"),
@@ -250,43 +255,43 @@ def speech_cnn_a(num_classes: int = 8) -> list[Layer]:
         dwconv("c3_dw", act="relu"),
         conv("c3_pw", 24, k=1, act="relu"),
         gap(),
-        dense("logits", num_classes),
+        dense("logits", SPEECH_CLASSES),
         softmax(),
     ]
 
 
-def speech_cnn_b(num_classes: int = 8) -> list[Layer]:
+def speech_cnn_b() -> list[Layer]:
     """Spectrogram CNN from training pipeline B (per-utterance standardize)."""
     return [
         conv("c1", 12, stride=2, act="relu"),
         conv("c2", 12, stride=2, act="relu"),
         conv("c3", 20, act="relu"),
         gap(),
-        dense("logits", num_classes),
+        dense("logits", SPEECH_CLASSES),
         softmax(),
     ]
 
 
 # ----------------------------------------------------------------------- text
 
-def nnlm_lite(vocab_size: int, num_classes: int = 2) -> list[Layer]:
+def nnlm_lite(vocab_size: int) -> list[Layer]:
     """Embedding-average sentiment model (NNLM family, appendix A)."""
     return [
         embedding("emb", vocab_size, 16),
         mean_seq("pool"),
         dense("h1", 16, act="relu"),
-        dense("logits", num_classes),
+        dense("logits", TEXT_CLASSES),
         softmax(),
     ]
 
 
-def micro_bert(vocab_size: int, num_classes: int = 2) -> list[Layer]:
+def micro_bert(vocab_size: int) -> list[Layer]:
     """Tiny transformer-encoder sentiment model (MobileBert family)."""
     return [
         embedding("emb", vocab_size, 24),
         transformer_block("t1", num_heads=3, ff_dim=48),
         transformer_block("t2", num_heads=3, ff_dim=48),
         mean_seq("pool"),
-        dense("logits", num_classes),
+        dense("logits", TEXT_CLASSES),
         softmax(),
     ]

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.convert import QuantizationConfig, convert_to_mobile, quantize_graph
+from repro.convert import convert_to_mobile, quantize_graph
 from repro.datasets import (
     SyntheticDetection,
     SyntheticImageClassification,
@@ -210,13 +210,14 @@ def eval_data(name: str, n: int = 500, split: str = "test"):
 
 # ------------------------------------------------------------------ registry
 
-def _image_pipeline(channel_order: str = "rgb", normalization: str = "[-1,1]",
-                    size: int = M.IMAGE_SIZE) -> dict:
+def _image_pipeline(channel_order: str = "rgb",
+                    normalization: str = "[-1,1]") -> dict:
     return {
         "task": "classification",
         "dataset": image_dataset().describe(),
         "image_preprocess": ImagePreprocessConfig(
-            (size, size), "area", channel_order, normalization).to_json(),
+            (M.IMAGE_SIZE, M.IMAGE_SIZE), "area", channel_order,
+            normalization).to_json(),
     }
 
 
@@ -404,41 +405,38 @@ def build_checkpoint(name: str) -> Graph:
     return builder.finish()
 
 
-def calibration_batches(name: str, num_samples: int = 64,
-                        batch: int = 32) -> list[np.ndarray]:
-    """Representative input batches for post-training quantization."""
-    inputs, _ = eval_data(name, num_samples, "calib")
-    return [np.asarray(inputs[i:i + batch], dtype=np.float32)
-            for i in range(0, num_samples, batch)]
+def calibration_batches(name: str) -> list[np.ndarray]:
+    """Representative input batches for post-training quantization: 64
+    calibration samples in batches of 32."""
+    inputs, _ = eval_data(name, 64, "calib")
+    return [np.asarray(inputs[i:i + 32], dtype=np.float32)
+            for i in range(0, 64, 32)]
 
 
-def get_model(
-    name: str,
-    stage: str = "mobile",
-    quant_config: QuantizationConfig | None = None,
-) -> Graph:
+def get_model(name: str, stage: str = "mobile") -> Graph:
     """Build a zoo model at a deployment stage (see module docstring).
 
-    Each stage is built once per process (per quantization config and cache
-    directory) from the stage before it; every call returns an independent
-    deep copy the caller owns. Retraining or switching ``REPRO_CACHE_DIR``
-    rebuilds. A build that raises is not remembered.
+    Each stage is built once per process (per cache directory) from the
+    stage before it, quantized with the default
+    :class:`~repro.convert.QuantizationConfig`; every call returns an
+    independent deep copy the caller owns. Every convert pass verifies its
+    output, so each stage built is lint-checked once. Retraining or
+    switching ``REPRO_CACHE_DIR`` rebuilds. A build that raises is not
+    remembered.
     """
     if stage not in ("checkpoint", "mobile", "quantized"):
         raise ReproError(
             f"unknown stage {stage!r}; use checkpoint/mobile/quantized")
-    quant_config = (quant_config or QuantizationConfig()) \
-        if stage == "quantized" else None
-    return copy.deepcopy(_build_stage(name, stage, quant_config, cache_dir()))
+    return copy.deepcopy(_build_stage(name, stage, cache_dir()))
 
 
 @functools.lru_cache(maxsize=None)
-def _build_stage(name, stage, quant_config, root) -> Graph:
+def _build_stage(name, stage, root) -> Graph:
     """The memoized graph behind :func:`get_model`, never handed out;
     ``root`` (the weights cache directory) is only part of the key."""
     if stage == "checkpoint":
         return build_checkpoint(name)
     if stage == "mobile":
-        return convert_to_mobile(_build_stage(name, "checkpoint", None, root))
-    return quantize_graph(_build_stage(name, "mobile", None, root),
-                          calibration_batches(name), quant_config)
+        return convert_to_mobile(_build_stage(name, "checkpoint", root))
+    return quantize_graph(_build_stage(name, "mobile", root),
+                          calibration_batches(name))

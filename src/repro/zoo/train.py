@@ -27,16 +27,16 @@ def classification_loss(out: Var, targets: np.ndarray) -> Var:
     return softmax_cross_entropy(out, targets)
 
 
-def make_detection_loss(num_classes: int, box_weight: float = 2.0,
-                        positive_weight: float = 8.0):
+def make_detection_loss(num_classes: int):
     """Grid-detector loss over the fused (cls+box) head tensor.
 
     Targets: dict with ``cls`` (N,G,G) int, ``box`` (N,G,G,4) float,
     ``mask`` (N,G,G,1) float marking cells containing an object. Object
-    cells are upweighted by ``positive_weight`` in the classification term —
-    background cells dominate ~20:1 and an unweighted loss collapses to
-    all-background predictions.
+    cells weigh 8x in the classification term — background cells dominate
+    ~20:1 and an unweighted loss collapses to all-background predictions —
+    and the box term weighs 2x.
     """
+    box_weight, positive_weight = 2.0, 8.0
 
     def loss(out: Var, targets: dict) -> Var:
         cls_logits = ops.slice_channels(out, 0, num_classes + 1)
@@ -60,14 +60,13 @@ def train_model(
     batch_size: int = 96,
     lr: float = 3e-3,
     seed: int = 0,
-    params: ParamStore | None = None,
 ) -> tuple[ParamStore, list[float]]:
     """Train an architecture; returns the parameter store and loss history.
 
     ``train_targets`` is either an integer label array or (for detection) a
     dict of target arrays sliced per batch.
     """
-    store = params or ParamStore(seed)
+    store = ParamStore(seed)
     train_arch = _strip_softmax(arch)
     # One tiny forward materializes every parameter so Adam sees them all.
     run_arch(train_arch, Var(train_inputs[:2]), TrainBackend(store, training=True))
@@ -101,15 +100,13 @@ def predict(
     arch: list[Layer],
     store: ParamStore,
     inputs: np.ndarray,
-    batch_size: int = 256,
-    logits: bool = False,
 ) -> np.ndarray:
-    """Float (training-framework) forward pass in eval mode, batched."""
-    run_layers = _strip_softmax(arch) if logits else arch
+    """Float (training-framework) forward pass in eval mode, 256 inputs at
+    a time."""
     outs = []
-    for start in range(0, len(inputs), batch_size):
+    for start in range(0, len(inputs), 256):
         backend = TrainBackend(store, training=False)
-        out = run_arch(run_layers, Var(inputs[start:start + batch_size]), backend)
+        out = run_arch(arch, Var(inputs[start:start + 256]), backend)
         outs.append(out.data)
     return np.concatenate(outs, axis=0)
 

@@ -47,7 +47,7 @@ def build_small_cnn(rng: np.random.Generator, num_classes: int = 4,
     h = b.activation(h, "relu6", name="dw_act")
     skip = h
     h = b.conv2d(h, weights((1, 1, 8, 8)), np.zeros(8, np.float32),
-                 name="pw", activation="linear")
+                 name="pw")
     h = b.add_tensors(h, skip, name="res_add")
     h = b.activation(h, "relu", name="res_act")
     h = b.global_avg_pool(h, name="gap")

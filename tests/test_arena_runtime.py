@@ -42,6 +42,7 @@ from repro.runtime.executors_float import FLOAT_EXECUTORS
 from repro.runtime.executors_quant import QUANT_EXECUTORS
 from repro.zoo import get_model, list_models
 from repro.zoo.registry import playback_data
+from test_repo_rules import _repo_rules
 
 # Models whose mobile stage cannot be fully-integer quantized (embedding /
 # resize / in-graph normalize ops); their quantized stage is skipped, the
@@ -88,11 +89,12 @@ class TestAliasAccounting:
     def _channel_reverse_graph(self, rng):
         b = GraphBuilder("revview")
         x = b.input("input", (None, 4, 4, 3))
-        h = b.conv2d(x, rng.normal(size=(1, 1, 3, 8)).astype(np.float32),
-                     activation="relu", name="pw")
+        h = b.add("conv2d", x, name="pw", weights={
+            "weights": rng.normal(size=(1, 1, 3, 8)).astype(np.float32)},
+            attrs={"stride": 1, "padding": "same", "activation": "relu"})
         h = b.add("channel_reverse", h, name="rev")
         h = b.conv2d(h, rng.normal(size=(1, 1, 8, 8)).astype(np.float32),
-                     activation="linear", name="mix")
+                     name="mix")
         h = b.global_avg_pool(h, name="gap")
         b.mark_output(h)
         return b.finish()
@@ -320,8 +322,9 @@ class TestVerifierAliasClaims:
     def _flat_graph(self, rng):
         b = GraphBuilder("flatzoo")
         x = b.input("input", (None, 4, 4, 8))
-        h = b.conv2d(x, rng.normal(size=(1, 1, 8, 8)).astype(np.float32),
-                     activation="relu", name="pw")
+        h = b.add("conv2d", x, name="pw", weights={
+            "weights": rng.normal(size=(1, 1, 8, 8)).astype(np.float32)},
+            attrs={"stride": 1, "padding": "same", "activation": "relu"})
         h = b.add("flatten", h, name="flat")
         h = b.dense(h, rng.normal(size=(128, 10)).astype(np.float32),
                     name="logits")
@@ -361,16 +364,6 @@ class TestVerifierAliasClaims:
 
 
 # ------------------------------------------------- repo rule: view returns
-
-def _repo_rules():
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "check_repo_rules",
-        Path(__file__).resolve().parents[1] / "tools" / "check_repo_rules.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
 
 class TestExecutorViewAnnotationRule:
     def _check(self, source, filename="executors_fake.py"):
@@ -606,9 +599,9 @@ class TestTestOnlyDefinitionRule:
         assert self._check(tmp_path, {}, {"Box.grow": "kept on purpose",
                                           "Crate.stack": "kept too"}) == []
 
-    def test_real_tree_clean_with_four_reasoned_entries(self):
+    def test_real_tree_clean_with_reasoned_entries(self):
         rules = _repo_rules()
-        assert len(rules.TEST_ONLY_ALLOWLIST) == 4
+        assert len(rules.TEST_ONLY_ALLOWLIST) == 3
         assert all(reason.strip()
                    for reason in rules.TEST_ONLY_ALLOWLIST.values())
         root = Path(__file__).resolve().parents[1]

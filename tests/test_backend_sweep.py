@@ -1,17 +1,12 @@
-"""Backend fan-out tests: --backends axis, pool registration, triage label.
+"""Backend fan-out tests: --backends axis and triage label.
 
 Covers the sweep-facing half of the multi-backend subsystem:
 
 * ``expand_backends`` / ``parse_backends`` lineup construction, and the
   ``batched`` registry name kept as an alias of the optimized backend;
-* runtime resolver registrations crossing into process-pool workers via
-  the pool initializer (the registry used to be invisible to spawned
-  workers), including the thread fallback for unpicklable factories;
 * the triage engine's backend-divergence rule: same preprocessing + same
   bug preset but different backend ⇒ kernel-implementation hypothesis.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -19,10 +14,8 @@ from repro.runtime.resolver import (
     RESOLVERS,
     OpResolver,
     make_resolver,
-    register_resolver,
 )
 from repro.util.errors import ValidationError
-from repro.validate.execution import make_pool
 from repro.validate.sweep import (
     SweepVariant,
     expand_backends,
@@ -37,11 +30,6 @@ MODEL = "micro_mobilenet_v1"
 def cluster_of(triage, variant):
     """The triage cluster holding ``variant``."""
     return next(c for c in triage.clusters if variant in c.variant_names)
-
-
-def _resolver_registered(name: str) -> bool:
-    """Top-level pool probe: is ``name`` visible in this process' registry?"""
-    return name in RESOLVERS
 
 
 class TestParseBackends:
@@ -117,50 +105,6 @@ class TestBatchedAlias:
     def test_unknown_kind_lists_available(self):
         with pytest.raises(ValidationError, match="available"):
             make_resolver("turbo9000")
-
-
-class TestPoolRegistration:
-    """Runtime registrations must reach process-pool workers (bugfix)."""
-
-    def test_registration_ships_to_spawned_workers(self):
-        # spawn re-imports the registry module in the worker, so without
-        # the pool initializer the runtime registration is invisible there.
-        register_resolver("custom_opt", OpResolver)
-        try:
-            pool, _ = make_pool(
-                "process", 1, 1,
-                mp_context=multiprocessing.get_context("spawn"))
-            try:
-                assert pool.submit(_resolver_registered, "custom_opt").result(
-                    timeout=60)
-            finally:
-                pool.shutdown()
-        finally:
-            del RESOLVERS["custom_opt"]
-
-    def test_unpicklable_registration_falls_back_to_threads(self):
-        from concurrent.futures import ThreadPoolExecutor
-        register_resolver("custom_lambda", lambda bugs: OpResolver(bugs=bugs))
-        try:
-            with pytest.warns(RuntimeWarning, match="custom_lambda"):
-                pool, workers = make_pool("process", 2, 2)
-            try:
-                assert isinstance(pool, ThreadPoolExecutor)
-                assert workers == 2
-            finally:
-                pool.shutdown()
-        finally:
-            del RESOLVERS["custom_lambda"]
-
-    def test_custom_resolver_sweeps_under_process_executor(self):
-        register_resolver("custom_opt", OpResolver)
-        try:
-            report = run_sweep(
-                MODEL, [SweepVariant("c", resolver="custom_opt")],
-                frames=8, executor="process", workers=1)
-            assert report.healthy
-        finally:
-            del RESOLVERS["custom_opt"]
 
 
 class TestBackendAxis:

@@ -104,12 +104,13 @@ class TestQuantizedStructuralOps:
         exercises the rescale paths of quantized concat/add."""
         b = GraphBuilder("g")
         x = b.input("input", (None, 6, 6, 3))
-        left = b.conv2d(x, rng.normal(0, 0.2, (1, 1, 3, 4)).astype(np.float32),
-                        np.zeros(4, np.float32), name="left",
-                        activation="relu")
-        right = b.conv2d(x, rng.normal(0, 1.2, (3, 3, 3, 4)).astype(np.float32),
-                         np.zeros(4, np.float32), name="right",
-                         activation="relu")
+        relu = {"stride": 1, "padding": "same", "activation": "relu"}
+        left = b.add("conv2d", x, name="left", attrs=relu, weights={
+            "weights": rng.normal(0, 0.2, (1, 1, 3, 4)).astype(np.float32),
+            "bias": np.zeros(4, np.float32)})
+        right = b.add("conv2d", x, name="right", attrs=relu, weights={
+            "weights": rng.normal(0, 1.2, (3, 3, 3, 4)).astype(np.float32),
+            "bias": np.zeros(4, np.float32)})
         merged = b.add("concat", [left, right], name="merged",
                        attrs={"axis": -1})
         gate = b.add("avg_pool2d", merged, name="pool",

@@ -54,7 +54,6 @@ class TestInterval:
     def test_contains_with_tolerance(self):
         iv = Interval(0.0, 1.0)
         assert iv.contains(1.0) and not iv.contains(1.001)
-        assert iv.contains(1.001, tol=0.01)
         assert not Interval.empty().contains(0.0)
 
     def test_hull_and_intersect(self):
@@ -115,8 +114,7 @@ def _assert_execution_within_ranges(graph, rng, frames=3, tol=1e-4):
             iv = facts.ranges[tensor]
             a = np.asarray(arr, dtype=np.float64)
             slack = tol * max(1.0, abs(a).max())
-            assert iv.contains(float(a.min()), tol=slack) \
-                and iv.contains(float(a.max()), tol=slack), (
+            assert iv.lo - slack <= a.min() and a.max() <= iv.hi + slack, (
                     f"{tensor}: concrete [{a.min()}, {a.max()}] escapes "
                     f"derived [{iv.lo}, {iv.hi}]")
 

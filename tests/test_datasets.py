@@ -136,9 +136,9 @@ class TestText:
         assert ds.token_to_id["good0"] != ds.token_to_id["Good0"]
 
     def test_encode_pads_and_truncates(self):
-        ds = SyntheticSentiment(seq_len=4, seed=0)
-        ids = ds.encode(["good0"] * 10)
-        assert ids.shape == (4,)
+        ds = SyntheticSentiment(seed=0)
+        ids = ds.encode(["good0"] * 20)
+        assert ids.shape == (ds.seq_len,) == (16,)
         ids = ds.encode(["good0"])
         assert (ids[1:] == ds.token_to_id["<pad>"]).all()
 

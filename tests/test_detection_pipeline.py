@@ -60,13 +60,13 @@ class TestDecodeRoundTrip:
     def test_threshold_filters(self):
         targets = encode_targets([[]], GRID, 48, 4)
         head = self.build_head(targets)
-        decoded = decode_predictions(head, 4, 48, score_threshold=0.5)
+        decoded = decode_predictions(head, 4, 48)
         assert decoded[0] == []
 
     def test_scores_are_softmax_probs(self):
         anns = [[BoxAnnotation(0, (8.0, 8.0, 24.0, 24.0))]]
         targets = encode_targets(anns, GRID, 48, 4)
         head = self.build_head(targets, confidence=3.0)
-        decoded = decode_predictions(head, 4, 48, score_threshold=0.1)
+        decoded = decode_predictions(head, 4, 48)
         probs = softmax(head[0, 1, 1, :5])
         assert decoded[0][0].score == pytest.approx(float(probs.max()), abs=1e-5)

@@ -162,12 +162,6 @@ class TestPerLayerCapture:
         layer = monitor.frames[0].tensors["layer/stem_act"]
         assert layer.dtype == np.float32  # comparable against float reference
 
-    def test_raw_quantized_option(self, small_cnn_quantized, rng):
-        monitor = EdgeMLMonitor(per_layer=True, dequantize_layers=False)
-        run_frames(small_cnn_quantized, monitor,
-                   rng.normal(size=(1, 8, 8, 3)).astype(np.float32))
-        assert monitor.frames[0].tensors["layer/stem_act"].dtype == np.int8
-
     def test_overhead_tracked(self, small_cnn, rng):
         monitor = EdgeMLMonitor(per_layer=True)
         run_frames(small_cnn, monitor, rng.normal(size=(2, 8, 8, 3)).astype(np.float32))

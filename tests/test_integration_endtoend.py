@@ -123,7 +123,7 @@ class TestPlaybackParity:
         sensor, _ = demo_data
         edge = EdgeApp(v2_mobile, monitor=MLEXray("edge"))
         edge.run(sensor[:4])
-        ref = build_reference_app(v2_mobile, per_layer=False)
+        ref = build_reference_app(v2_mobile)
         ref.run(sensor[:4])
         for i in range(4):
             np.testing.assert_array_equal(

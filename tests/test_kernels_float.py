@@ -323,15 +323,6 @@ class TestAttention:
         np.testing.assert_allclose(out, np.broadcast_to(v.mean(1, keepdims=True),
                                                         out.shape), rtol=1e-5)
 
-    def test_attention_mask_excludes(self, rng):
-        q = rng.normal(size=(1, 1, 4))
-        k = rng.normal(size=(1, 3, 4))
-        v = np.stack([np.full((3, 2), 9.0)])
-        v[0, 0] = 1.0
-        mask = np.array([[[True, False, False]]])
-        out = K.scaled_dot_product_attention(q, k, v, mask)
-        np.testing.assert_allclose(out, 1.0)
-
     def test_split_merge_heads_roundtrip(self, rng):
         x = rng.normal(size=(2, 5, 8))
         np.testing.assert_allclose(K.merge_heads(K.split_heads(x, 2)), x)

@@ -3,7 +3,7 @@
 Coverage contract: every registered rule id has a corrupt-graph fixture
 that makes it (and only deliberately it) fire, every zoo model lints clean
 at error severity, diagnostics round-trip through their wire format, the
-convert passes enforce their post-conditions under ``verify=True``, and
+convert passes enforce their post-conditions on every run, and
 the sweep pre-flight turns statically-doomed variants into skipped
 results with diagnostics attached.
 """
@@ -419,8 +419,8 @@ class TestWireFormat:
 class TestConvertVerify:
     def test_passes_verify_clean_conversion(self, small_cnn, calib_batch):
         from repro.convert import convert_to_mobile, quantize_graph
-        mobile = convert_to_mobile(small_cnn, verify=True)
-        quantize_graph(mobile, [calib_batch], verify=True)
+        mobile = convert_to_mobile(small_cnn)
+        quantize_graph(mobile, [calib_batch])
 
     def test_verify_pass_raises_on_broken_graph(self, small_cnn_mobile):
         small_cnn_mobile.nodes[-1].inputs = ["ghost"]

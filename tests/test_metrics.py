@@ -96,15 +96,15 @@ class TestAveragePrecision:
 class TestNMS:
     def test_suppresses_overlaps(self):
         dets = [det(0, 0.9, (0, 0, 10, 10)), det(0, 0.8, (1, 1, 11, 11))]
-        assert len(non_max_suppression(dets, 0.45)) == 1
+        assert len(non_max_suppression(dets)) == 1
 
     def test_keeps_distinct_classes(self):
         dets = [det(0, 0.9, (0, 0, 10, 10)), det(1, 0.8, (0, 0, 10, 10))]
-        assert len(non_max_suppression(dets, 0.45)) == 2
+        assert len(non_max_suppression(dets)) == 2
 
     def test_highest_score_kept(self):
         dets = [det(0, 0.5, (0, 0, 10, 10)), det(0, 0.9, (1, 1, 11, 11))]
-        kept = non_max_suppression(dets, 0.3)
+        kept = non_max_suppression(dets)
         assert kept[0].score == 0.9
 
 

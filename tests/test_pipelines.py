@@ -152,11 +152,3 @@ class TestReferenceApp:
         small_cnn.metadata.pop("pipeline", None)
         with pytest.raises(ValidationError):
             build_reference_app(small_cnn)
-
-    def test_custom_preprocess_accepted(self, small_cnn, rng):
-        ref = build_reference_app(
-            small_cnn,
-            preprocess=lambda s: ImagePreprocessConfig((8, 8)).apply(s))
-        sensor = rng.integers(0, 255, (1, 16, 16, 3)).astype(np.uint8)
-        ref.run(sensor)
-        assert len(ref.log()) == 1

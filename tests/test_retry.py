@@ -41,21 +41,20 @@ class Flaky:
 
 class TestBackoffDelays:
     def test_exponential_growth_without_jitter(self):
-        assert backoff_delays(5, base_delay=1.0, jitter=0.0,
-                              max_delay=100.0) == [1.0, 2.0, 4.0, 8.0]
+        assert backoff_delays(5, base_delay=1.0,
+                              jitter=0.0) == [1.0, 2.0, 4.0, 8.0]
 
     def test_capped_at_max_delay(self):
-        delays = backoff_delays(6, base_delay=1.0, jitter=0.0, max_delay=3.0)
-        assert delays == [1.0, 2.0, 3.0, 3.0, 3.0]
+        delays = backoff_delays(6, base_delay=3.0, jitter=0.0)
+        assert delays == [3.0, 6.0, 8.0, 8.0, 8.0]
 
     def test_one_attempt_means_no_delays(self):
         assert backoff_delays(1) == []
 
     def test_jitter_stretches_within_ratio(self):
         rng = random.Random(7)
-        delays = backoff_delays(40, base_delay=1.0, jitter=0.5,
-                                max_delay=1.0, rng=rng)
-        assert all(1.0 <= d <= 1.5 for d in delays)
+        delays = backoff_delays(40, base_delay=8.0, jitter=0.5, rng=rng)
+        assert all(8.0 <= d <= 12.0 for d in delays)
         assert len(set(delays)) > 1  # actually jittered, not constant
 
     def test_deterministic_with_seeded_rng(self):

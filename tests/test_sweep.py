@@ -68,24 +68,22 @@ class TestVariantSpec:
         with pytest.raises(ValidationError):
             parse_variant_spec("v:resolver=turbo").check()
 
-    def test_registered_resolver_becomes_sweepable(self):
-        # The variant check consults the live registry, not a hardcoded
-        # name list: registering a resolver makes it sweepable immediately.
-        from repro.runtime.resolver import RESOLVERS, OpResolver, register_resolver
-        with pytest.raises(ValidationError):
-            SweepVariant("v", resolver="custom_opt").check()
-        register_resolver("custom_opt", OpResolver)
-        try:
-            v = parse_variant_spec("v:resolver=custom_opt")
-            assert v.resolver == "custom_opt"
-        finally:
-            del RESOLVERS["custom_opt"]
-        with pytest.raises(ValidationError):
-            SweepVariant("v", resolver="custom_opt").check()
-
     def test_bad_target_size_rejected(self):
         with pytest.raises(ValidationError):
             coerce_override_value("target_size", "huge")
+
+    @pytest.mark.parametrize("spec", ["v:stage=folded", "v:resolver=turbo",
+                                      "v:kernel_bugs=all-of-them",
+                                      "v:device=pixel9"])
+    def test_check_raises_what_preflight_reports(self, spec):
+        # One field table: S002's finding is the error check() raises.
+        from repro.analysis import lint_graph
+        variant = parse_variant_spec(spec)
+        with pytest.raises(ValidationError) as err:
+            variant.check()
+        report = lint_graph(None, variant=variant, categories=("pipeline",))
+        assert [(d.rule_id, d.message) for d in report.diagnostics] == \
+            [("S002", str(err.value))]
 
 
 class TestPlaybackData:

@@ -196,8 +196,10 @@ class TestSpectrogramAssertion:
 
 class TestAssertionFramework:
     def test_function_assertion_pass(self, base_inputs):
-        result = FunctionAssertion(lambda ctx: "all good", name="custom").run(
-            ctx_for(base_inputs, base_inputs))
+        def custom(ctx):
+            return "all good"
+
+        result = FunctionAssertion(custom).run(ctx_for(base_inputs, base_inputs))
         assert result.passed and result.check == "custom"
 
     def test_function_assertion_failure_captured(self, base_inputs):

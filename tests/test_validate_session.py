@@ -106,7 +106,7 @@ class TestBuggyPath:
         edge.run(sensor, labels)
         ref = make_app(small_cnn_mobile, correct_preprocess, name="reference")
         ref.run(sensor, labels)
-        report = DebugSession(edge.log(), ref.log(), tolerance=0.0).run(
+        report = DebugSession(edge.log(), ref.log()).run(
             always_run_assertions=True)
         assert report.layer_diffs  # per-layer stage ran
         dw_diff = next(d for d in report.layer_diffs if d.op == "depthwise_conv2d")
@@ -152,7 +152,7 @@ class TestReportRendering:
         edge.run(sensor, labels)
         ref = make_app(small_cnn_mobile, correct_preprocess, name="reference")
         ref.run(sensor, labels)
-        report = DebugSession(edge.log(), ref.log(), tolerance=0.0).run(
+        report = DebugSession(edge.log(), ref.log()).run(
             always_run_assertions=True, drift_threshold=0.05)
         text = report.render()
         assert "nrMSE" in text or "per-layer" in text

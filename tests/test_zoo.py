@@ -135,9 +135,10 @@ class TestStages:
         np.testing.assert_array_equal(a, b)
 
     def test_quant_config_respected(self):
-        quant = get_model(
-            "micro_mobilenet_v1", "quantized",
-            QuantizationConfig(per_channel_weights=False))
+        name = "micro_mobilenet_v1"
+        quant = quantize_graph(get_model(name, "mobile"),
+                               calibration_batches(name),
+                               QuantizationConfig(per_channel_weights=False))
         node = next(n for n in quant.nodes if n.op == "conv2d")
         assert not node.weight_quant["weights"].per_channel
 
@@ -244,9 +245,9 @@ class TestBuildMemo:
 
     def test_quant_config_default_shares_one_entry(self, cold_memo):
         get_model("micro_mobilenet_v1", "quantized")
-        get_model("micro_mobilenet_v1", "quantized", QuantizationConfig())
-        get_model("micro_mobilenet_v1", "mobile", QuantizationConfig())
-        # checkpoint, mobile, quantized: the config only keys quantized
+        get_model("micro_mobilenet_v1", "quantized")
+        get_model("micro_mobilenet_v1", "mobile")
+        # checkpoint, mobile, quantized: one entry per stage
         assert registry._build_stage.cache_info().currsize == 3
 
     def test_pipeline_of_returned_graph_does_not_alias_registry(self):

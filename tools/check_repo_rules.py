@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-level AST lint: conventions the test suite can't see.
 
-Seven rules:
+Eight rules:
 
 * **no-numpy-random** (kernel modules only): kernels must never reach into
   ``numpy.random`` directly.  Kernels are supposed to be pure array
@@ -48,6 +48,18 @@ Seven rules:
   them); :data:`TEST_ONLY_ALLOWLIST` names the few kept on purpose
   (methods as ``Class.method``), and an entry that is no longer defined
   or has gained a caller is itself a violation, so the list cannot rot.
+* **dead-knob** (same pass and roots as test-only-definition): every
+  defaulted parameter of a ``src/`` top-level function, constructor
+  (``__init__``) or public/static/class method of a ``src/``-based class
+  must be passed by some call in ``src/``, ``bench/``, ``benchmarks/``,
+  ``examples/`` or ``tools/`` — by keyword, by position, or through a
+  ``*``/``**`` splat.  Calls match by name, as test-only-definition does;
+  a call of a class, of ``cls`` inside one, or of ``super().__init__``
+  reaches the ``__init__`` that runs.  A default only tests override is a
+  setting no deployment changes: make it a constant.
+  :data:`DEAD_KNOB_ALLOWLIST` names the kept ones (``func(param)``,
+  ``Class(param)`` for constructors, ``Class.method(param)``) with a
+  reason, and a stale entry is itself a violation.
 
 Stdlib only (``ast``) so CI can run it before any dependency install.
 
@@ -72,14 +84,40 @@ SANCTIONED = "repro.util.rng"
 
 NON_TEST_ROOTS = ("src", "bench", "benchmarks", "examples", "tools")
 TEST_ONLY_ALLOWLIST = {
-    "register_resolver": "the paper's custom-OpResolver hook, documented "
-                         "in README \"Kernel backends\"",
     "rule_catalog": "the README library surface, and the source the "
                     "README rule-table sync test reads",
     "BaseOpResolver.register": "the paper's custom-op hook, documented in "
                                "README \"Kernel backends\"",
     "EdgeMLMonitor.detach": "the inverse of attach(); the only way to stop "
                             "a monitor observing a long-lived interpreter",
+}
+
+DEAD_KNOB_ALLOWLIST = {
+    # Seams a test uses to substitute a fake, observe a step or inject a
+    # fault.
+    "lint_graph(resolver)": "rule fixtures lint against a resolver with "
+                            "a kernel removed",
+    "lint_graph(plan)": "rule fixtures inject a plan with a tampered free "
+                        "schedule",
+    "Var.backward(grad)": "gradient checks backpropagate a random "
+                          "cotangent from non-scalar outputs",
+    "main(out)": "CLI tests capture the command's output stream",
+    "SweepCoordinator(clock)": "lease-expiry tests drive a fake clock",
+    "run_worker(attempts)": "worker tests bound retries against a fake "
+                            "coordinator",
+    "run_worker(base_delay)": "worker tests pin the backoff schedule",
+    "run_worker(sleep)": "worker tests record backoff sleeps instead of "
+                         "waiting",
+    "run_worker(client)": "worker tests substitute a fault-injecting "
+                          "coordinator client",
+    "with_retries(jitter)": "retry tests make the schedule exact with "
+                            "jitter=0",
+    "with_retries(rng)": "retry tests seed the jitter",
+    "with_retries(on_retry)": "retry tests observe each backoff",
+    "iter_sweep(on_dispatch)": "scheduler tests observe dispatch order",
+    # Deployment settings.
+    "CoordinatorClient(timeout_s)": "per-request HTTP timeout, a property "
+                                    "of the network the fleet runs on",
 }
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set,
@@ -336,19 +374,16 @@ def check_test_only_definitions(
         repo: Path, allowlist: dict[str, str] | None = None,
 ) -> list[tuple[str, int, str]]:
     """Whole-tree rule: flag ``src/`` definitions only tests reference."""
+    return _test_only_violations(_parse_non_test_roots(repo), allowlist)
+
+
+def _test_only_violations(trees, allowlist):
     allowlist = TEST_ONLY_ALLOWLIST if allowlist is None else allowlist
-    src_trees: list[tuple[str, ast.Module]] = []
+    src_trees = [(path, tree) for root, path, tree in trees if root == "src"]
     callers: dict[str, list[tuple[ast.stmt, ast.stmt | None]]] = {}
-    for root in NON_TEST_ROOTS:
-        for path in sorted((repo / root).rglob("*.py")):
-            try:
-                tree = ast.parse(path.read_text(), filename=str(path))
-            except SyntaxError:
-                continue  # check_source reports it
-            if root == "src":
-                src_trees.append((str(path), tree))
-            for name, stmt, member in _references(tree):
-                callers.setdefault(name, []).append((stmt, member))
+    for _, _, tree in trees:
+        for name, stmt, member in _references(tree):
+            callers.setdefault(name, []).append((stmt, member))
     src_classes = {node.name for _, tree in src_trees for node in tree.body
                    if isinstance(node, ast.ClassDef)}
     # (path, allowlist key, referenced name, node, is a class member)
@@ -382,6 +417,159 @@ def check_test_only_definitions(
                     f"TEST_ONLY_ALLOWLIST entry {name!r} names no top-level "
                     "definition or public method in src/; drop the entry")
                    for name in allowlist if name not in defined]
+    return violations
+
+
+def _defaulted_params(fn: ast.FunctionDef | ast.AsyncFunctionDef, skip: int):
+    """Yield ``(name, slot)`` for each parameter of *fn* with a default.
+    *slot* is its positional index once the first *skip* parameters
+    (``self``/``cls``) are dropped, or ``None`` when it is keyword-only."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _knob_owners(src_trees, src_classes):
+    """Yield ``(path, key prefix, callee, fn, skip)`` for each function whose
+    defaulted parameters the dead-knob rule checks: top-level functions,
+    every class's ``__init__`` (callee ``("init", Class)``) and the public,
+    static and class methods of classes whose bases are all ``src/``
+    classes (callee ``("call", name)``, matched by name like
+    test-only-definition)."""
+    for path, tree in src_trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, node.name, ("call", node.name), node, 0
+            if not isinstance(node, ast.ClassDef):
+                continue
+            own_bases = all(getattr(base, "id", getattr(base, "attr", None))
+                            in src_classes for base in node.bases)
+            for member in node.body:
+                if not isinstance(member, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef)):
+                    continue
+                decorators = _decorator_names(member)
+                if member.name == "__init__":
+                    yield path, node.name, ("init", node.name), member, 1
+                elif (own_bases and not member.name.startswith("_")
+                        and decorators <= {"classmethod", "staticmethod"}):
+                    yield (path, f"{node.name}.{member.name}",
+                           ("call", member.name), member,
+                           0 if "staticmethod" in decorators else 1)
+
+
+def _calls(trees, bases: dict[str, list[str]], inits: set[str]):
+    """Yield ``(callee, call)`` for every call in *trees*.  A call reaches
+    ``("call", name)`` by its function or attribute name; a call of a
+    ``src/`` class, of ``cls`` inside one, or of ``super().__init__`` also
+    reaches ``("init", owner)``, the class whose ``__init__`` runs."""
+    def init_owner(name, seen=()):
+        if name in inits:
+            return name
+        for base in bases.get(name, ()):
+            if base not in seen and (owner := init_owner(base, (*seen, name))):
+                return owner
+        return None
+
+    for _, _, tree in trees:
+        for stmt in tree.body:
+            context = stmt.name if isinstance(stmt, ast.ClassDef) else None
+            for call in ast.walk(stmt):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name is None:
+                    continue
+                yield ("call", name), call
+                owner = None
+                if name == "cls" and context:
+                    owner = init_owner(context)
+                elif (name == "__init__" and context
+                        and isinstance(func.value, ast.Call)
+                        and getattr(func.value.func, "id", None) == "super"):
+                    owner = next(filter(None, map(
+                        init_owner, bases.get(context, ()))), None)
+                elif name in bases:
+                    owner = init_owner(name)
+                if owner:
+                    yield ("init", owner), call
+
+
+def _passes(call: ast.Call, param: str, slot: int | None) -> bool:
+    """Whether *call* may set *param*: by keyword, by position, or through
+    a ``*``/``**`` splat."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if slot is None:
+        return False
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or len(call.args) > slot)
+
+
+def _parse_non_test_roots(repo: Path) -> list[tuple[str, str, ast.Module]]:
+    """``(root, path, tree)`` for every parseable module under
+    :data:`NON_TEST_ROOTS`; unparseable files are left to ``check_source``."""
+    trees: list[tuple[str, str, ast.Module]] = []
+    for root in NON_TEST_ROOTS:
+        for path in sorted((repo / root).rglob("*.py")):
+            try:
+                trees.append((root, str(path), ast.parse(
+                    path.read_text(), filename=str(path))))
+            except SyntaxError:
+                continue
+    return trees
+
+
+def check_dead_knobs(
+        repo: Path, allowlist: dict[str, str] | None = None,
+) -> list[tuple[str, int, str]]:
+    """Whole-tree rule: flag defaulted ``src/`` parameters no non-test
+    call passes."""
+    return _dead_knob_violations(_parse_non_test_roots(repo), allowlist)
+
+
+def _dead_knob_violations(trees, allowlist):
+    allowlist = DEAD_KNOB_ALLOWLIST if allowlist is None else allowlist
+    src_trees = [(path, tree) for root, path, tree in trees if root == "src"]
+    classes = [node for _, tree in src_trees for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    bases = {cls.name: [getattr(base, "id", getattr(base, "attr", None))
+                        for base in cls.bases] for cls in classes}
+    inits = {cls.name for cls in classes for member in cls.body
+             if getattr(member, "name", None) == "__init__"}
+    calls: dict[tuple[str, str], list[ast.Call]] = {}
+    for callee, call in _calls(trees, bases, inits):
+        calls.setdefault(callee, []).append(call)
+    violations: list[tuple[str, int, str]] = []
+    defined: set[str] = set()
+    for path, prefix, callee, fn, skip in _knob_owners(src_trees,
+                                                       set(bases)):
+        for param, slot in _defaulted_params(fn, skip):
+            key = f"{prefix}({param})"
+            defined.add(key)
+            passed = any(_passes(call, param, slot)
+                         for call in calls.get(callee, ()))
+            if key in allowlist:
+                if passed:
+                    violations.append((
+                        path, fn.lineno,
+                        f"{key!r} is allowlisted as a dead knob but non-test "
+                        "code passes it; drop its DEAD_KNOB_ALLOWLIST "
+                        "entry"))
+            elif not passed:
+                violations.append((
+                    path, fn.lineno,
+                    f"{key!r} has a default no non-test call overrides; "
+                    "make it a constant, or allowlist it with a reason"))
+    violations += [(__file__, _allowlist_line(key),
+                    f"DEAD_KNOB_ALLOWLIST entry {key!r} names no defaulted "
+                    "parameter in src/; drop the entry")
+                   for key in allowlist if key not in defined]
     return violations
 
 
@@ -422,8 +610,11 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     violations = [v for root in roots for v in check_tree(root)]
-    violations += [v for root in roots if root.resolve().name == "src"
-                   for v in check_test_only_definitions(root.parent)]
+    for root in roots:
+        if root.resolve().name == "src":
+            trees = _parse_non_test_roots(root.parent)
+            violations += _test_only_violations(trees, None)
+            violations += _dead_knob_violations(trees, None)
     for path, line, message in violations:
         print(f"{path}:{line}: {message}")
     if violations:
