@@ -9,7 +9,7 @@ def instrument(monitor, interpreter):
 def assertion(ctx):
     from repro.util.errors import AssertionFailure
     from repro.validate import find_stragglers
-    stragglers = find_stragglers(ctx.edge_log, share_threshold=0.2)
+    stragglers = find_stragglers(ctx.edge_log)
     if stragglers:
         worst = stragglers[0]
         raise AssertionFailure(

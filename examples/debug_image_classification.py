@@ -41,7 +41,7 @@ def main() -> None:
         # The resize check needs the raw sensor frame (hence log_raw=True)
         # and the training pipeline's expected method.
         report = DebugSession(app.log(), reference.log()).run(
-            assertions=[ResizeFunctionAssertion(expected="area")])
+            assertions=[ResizeFunctionAssertion()])
         diagnosis = "; ".join(a.diagnosis for a in report.issues) or "-"
         rows.append((description, f"{report.accuracy.edge_metric:.3f}",
                      "yes" if report.accuracy.degraded else "no", diagnosis))

@@ -202,7 +202,7 @@ def cmd_validate(args, out) -> int:
     edge.run(frames, labels, log_raw=entry.task == "classification")
     edge.monitor.close()
     reference = build_reference_app(get_model(args.model, "mobile"))
-    reference.run(frames, labels)
+    reference.replay(frames, labels)
 
     report = DebugSession(edge.log(), reference.log(), task=entry.task).run(
         always_run_assertions=args.always_assert)

@@ -94,7 +94,7 @@ def _weight_qparams(node: Node, config: QuantizationConfig) -> QuantParams:
     if config.per_channel_weights and not (
         node.op == "depthwise_conv2d" and w.shape[3] != 1
     ):
-        return choose_qparams_per_channel(w, axis=axis, dtype="int8")
+        return choose_qparams_per_channel(w, axis=axis)
     bound = float(np.abs(w).max())
     return choose_qparams(-bound, bound, dtype="int8", symmetric=True)
 

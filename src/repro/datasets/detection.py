@@ -29,19 +29,17 @@ class SyntheticDetection:
 
     Parameters
     ----------
-    num_classes:
-        Object categories (colors/patterns).
     image_size:
         Sensor resolution (square).
 
-    A scene holds one to :attr:`max_objects` objects.
+    A scene holds one to :attr:`max_objects` objects of
+    :attr:`num_classes` categories (colors/patterns).
     """
 
     max_objects = 3
+    num_classes = 4
 
-    def __init__(self, num_classes: int = 4, image_size: int = 64,
-                 seed: int = 2022):
-        self.num_classes = num_classes
+    def __init__(self, image_size: int = 64, seed: int = 2022):
         self.image_size = image_size
         self.seed = seed
         self.palette = self._build_palette()

@@ -51,16 +51,17 @@ class SyntheticImageClassification:
     ----------
     num_classes:
         Number of categories.
-    image_size:
-        Sensor resolution (square).
     seed:
         Base seed; all splits and samples derive from it deterministically.
+
+    Images are :attr:`image_size` pixels square.
     """
 
+    image_size = 80
+
     def __init__(self, num_classes: int = DEFAULT_NUM_CLASSES,
-                 image_size: int = 80, seed: int = 2022):
+                 seed: int = 2022):
         self.num_classes = num_classes
-        self.image_size = image_size
         self.seed = seed
         self.classes = [self._class_spec(c) for c in range(num_classes)]
 

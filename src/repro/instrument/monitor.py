@@ -20,6 +20,20 @@ The paper-facing markers remain as thin wrappers around the same
 lifecycle (``monitor.on_inf_start(); ...; monitor.on_inf_stop(interp)``),
 so the 3-line C++ example of §3.2 still reads one-to-one.
 
+Offline replays run many frames per invoke and still log frame by frame.
+Each frame's pre-invoke logs are set aside with :meth:`~EdgeMLMonitor.hold`,
+then one batched invoke closes them all::
+
+    for x in inputs:                       # one (1, ...) input per frame
+        monitor.log("model_input", x[0])
+        monitor.hold()
+    with monitor.window(interpreter) as frames:
+        out = interpreter.invoke(np.concatenate(inputs))
+
+Every layer output is split into one ``(1, ...)`` row per held frame, the
+leading batch axis a batch-1 log has, so the frames match a one-at-a-time
+run byte for byte wherever each row of the batch equals a batch-1 run.
+
 Custom logging around any pipeline function::
 
     monitor.log("preprocess_out", model_input)        # a "red dot" log
@@ -77,11 +91,13 @@ class EdgeMLMonitor:
         self.sink = sink if sink is not None else MemorySink()
         self.monitor_overhead_ms = 0.0
         self._current: FrameLog | None = None
+        self._held: list[FrameLog] = []
+        self._window: list[FrameLog] | None = None
+        self._window_layer_ms: tuple[float, ...] | None = None
         self._lazy_frame = False
         self._inf_started_at: float | None = None
         self._sensor_started_at: float | None = None
         self._step = 0
-        self._attached: list[Interpreter] = []
         self.sink.begin(self)
 
     @property
@@ -102,9 +118,14 @@ class EdgeMLMonitor:
 
     # ------------------------------------------------------------ attachment
     def attach(self, interpreter: Interpreter) -> None:
-        """Observe an interpreter: per-layer telemetry flows into this monitor."""
+        """Observe an interpreter: per-layer telemetry flows into this monitor.
+
+        Only the interpreter holds the link (its observer list), so a
+        monitor and the interpreter it observes form no reference cycle:
+        an app's logs are freed as soon as the app is, not at the next
+        cyclic garbage collection.
+        """
         interpreter.add_observer(self._on_layer)
-        self._attached.append(interpreter)
 
     def detach(self, interpreter: Interpreter) -> None:
         """Stop observing an interpreter previously passed to :meth:`attach`.
@@ -112,25 +133,46 @@ class EdgeMLMonitor:
         Detaching an interpreter that was never attached raises
         :class:`ValidationError` and leaves the observer state untouched.
         """
-        if interpreter not in self._attached:
+        try:
+            interpreter.remove_observer(self._on_layer)
+        except ValueError:
             raise ValidationError(
                 f"monitor {self.name!r} is not attached to this interpreter; "
-                "detach() only undoes a prior attach()")
-        interpreter.remove_observer(self._on_layer)
-        self._attached.remove(interpreter)
+                "detach() only undoes a prior attach()") from None
 
     def _on_layer(self, record: LayerRecord) -> None:
-        if self._current is None:
+        window = self._window
+        if window is None and self._current is None:
             return  # layer executed outside an on_inf_start/stop window
         t0 = time.perf_counter()
-        frame = self._current
-        frame.layer_latency_ms[record.node.name] = record.latency_ms
-        frame.layer_ops[record.node.name] = record.node.op
+        name = record.node.name
+        output = None
         if self.per_layer:
             output = record.output
             if record.quantized and record.spec.quant:
-                output = record.spec.quant.dequantize(output)
-            frame.tensors[f"layer/{record.node.name}"] = np.array(output, copy=True)
+                output = record.spec.quant.dequantize(output)  # a fresh array
+            else:
+                output = np.array(output, copy=True)
+        if window is None:
+            frame = self._current
+            frame.layer_latency_ms[name] = record.latency_ms
+            frame.layer_ops[name] = record.node.op
+            if output is not None:
+                frame.tensors[f"layer/{name}"] = output
+        else:
+            if output is not None and output.shape[:1] != (len(window),):
+                raise ValidationError(
+                    f"layer {name!r} output {output.shape} does not lead with "
+                    f"the window's {len(window)} frames; it cannot be split "
+                    "into per-frame records")
+            latency_ms = self._window_layer_ms[record.index] \
+                if self._window_layer_ms is not None \
+                else record.latency_ms / len(window)
+            for i, frame in enumerate(window):
+                frame.layer_latency_ms[name] = latency_ms
+                frame.layer_ops[name] = record.node.op
+                if output is not None:
+                    frame.tensors[f"layer/{name}"] = output[i:i + 1]
         self.monitor_overhead_ms += (time.perf_counter() - t0) * 1e3
 
     # ----------------------------------------------------- inference markers
@@ -193,6 +235,75 @@ class EdgeMLMonitor:
         self._step += 1
         self.monitor_overhead_ms += (time.perf_counter() - t0) * 1e3
         return frame
+
+    def hold(self) -> None:
+        """Set the open frame's pre-invoke logs aside for the next :meth:`window`.
+
+        The frame keeps its step; the next log opens the next frame. A frame
+        opened by an explicit ``on_inf_start`` is an inference in flight and
+        cannot be held.
+        """
+        if self._current is not None and not self._lazy_frame:
+            raise ValidationError("hold() inside an open inference frame")
+        self._held.append(self._frame_for_logging())
+        self._current = None
+        self._lazy_frame = False
+        self._inf_started_at = None
+        self._step += 1
+
+    @contextmanager
+    def window(self, interpreter: Interpreter):
+        """Close every held frame with one batched invoke of ``interpreter``.
+
+        Yields the held frames, in order, so the body can attach outputs and
+        labels; the body runs one invoke whose batch has one row per frame.
+        Each layer record is split into per-frame rows (see the module
+        docstring). On exit every frame closes with the fields a batch-1
+        invoke would have logged:
+
+        * ``layer_latency_ms`` and ``latency_ms``: the batch-1 simulated
+          latencies (:meth:`~repro.runtime.plan.ExecutionPlan.latency_ms`
+          at batch 1); without a device, the batch's measured latencies
+          divided by the frame count;
+        * ``memory_mb``: weights plus the batch-1 activation peak;
+        * ``wall_ms``: the window's wall time divided by the frame count —
+          a per-frame share of the batched invoke, not a batch-1
+          measurement.
+
+        Frames are emitted to the sink in order. If the body raises, the
+        held frames are discarded and their steps reused.
+        """
+        frames, self._held = self._held, []
+        if not frames:
+            raise ValidationError("window() without held frames; call hold() first")
+        if self._current is not None:
+            raise ValidationError("window() while a frame is open")
+        plan = interpreter.plan
+        device = interpreter.device
+        if device is not None:
+            self._window_layer_ms, latency_ms = plan.latency_ms(device, 1)
+        self._window = frames
+        started = time.perf_counter()
+        try:
+            yield frames
+        except BaseException:
+            self._step = frames[0].step
+            raise
+        finally:
+            self._window = None
+            self._window_layer_ms = None
+        t0 = time.perf_counter()
+        wall_ms = (t0 - started) * 1e3 / len(frames)
+        if device is None:
+            latency_ms = interpreter.last_latency_ms / len(frames)
+        memory_mb = (interpreter.weights_bytes()
+                     + plan.peak_activation_bytes(1)) / 2**20
+        for frame in frames:
+            frame.wall_ms = wall_ms
+            frame.latency_ms = latency_ms
+            frame.memory_mb = memory_mb
+            self.sink.emit(frame)
+        self.monitor_overhead_ms += (time.perf_counter() - t0) * 1e3
 
     def flush(self) -> FrameLog | None:
         """Close a lazily-opened frame that never saw an inference window.

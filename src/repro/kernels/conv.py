@@ -1,13 +1,17 @@
 """Float convolution kernels (NHWC, TF weight layouts).
 
-``conv2d`` runs one GEMM over the whole batch: a 1x1 filter multiplies the
-flattened pixels directly (bit-identical to im2col, without the patch copy;
+``conv2d`` runs one GEMM per sample: a 1x1 filter multiplies the flattened
+pixels directly (bit-identical to im2col, without the patch copy;
 MobileNet-family graphs are mostly pointwise convolutions), larger filters
-multiply the im2col patch matrix. ``depthwise_conv2d`` accumulates one
-multiply-add per filter tap over strided (N, oh, ow, C) views of the padded
-input instead of materializing an (N, oh, ow, kh, kw, C) patch tensor. Both
-match TensorFlow semantics so that converted "mobile" models behave like
-their training-pipeline counterparts up to float associativity.
+multiply the im2col patch matrix. Each sample's GEMM has the shape of a
+batch-1 call, so row i of a batch-N result equals a batch-1 run on sample i
+byte for byte (one GEMM over all ``N*oh*ow`` rows would not be: BLAS
+blocks the rows differently as their count changes). ``depthwise_conv2d``
+accumulates one multiply-add per filter tap over strided (N, oh, ow, C)
+views of the padded input instead of materializing an
+(N, oh, ow, kh, kw, C) patch tensor. Both match TensorFlow semantics so
+that converted "mobile" models behave like their training-pipeline
+counterparts up to float associativity.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ def conv2d(
     kh, kw, cin, cout = weights.shape
     sh, sw, pad, oh, ow = window_geometry(x, kh, kw, stride, padding)
     cols = im2col_rows(x, kh, kw, sh, sw, pad)
-    res = cols @ weights.reshape(kh * kw * cin, cout)
+    res = np.matmul(cols.reshape(x.shape[0], oh * ow, kh * kw * cin),
+                    weights.reshape(kh * kw * cin, cout))
     res = res.reshape(x.shape[0], oh, ow, cout)
     if bias is not None:
         res = res + bias

@@ -19,6 +19,7 @@ from repro.kernels.common import (
     check_filter_bank,
     extract_patches,
     normalize_stride,
+    pad_spatial,
     resolve_padding,
 )
 from repro.kernels.quantized import optimized as _opt
@@ -83,15 +84,17 @@ def qdepthwise_conv2d(
     kh, kw, c, mult_ch = w_q.shape
     sh, sw = normalize_stride(stride)
     pad = resolve_padding(padding, x_q.shape[1], x_q.shape[2], kh, kw, sh, sw)
-    patches = extract_patches(
-        x_q.astype(np.float64) - float(in_params.zero_point.item()),
-        kh, kw, sh, sw, pad,
-    )  # (N, oh, ow, kh, kw, C)
-    n, oh, ow = patches.shape[:3]
+    xc = pad_spatial(
+        x_q.astype(np.float64) - float(in_params.zero_point.item()), pad)
+    # (N, oh, ow, C, kh, kw) strided windows: a view, so the per-channel
+    # loop below materializes one channel's patches at a time.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xc, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    n, oh, ow = windows.shape[:3]
     acc = np.empty((n, oh, ow, c, mult_ch), dtype=np.float64)
     for ch in range(c):  # naive per-channel loop
         for m in range(mult_ch):
-            acc[..., ch, m] = (patches[..., ch] * w_q[:, :, ch, m]).sum(axis=(3, 4))
+            acc[..., ch, m] = (windows[..., ch, :, :] * w_q[:, :, ch, m]).sum(axis=(3, 4))
     acc = acc.reshape(n, oh, ow, c * mult_ch)
     if bias_q is not None:
         acc = acc + bias_q.astype(np.float64)

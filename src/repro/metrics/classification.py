@@ -7,7 +7,7 @@ import numpy as np
 from repro.util.errors import ValidationError
 
 
-def top_k_accuracy(scores: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
+def top_k_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Fraction of rows whose true label is among the top-k scores.
 
     ``scores``: (N, K) class scores/probabilities; ``labels``: (N,) ints.

@@ -5,6 +5,11 @@ simulated device, a preprocessing recipe (possibly buggy — that is the whole
 point), and an attached :class:`~repro.instrument.monitor.EdgeMLMonitor`.
 Frames come from seeded playback arrays (``repro.zoo.playback_data``) so the
 reference pipeline can replay the same bytes (§3.3).
+
+``EdgeApp.run`` is the paper's edge loop: one frame per invoke. Offline
+replays of playback data (the reference pipeline, sweep variants) call
+``EdgeApp.replay`` instead, which invokes :data:`REPLAY_BATCH` frames at a
+time and writes the same per-frame logs.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from repro.runtime.resolver import BaseOpResolver
 from repro.util.errors import ValidationError
 
 Preprocess = Callable[[np.ndarray], np.ndarray]
+
+REPLAY_BATCH = 32
+"""Frames per invoke in :meth:`EdgeApp.replay`."""
 
 IMAGE_OVERRIDE_KEYS = frozenset(
     ("target_size", "resize_method", "channel_order", "normalization",
@@ -153,14 +161,7 @@ class EdgeApp:
         """
         outputs = []
         for i in range(len(raw_items)):
-            raw = raw_items[i:i + 1]
-            self.monitor.on_sensor_start()
-            if log_raw:
-                self.monitor.log("sensor_frame", np.asarray(raw[0]))
-            self.monitor.on_sensor_stop()
-            x = self.preprocess(raw)
-            if self.log_inputs:
-                self.monitor.log("model_input", np.asarray(x[0]))
+            x = self._sense(raw_items[i:i + 1], log_raw)
             with self.monitor.frame(self.interpreter) as frame:
                 out = self.interpreter.invoke(np.asarray(x))
                 frame_out = next(iter(out.values()))[0]
@@ -169,6 +170,50 @@ class EdgeApp:
                     frame.scalars["label"] = float(labels[i])
             outputs.append(frame_out)
         return np.stack(outputs)
+
+    def replay(
+        self,
+        raw_items: np.ndarray,
+        labels: np.ndarray | None = None,
+        log_raw: bool = False,
+    ) -> np.ndarray:
+        """Replay recorded items offline, :data:`REPLAY_BATCH` per invoke.
+
+        Writes the frames :meth:`run` writes — the same tensors, keys,
+        steps, scalars and simulated latency/memory — and returns the same
+        stacked outputs, as long as each row of a batched invoke equals a
+        batch-1 invoke (every zoo model's does). Each frame is
+        preprocessed on its own and the inputs are stacked. Per-frame
+        ``wall_ms`` is the batch's wall time divided by its frame count
+        (see :meth:`~repro.instrument.monitor.EdgeMLMonitor.window`).
+        """
+        outputs = []
+        for start in range(0, len(raw_items), REPLAY_BATCH):
+            stop = min(start + REPLAY_BATCH, len(raw_items))
+            inputs = []
+            for i in range(start, stop):
+                inputs.append(np.asarray(self._sense(raw_items[i:i + 1], log_raw)))
+                self.monitor.hold()
+            with self.monitor.window(self.interpreter) as frames:
+                out = next(iter(self.interpreter.invoke(
+                    np.concatenate(inputs)).values()))
+                for i, frame in enumerate(frames):
+                    frame.tensors["model_output"] = np.array(out[i])
+                    if labels is not None:
+                        frame.scalars["label"] = float(labels[start + i])
+            outputs.append(out)
+        return np.concatenate(outputs)
+
+    def _sense(self, raw: np.ndarray, log_raw: bool) -> np.ndarray:
+        """One frame's sensor read and preprocessing, logged on its frame."""
+        self.monitor.on_sensor_start()
+        if log_raw:
+            self.monitor.log("sensor_frame", np.asarray(raw[0]))
+        self.monitor.on_sensor_stop()
+        x = self.preprocess(raw)
+        if self.log_inputs:
+            self.monitor.log("model_input", np.asarray(x[0]))
+        return x
 
     def run_batched(self, raw_items: np.ndarray, batch: int = 128) -> np.ndarray:
         """Fast uninstrumented path (accuracy sweeps): batched invokes."""

@@ -116,8 +116,10 @@ def resize(images: np.ndarray, out_h: int, out_w: int,
 # ------------------------------------------------------------------- channels
 
 def to_float(images: np.ndarray) -> np.ndarray:
-    """uint8 [0, 255] -> float64 [0, 1]."""
-    return images.astype(np.float64) / 255.0
+    """uint8 [0, 255] -> float64 [0, 1], divided in place (one copy)."""
+    x = images.astype(np.float64)
+    x /= 255.0
+    return x
 
 
 def rgb_to_bgr(images: np.ndarray) -> np.ndarray:

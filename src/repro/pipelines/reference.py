@@ -4,6 +4,9 @@ A reference pipeline is an :class:`~repro.pipelines.edge.EdgeApp` configured
 from the model's own recorded recipe (so the §2 "mismatching assumptions"
 trap cannot occur), running the requested model *version* — checkpoint,
 mobile, or quantized — on the workstation device with per-layer logging.
+It replays recorded playback data, so drive it with
+:meth:`EdgeApp.replay <repro.pipelines.edge.EdgeApp.replay>` (many frames
+per invoke, the same per-frame logs as ``EdgeApp.run``).
 
 ML-EXray ships correct reference pipelines for the well-defined tasks
 (classification, detection, segmentation, speech, text) and accepts

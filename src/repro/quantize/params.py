@@ -104,11 +104,15 @@ class QuantParams:
         return q.astype(NP_DTYPES[self.dtype])
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
-        """Reconstruct float values: ``(q - zero_point) * scale``."""
-        q = np.asarray(q, dtype=np.float64)
-        scale = self._broadcast(self.scale, q.ndim)
-        zp = self._broadcast(self.zero_point, q.ndim)
-        return ((q - zp) * scale).astype(np.float32)
+        """Reconstruct float values: ``(q - zero_point) * scale``.
+
+        Computed in float64 in one scratch copy of ``q``, then rounded to
+        float32.
+        """
+        x = np.array(q, dtype=np.float64)
+        x -= self._broadcast(self.zero_point, x.ndim)
+        x *= self._broadcast(self.scale, x.ndim)
+        return x.astype(np.float32)
 
     def to_json(self) -> dict:
         """JSON-serializable representation (for model files and logs)."""
@@ -157,12 +161,8 @@ def choose_qparams(
     return QuantParams(np.float64(scale), np.int64(zero_point), dtype)
 
 
-def choose_qparams_per_channel(
-    weights: np.ndarray,
-    axis: int,
-    dtype: str = "int8",
-) -> QuantParams:
-    """Symmetric per-channel parameters for a weight tensor along ``axis``.
+def choose_qparams_per_channel(weights: np.ndarray, axis: int) -> QuantParams:
+    """Symmetric per-channel int8 parameters for a weight tensor along ``axis``.
 
     This is the scheme §2 motivates: after batch-norm folding, channel scales
     can differ wildly, and per-tensor quantization "can squash the entire
@@ -173,8 +173,8 @@ def choose_qparams_per_channel(
         raise QuantizationError(f"axis {axis} out of range for shape {w.shape}")
     reduce_axes = tuple(i for i in range(w.ndim) if i != axis)
     bounds = np.maximum(np.abs(w).max(axis=reduce_axes), 1e-8)
-    qmin, qmax = dtype_range(dtype)
+    qmin, qmax = dtype_range("int8")
     denom = float(max(qmax, -qmin - 1) if qmin < 0 else qmax)
     scales = bounds / denom
     zeros = np.zeros_like(scales, dtype=np.int64)
-    return QuantParams(scales, zeros, dtype, axis=axis)
+    return QuantParams(scales, zeros, "int8", axis=axis)

@@ -25,7 +25,7 @@ flags, output specs, op-class labels, and the tensors to free after each
 node, resolved once per (graph, resolver)), executed node by node. After a
 node's observers run, invoke deletes the tensors the plan frees there —
 each at its last consumer, as :mod:`repro.analysis.liveness` derives it —
-and the latency model's MAC/element counts and the activation peak are
+and the latency model's per-node latencies and the activation peak are
 memoized per batch size. Static arena layouts are an analysis
 (:mod:`repro.analysis.arena`, ``repro analyze --arena``), not an execution
 mode.
@@ -42,11 +42,7 @@ from repro.graph.graph import Graph
 from repro.graph.node import Node
 from repro.graph.spec import TensorSpec
 from repro.perfmodel.device import Device
-from repro.runtime.plan import (
-    ExecutionPlan,
-    NodeBinding,
-    node_is_quantized,
-)
+from repro.runtime.plan import ExecutionPlan, node_is_quantized
 from repro.runtime.resolver import BaseOpResolver, OpResolver
 from repro.util.errors import GraphError, ShapeError
 
@@ -175,6 +171,8 @@ class Interpreter:
         total_latency = 0.0
         observers = self._observers
         simulate = self.device is not None
+        if simulate:
+            layer_latency, total_latency = plan.latency_ms(self.device, batch)
         ctx = self._ctx
 
         for binding, dead in zip(plan.bindings, plan.frees):
@@ -185,9 +183,11 @@ class Interpreter:
             wall_ms = (time.perf_counter() - t0) * 1e3
             out = np.asarray(out)
 
-            latency_ms = self._simulated_latency(binding, batch, plan) \
-                if simulate else wall_ms
-            total_latency += latency_ms
+            if simulate:
+                latency_ms = layer_latency[binding.index]
+            else:
+                latency_ms = wall_ms
+                total_latency += wall_ms
             record = LayerRecord(
                 index=binding.index, node=node, spec=binding.spec,
                 output=out, latency_ms=latency_ms, wall_ms=wall_ms,
@@ -266,15 +266,3 @@ class Interpreter:
                 if dim is None:
                     return int(values[name].shape[axis])
         return 1
-
-    def _simulated_latency(
-        self, binding: NodeBinding, batch: int, plan: ExecutionPlan
-    ) -> float:
-        work = plan.work(binding.index, batch)
-        return self.device.layer_latency_ms(
-            binding.latency_op_class,
-            "int8" if binding.quantized else "float",
-            plan.latency_resolver_kind,
-            work.macs,
-            work.elements,
-        )

@@ -17,10 +17,12 @@ Plans are invalidated automatically when the resolver registers new kernels
 op workflow — build an interpreter, then ``resolver.register(...)`` — keeps
 working.
 
-Latency-model work estimates (:func:`~repro.perfmodel.work.node_work`) and
-the activation-memory peak are shape-static given a batch size, so the plan
-memoizes them per (node, batch) and per batch: a deployment loop invoking
-with a steady batch size computes each exactly once.
+Latency-model work estimates (:func:`~repro.perfmodel.work.node_work`), the
+simulated per-node latencies built on them, and the activation-memory peak
+are shape-static given a batch size, so the plan memoizes them per
+(node, batch) and per batch: a deployment loop invoking with a steady batch
+size computes each exactly once. An offline replay reads the batch-1 entries
+to log per-frame latencies for frames it ran B at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from repro.graph.graph import Graph
 from repro.graph.node import Node
 from repro.graph.spec import TensorSpec
+from repro.perfmodel.device import Device
 from repro.perfmodel.work import OP_CLASS, NodeWork, node_work
 from repro.runtime.resolver import BaseOpResolver, Executor
 
@@ -130,6 +133,7 @@ class ExecutionPlan:
                 frees[live.end].append(t)
         self.frees: tuple[tuple[str, ...], ...] = tuple(map(tuple, frees))
         self._work_cache: dict[tuple[int, int], NodeWork] = {}
+        self._latency_cache: dict[int, tuple[Device, tuple[float, ...], float]] = {}
         self._peak_cache: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -147,6 +151,28 @@ class ExecutionPlan:
             cached = node_work(self.graph, self.bindings[index].node, batch=batch)
             self._work_cache[key] = cached
         return cached
+
+    def latency_ms(self, device: Device, batch: int) -> tuple[tuple[float, ...], float]:
+        """Memoized simulated latency of every node at a batch size, and their sum.
+
+        One entry per binding, from the device cost model over
+        :meth:`work`; the total is summed in execution order, as
+        ``Interpreter.invoke`` reports it. The memo holds one device per
+        batch size and recomputes when a different device asks.
+        """
+        cached = self._latency_cache.get(batch)
+        if cached is None or cached[0] is not device:
+            layers = []
+            total = 0.0
+            for b in self.bindings:
+                work = self.work(b.index, batch)
+                layers.append(device.layer_latency_ms(
+                    b.latency_op_class, "int8" if b.quantized else "float",
+                    self.latency_resolver_kind, work.macs, work.elements))
+                total += layers[-1]
+            cached = (device, tuple(layers), total)
+            self._latency_cache[batch] = cached
+        return cached[1], cached[2]
 
     def peak_activation_bytes(self, batch: int) -> int:
         """Memoized peak resident activation bytes at a batch size.

@@ -237,9 +237,7 @@ class ResizeFunctionAssertion(DeploymentAssertion):
 
     name = "resize_function"
     candidates = ("area", "bilinear", "nearest")
-
-    def __init__(self, expected: str = "area"):
-        self.expected = expected
+    expected = "area"   # the training pipelines' resize (the recipe default)
 
     def check(self, ctx: ValidationContext) -> str:
         frame = ctx.edge_log.frame(0, keys={"sensor_frame"})
@@ -315,14 +313,11 @@ class StragglerLatencyAssertion(DeploymentAssertion):
     """Per-layer latency validation: flags straggler layers (§4.5)."""
 
     name = "per_layer_latency"
-    share_threshold = 0.2
-    median_factor = 10.0
 
     def check(self, ctx: ValidationContext) -> str:
         from repro.validate.latency import find_stragglers
 
-        stragglers = find_stragglers(ctx.edge_log, self.share_threshold,
-                                     self.median_factor)
+        stragglers = find_stragglers(ctx.edge_log)
         if stragglers:
             worst = stragglers[0]
             raise AssertionFailure(

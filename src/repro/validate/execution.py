@@ -15,6 +15,11 @@ carries that path instead of a pickled in-memory log, so per-layer
 reference tensors are read lazily in each worker rather than serialized
 into every job. With ``log_dir`` set, workers likewise stream their edge
 logs to per-variant DirectorySink directories.
+
+Both the reference run and each variant's edge run are offline replays of
+playback data, so they go through :meth:`EdgeApp.replay
+<repro.pipelines.edge.EdgeApp.replay>`: ``REPLAY_BATCH`` frames per invoke,
+with the per-frame logs a one-frame-at-a-time run writes.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ def build_reference_log(
     raw, labels = playback_data(model, frames, tag)
     sink = DirectorySink(log_root) if log_root is not None else None
     reference = build_reference_app(get_model(model, "mobile"), sink=sink)
-    reference.run(raw, labels)
+    reference.replay(raw, labels)
     reference.monitor.close()
     return reference.log()
 
@@ -155,7 +160,7 @@ def run_variant(
         resolver=make_resolver(variant.resolver, variant.kernel_bugs),
         monitor=EdgeMLMonitor("edge", per_layer=True, sink=sink),
     )
-    edge.run(raw, labels, log_raw=entry.task == "classification")
+    edge.replay(raw, labels, log_raw=entry.task == "classification")
     edge.monitor.close()
     ref_log = resolve_ref_log(ref_log)
     if ref_log is None:

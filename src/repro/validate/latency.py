@@ -65,17 +65,20 @@ def layer_latency_profile(log: EXrayLog) -> list[LayerLatency]:
     ]
 
 
-def find_stragglers(
-    log: EXrayLog,
-    share_threshold: float = 0.2,
-    median_factor: float = 10.0,
-) -> list[Straggler]:
+STRAGGLER_SHARE = 0.2
+"""A straggler takes at least this share of a frame's latency..."""
+
+STRAGGLER_MEDIAN_FACTOR = 10.0
+"""...and at least this many times the median layer's latency."""
+
+
+def find_stragglers(log: EXrayLog) -> list[Straggler]:
     """Layers that dominate latency: big share AND far above the median layer."""
     profile = layer_latency_profile(log)
     median = float(np.median([p.latency_ms for p in profile])) or 1e-9
     out = []
     for p in profile:
         ratio = p.latency_ms / median
-        if p.share >= share_threshold and ratio >= median_factor:
+        if p.share >= STRAGGLER_SHARE and ratio >= STRAGGLER_MEDIAN_FACTOR:
             out.append(Straggler(p.layer, p.op, p.latency_ms, p.share, ratio))
     return sorted(out, key=lambda s: -s.latency_ms)

@@ -75,14 +75,14 @@ class ZooEntry:
 # --------------------------------------------------------- data preparation
 
 def image_dataset() -> SyntheticImageClassification:
-    return SyntheticImageClassification(M.IMAGE_CLASSES, 80, seed=SEED)
+    return SyntheticImageClassification(M.IMAGE_CLASSES, seed=SEED)
 
 
 def detection_dataset() -> SyntheticDetection:
     # Sensor resolution equals the model input so box annotations share the
     # model's coordinate frame (the preprocess resize is then an identity
     # spatially, while channel/normalization bugs still apply).
-    return SyntheticDetection(4, M.DETECTION_SIZE, seed=SEED)
+    return SyntheticDetection(M.DETECTION_SIZE, seed=SEED)
 
 
 def segmentation_dataset() -> SyntheticSegmentation:

@@ -26,7 +26,7 @@ class TestImages:
         assert not np.array_equal(a, b)
 
     def test_shapes_and_dtype(self):
-        imgs, labels = SyntheticImageClassification(12, 80, 0).sample(5)
+        imgs, labels = SyntheticImageClassification(12, seed=0).sample(5)
         assert imgs.shape == (5, 80, 80, 3) and imgs.dtype == np.uint8
         assert labels.shape == (5,) and labels.dtype == np.int64
         assert labels.min() >= 0 and labels.max() < 12
@@ -69,7 +69,7 @@ class TestImages:
 
 class TestDetection:
     def test_annotations_within_bounds(self):
-        ds = SyntheticDetection(4, 64, seed=1)
+        ds = SyntheticDetection(64, seed=1)
         imgs, anns = ds.sample(10)
         assert imgs.shape == (10, 64, 64, 3)
         for per_image in anns:

@@ -1,8 +1,9 @@
 """Repo-rule tests for ``tools/check_repo_rules.py``: the dead-knob rule.
 
 A defaulted ``src/`` parameter must be passed by some non-test call — by
-keyword, by position or through a ``*``/``**`` splat — or be named, with a
-reason, in ``DEAD_KNOB_ALLOWLIST``.
+keyword, by position or through a ``*``/``**`` splat, with something other
+than its own default literal — or be named, with a reason, in
+``DEAD_KNOB_ALLOWLIST``.
 """
 
 import importlib.util
@@ -58,6 +59,33 @@ class TestDeadKnobRule:
         if dead:
             path, line, _ = violations[0]
             assert (path, line) == (str(tmp_path / "src/pkg/ops.py"), 1)
+
+    @pytest.mark.parametrize("call, dead", [
+        ("scale(1, factor=2)", ["scale(factor)", "scale(offset)"]),
+        ("scale(1, 2, offset=0)", ["scale(factor)", "scale(offset)"]),
+        ("scale(1, factor=3, offset=0)", ["scale(offset)"]),
+        ("scale(1, factor=n)", ["scale(offset)"]),
+        ("scale(1, factor=2.0)", ["scale(offset)"]),
+        ("scale(*args, offset=0)", ["scale(offset)"]),
+        ("scale(1, 2)\nscale(1, 5)", ["scale(offset)"]),
+    ], ids=["keyword", "position-and-keyword-only", "other-literal",
+            "name", "other-type", "star", "one-call-of-two"])
+    def test_passing_the_default_literal_is_no_pass(self, tmp_path, call,
+                                                     dead):
+        violations = self._check(tmp_path, {
+            "src/pkg/ops.py": SCALE,
+            "examples/demo.py": f"from pkg.ops import scale\n{call}\n",
+        })
+        assert self._keys(violations) == dead
+
+    def test_non_literal_default_counts_any_pass(self, tmp_path):
+        violations = self._check(tmp_path, {
+            "src/pkg/ops.py": ("FACTOR = 2\n"
+                               "def scale(x, factor=FACTOR):\n"
+                               "    return x * factor\n"),
+            "examples/demo.py": "from pkg.ops import scale\nscale(1, 2)\n",
+        })
+        assert violations == []
 
     def test_pass_from_tests_does_not_count(self, tmp_path):
         violations = self._check(tmp_path, {

@@ -107,7 +107,7 @@ class TestResizeAssertion:
         edge_inputs = bad.apply(sensor)
         ref_inputs = ImagePreprocessConfig((16, 16)).apply(sensor)
         ctx = ctx_for(list(edge_inputs), list(ref_inputs), sensor=sensor)
-        result = ResizeFunctionAssertion(expected="area").run(ctx)
+        result = ResizeFunctionAssertion().run(ctx)
         assert not result.passed and "bilinear" in result.diagnosis
 
     def test_passes_on_correct_method(self, rng):
@@ -115,7 +115,7 @@ class TestResizeAssertion:
         sensor = rng.integers(0, 255, (2, 80, 80, 3)).astype(np.uint8)
         inputs = ImagePreprocessConfig((16, 16)).apply(sensor)
         ctx = ctx_for(list(inputs), list(inputs), sensor=sensor)
-        assert ResizeFunctionAssertion(expected="area").run(ctx).passed
+        assert ResizeFunctionAssertion().run(ctx).passed
 
     def test_needs_sensor_frame(self, base_inputs):
         with pytest.raises(ValidationError):

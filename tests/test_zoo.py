@@ -375,3 +375,45 @@ class TestBuildMemo:
                 get_model(name, "quantized")
             errors.append((type(info.value), str(info.value)))
         assert errors == [errors[0]] * 3
+
+
+# ------------------------------------------------------- batch invariance
+
+def layer_outputs(interp, x):
+    """Every layer's output of one invoke, by node name (copies)."""
+    outputs = {}
+    interp.add_observer(
+        lambda rec: outputs.__setitem__(rec.node.name, np.array(rec.output)))
+    interp.invoke(x)
+    return outputs
+
+
+class TestBatchInvariance:
+    """Row i of a batched invoke equals a batch-1 invoke on sample i, byte
+    for byte, on every layer: what lets an offline replay run many frames
+    per invoke and still log what a frame-at-a-time run logs."""
+
+    BATCH = 3
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_MODELS))
+    def test_rows_equal_batch_one(self, name):
+        from repro.pipelines import make_preprocess
+
+        raw = playback_data(name, self.BATCH, "batch-invariance")[0]
+        for stage in buildable_stages(name):
+            graph = get_model(name, stage)
+            x = np.asarray(make_preprocess(graph.metadata["pipeline"])(raw))
+            resolvers = [OpResolver]
+            if stage == "quantized":
+                resolvers.append(ReferenceOpResolver)
+            for resolver in resolvers:
+                batched = layer_outputs(Interpreter(graph, resolver()), x)
+                for i in range(self.BATCH):
+                    single = layer_outputs(Interpreter(graph, resolver()),
+                                           x[i:i + 1])
+                    assert list(single) == list(batched)
+                    for layer, out in single.items():
+                        row = batched[layer][i:i + 1]
+                        assert (row.dtype, row.shape) == (out.dtype, out.shape)
+                        assert row.tobytes() == out.tobytes(), (
+                            stage, resolver.__name__, layer, i)

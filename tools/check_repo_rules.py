@@ -53,7 +53,9 @@ Eight rules:
   (``__init__``) or public/static/class method of a ``src/``-based class
   must be passed by some call in ``src/``, ``bench/``, ``benchmarks/``,
   ``examples/`` or ``tools/`` — by keyword, by position, or through a
-  ``*``/``**`` splat.  Calls match by name, as test-only-definition does;
+  ``*``/``**`` splat.  A literal equal to the default (``f(x=0.2)`` for
+  ``x=0.2``) does not count: it changes nothing.  Calls match by name, as
+  test-only-definition does;
   a call of a class, of ``cls`` inside one, or of ``super().__init__``
   reaches the ``__init__`` that runs.  A default only tests override is a
   setting no deployment changes: make it a constant.
@@ -421,16 +423,18 @@ def _test_only_violations(trees, allowlist):
 
 
 def _defaulted_params(fn: ast.FunctionDef | ast.AsyncFunctionDef, skip: int):
-    """Yield ``(name, slot)`` for each parameter of *fn* with a default.
-    *slot* is its positional index once the first *skip* parameters
-    (``self``/``cls``) are dropped, or ``None`` when it is keyword-only."""
+    """Yield ``(name, slot, default)`` for each parameter of *fn* with a
+    default.  *slot* is its positional index once the first *skip*
+    parameters (``self``/``cls``) are dropped, or ``None`` when it is
+    keyword-only; *default* is the default's expression."""
     positional = [*fn.args.posonlyargs, *fn.args.args]
     first = len(positional) - len(fn.args.defaults)
-    for index, arg in enumerate(positional[first:], first):
-        yield arg.arg, index - skip
+    for index, (arg, default) in enumerate(
+            zip(positional[first:], fn.args.defaults), first):
+        yield arg.arg, index - skip, default
     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
 def _knob_owners(src_trees, src_classes):
@@ -500,15 +504,36 @@ def _calls(trees, bases: dict[str, list[str]], inits: set[str]):
                     yield ("init", owner), call
 
 
-def _passes(call: ast.Call, param: str, slot: int | None) -> bool:
-    """Whether *call* may set *param*: by keyword, by position, or through
-    a ``*``/``**`` splat."""
-    if any(kw.arg in (param, None) for kw in call.keywords):
-        return True
-    if slot is None:
+def _literal(node: ast.expr):
+    """``(type, value)`` of a literal expression, or ``None`` for any other."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), value
+
+
+def _passes(call: ast.Call, param: str, slot: int | None,
+            default: ast.expr) -> bool:
+    """Whether *call* may set *param* to something other than *default*: by
+    keyword, by position, or through a ``*``/``**`` splat.  A literal equal
+    to a literal default is no pass."""
+    value = None
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+        if kw.arg == param:
+            value = kw.value
+    if value is None and slot is not None:
+        before = call.args[:slot + 1]
+        if any(isinstance(arg, ast.Starred) for arg in before):
+            return True
+        if len(call.args) > slot:
+            value = call.args[slot]
+    if value is None:
         return False
-    return (any(isinstance(arg, ast.Starred) for arg in call.args)
-            or len(call.args) > slot)
+    literal = _literal(default)
+    return literal is None or _literal(value) != literal
 
 
 def _parse_non_test_roots(repo: Path) -> list[tuple[str, str, ast.Module]]:
@@ -549,10 +574,10 @@ def _dead_knob_violations(trees, allowlist):
     defined: set[str] = set()
     for path, prefix, callee, fn, skip in _knob_owners(src_trees,
                                                        set(bases)):
-        for param, slot in _defaulted_params(fn, skip):
+        for param, slot, default in _defaulted_params(fn, skip):
             key = f"{prefix}({param})"
             defined.add(key)
-            passed = any(_passes(call, param, slot)
+            passed = any(_passes(call, param, slot, default)
                          for call in calls.get(callee, ()))
             if key in allowlist:
                 if passed:
