@@ -5,9 +5,12 @@ C++/Java snippets in §3.2/appendix B). The same class instruments both the
 edge pipeline and the reference pipeline, which is what makes their logs
 directly comparable.
 
-The primary way to delimit an inference is the frame-scoped context
-manager — it opens the frame, adopts any sensor logs that preceded it, and
-emits the closed frame to the monitor's sink::
+One lifecycle delimits every inference. A frame opens lazily on its first
+log (sensor reads and "red dot" logs often precede the invoke); an
+inference window puts open frames in flight, and
+:meth:`~EdgeMLMonitor.on_inf_stop` closes the window and emits its frames
+to the sink. The frame-scoped context manager is a window of one: it
+adopts the lazily opened frame and discards it if the body raises::
 
     monitor = MLEXray("edge_app", per_layer=False)
     monitor.attach(interpreter)
@@ -16,13 +19,11 @@ emits the closed frame to the monitor's sink::
         outputs = interpreter.invoke(x)
         frame.tensors["model_output"] = outputs["probs"][0]
 
-The paper-facing markers remain as thin wrappers around the same
-lifecycle (``monitor.on_inf_start(); ...; monitor.on_inf_stop(interp)``),
-so the 3-line C++ example of §3.2 still reads one-to-one.
-
-Offline replays run many frames per invoke and still log frame by frame.
-Each frame's pre-invoke logs are set aside with :meth:`~EdgeMLMonitor.hold`,
-then one batched invoke closes them all::
+The paper-facing markers (``monitor.on_inf_start(); ...;
+monitor.on_inf_stop(interp)``) open and close the same window, so the
+3-line C++ example of §3.2 still reads one-to-one. Offline replays set each
+frame's pre-invoke logs aside with :meth:`~EdgeMLMonitor.hold` and close
+many frames with one batched invoke::
 
     for x in inputs:                       # one (1, ...) input per frame
         monitor.log("model_input", x[0])
@@ -30,9 +31,18 @@ then one batched invoke closes them all::
     with monitor.window(interpreter) as frames:
         out = interpreter.invoke(np.concatenate(inputs))
 
-Every layer output is split into one ``(1, ...)`` row per held frame, the
-leading batch axis a batch-1 log has, so the frames match a one-at-a-time
-run byte for byte wherever each row of the batch equals a batch-1 run.
+Each of a window's n frames is logged as an invoke of batch B/n, B being
+the invoke's batch: ``layer_latency_ms``/``latency_ms`` are the simulated
+latencies at batch B/n (without a device, the measured ones divided by n),
+``memory_mb`` is the weights plus the activation peak at batch B/n, and
+``wall_ms`` is the window's wall time divided by n. A window of one keeps
+each layer output whole; a larger one splits it into a ``(1, ...)`` row
+per frame. So 32 frames replayed per invoke log what a one-at-a-time run
+logs, byte for byte wherever each row of the batch equals a batch-1 invoke,
+except ``wall_ms``, which is a share rather than a measurement. Frames that
+never reach a window (held or lazily opened frames at the end of the
+stream) are emitted in step order by :meth:`~EdgeMLMonitor.flush`, marked
+``sensor_only``.
 
 Custom logging around any pipeline function::
 
@@ -90,11 +100,11 @@ class EdgeMLMonitor:
         self.per_layer = per_layer
         self.sink = sink if sink is not None else MemorySink()
         self.monitor_overhead_ms = 0.0
+        # The frame logs go to: lazy unless it is a window of one's frame.
         self._current: FrameLog | None = None
         self._held: list[FrameLog] = []
-        self._window: list[FrameLog] | None = None
-        self._window_layer_ms: tuple[float, ...] | None = None
-        self._lazy_frame = False
+        self._window: list[FrameLog] | None = None  # the frames in flight
+        self._window_interp: Interpreter | None = None
         self._inf_started_at: float | None = None
         self._sensor_started_at: float | None = None
         self._step = 0
@@ -141,10 +151,11 @@ class EdgeMLMonitor:
                 "detach() only undoes a prior attach()") from None
 
     def _on_layer(self, record: LayerRecord) -> None:
-        window = self._window
-        if window is None and self._current is None:
-            return  # layer executed outside an on_inf_start/stop window
+        frames = self._window
+        if frames is None:
+            return  # layer executed outside an inference window
         t0 = time.perf_counter()
+        n = len(frames)
         name = record.node.name
         output = None
         if self.per_layer:
@@ -153,191 +164,163 @@ class EdgeMLMonitor:
                 output = record.spec.quant.dequantize(output)  # a fresh array
             else:
                 output = np.array(output, copy=True)
-        if window is None:
-            frame = self._current
-            frame.layer_latency_ms[name] = record.latency_ms
-            frame.layer_ops[name] = record.node.op
-            if output is not None:
-                frame.tensors[f"layer/{name}"] = output
-        else:
-            if output is not None and output.shape[:1] != (len(window),):
+            if n > 1 and output.shape[:1] != (n,):
                 raise ValidationError(
                     f"layer {name!r} output {output.shape} does not lead with "
-                    f"the window's {len(window)} frames; it cannot be split "
+                    f"the window's {n} frames; it cannot be split "
                     "into per-frame records")
-            latency_ms = self._window_layer_ms[record.index] \
-                if self._window_layer_ms is not None \
-                else record.latency_ms / len(window)
-            for i, frame in enumerate(window):
-                frame.layer_latency_ms[name] = latency_ms
-                frame.layer_ops[name] = record.node.op
-                if output is not None:
-                    frame.tensors[f"layer/{name}"] = output[i:i + 1]
+        latency_ms = record.latency_ms
+        if n > 1:
+            interp = self._window_interp
+            latency_ms = latency_ms / n if interp.device is None \
+                else _frame_latency_ms(interp, n)[0][record.index]
+        for i, frame in enumerate(frames):
+            frame.layer_latency_ms[name] = latency_ms
+            frame.layer_ops[name] = record.node.op
+            if output is not None:
+                frame.tensors[f"layer/{name}"] = \
+                    output if n == 1 else output[i:i + 1]
         self.monitor_overhead_ms += (time.perf_counter() - t0) * 1e3
 
     # ----------------------------------------------------- inference markers
     @contextmanager
     def frame(self, interpreter: Interpreter | None = None):
-        """Frame-scoped instrumentation: the primary inference API.
+        """A window of one frame (:meth:`on_inf_start`) as a context manager.
 
-        Opens a frame on entry (adopting any lazily-opened sensor frame),
-        yields the open :class:`FrameLog` so the body can attach outputs or
-        labels before the frame closes, and emits the closed frame to the
-        sink on exit::
+        Yields the open :class:`FrameLog` so the body can attach outputs or
+        labels, and closes it with :meth:`on_inf_stop` on exit::
 
             with monitor.frame(interpreter) as frame:
                 out = interpreter.invoke(x)
                 frame.tensors["model_output"] = out["probs"][0]
 
         If the body raises, the partial frame is *discarded* (sinks never
-        see half-recorded frames) and the exception propagates.
+        see half-recorded frames), its step is reused, and the exception
+        propagates.
         """
         self.on_inf_start()
         try:
             yield self._current
         except BaseException:
-            self._current = None
-            self._lazy_frame = False
-            self._inf_started_at = None
+            self._discard()
             raise
         self.on_inf_stop(interpreter)
 
     def on_inf_start(self) -> None:
-        """Mark the start of one model invocation (opens a frame).
+        """Mark the start of one model invocation: a window of one frame.
 
-        If sensor/custom logs already opened the frame lazily (they often
-        precede the invocation), this adopts that frame and restarts the
-        latency clock.
+        The window's frame is the lazily opened one (sensor and custom logs
+        often precede the invocation) or a new frame; logs go to it until
+        :meth:`on_inf_stop`. Held frames must be closed with
+        :meth:`window` first, or the sink would see steps out of order.
         """
-        if self._current is not None:
-            if not self._lazy_frame:
-                raise ValidationError("on_inf_start called twice without on_inf_stop")
-            self._lazy_frame = False
-        else:
-            self._current = FrameLog(step=self._step)
+        if self._held:
+            raise ValidationError(
+                f"{len(self._held)} held frame(s) precede this inference; "
+                "close them with window() first")
+        if self._window is not None:
+            raise ValidationError("on_inf_start called twice without on_inf_stop")
+        self._window = [self._frame_for_logging()]
         self._inf_started_at = time.perf_counter()
 
     def on_inf_stop(self, interpreter: Interpreter | None = None) -> FrameLog:
-        """Close the frame; pulls latency/memory from the interpreter."""
-        if self._current is None:
+        """Close the in-flight window and emit its frames; returns the last.
+
+        Each of the window's n frames is logged as an invoke of batch B/n of
+        ``interpreter`` (see the module docstring): latency and memory come
+        from the interpreter's last invoke, ``wall_ms`` is the window's wall
+        time divided by n. Without an interpreter, ``latency_ms`` is that
+        wall-time share.
+        """
+        frames = self._window
+        if frames is None:
             raise ValidationError("on_inf_stop called without on_inf_start")
         t0 = time.perf_counter()
-        frame = self._current
-        frame.wall_ms = (t0 - self._inf_started_at) * 1e3
+        n = len(frames)
+        wall_ms = (t0 - self._inf_started_at) * 1e3 / n
+        latency_ms, memory_mb = wall_ms, 0.0
         if interpreter is not None:
-            frame.latency_ms = interpreter.last_latency_ms
-            frame.memory_mb = interpreter.model_memory_bytes() / 2**20
-        else:
-            frame.latency_ms = frame.wall_ms
-        self.sink.emit(frame)
-        self._current = None
-        self._lazy_frame = False
-        self._step += 1
-        self.monitor_overhead_ms += (time.perf_counter() - t0) * 1e3
-        return frame
-
-    def hold(self) -> None:
-        """Set the open frame's pre-invoke logs aside for the next :meth:`window`.
-
-        The frame keeps its step; the next log opens the next frame. A frame
-        opened by an explicit ``on_inf_start`` is an inference in flight and
-        cannot be held.
-        """
-        if self._current is not None and not self._lazy_frame:
-            raise ValidationError("hold() inside an open inference frame")
-        self._held.append(self._frame_for_logging())
-        self._current = None
-        self._lazy_frame = False
-        self._inf_started_at = None
-        self._step += 1
-
-    @contextmanager
-    def window(self, interpreter: Interpreter):
-        """Close every held frame with one batched invoke of ``interpreter``.
-
-        Yields the held frames, in order, so the body can attach outputs and
-        labels; the body runs one invoke whose batch has one row per frame.
-        Each layer record is split into per-frame rows (see the module
-        docstring). On exit every frame closes with the fields a batch-1
-        invoke would have logged:
-
-        * ``layer_latency_ms`` and ``latency_ms``: the batch-1 simulated
-          latencies (:meth:`~repro.runtime.plan.ExecutionPlan.latency_ms`
-          at batch 1); without a device, the batch's measured latencies
-          divided by the frame count;
-        * ``memory_mb``: weights plus the batch-1 activation peak;
-        * ``wall_ms``: the window's wall time divided by the frame count —
-          a per-frame share of the batched invoke, not a batch-1
-          measurement.
-
-        Frames are emitted to the sink in order. If the body raises, the
-        held frames are discarded and their steps reused.
-        """
-        frames, self._held = self._held, []
-        if not frames:
-            raise ValidationError("window() without held frames; call hold() first")
-        if self._current is not None:
-            raise ValidationError("window() while a frame is open")
-        plan = interpreter.plan
-        device = interpreter.device
-        if device is not None:
-            self._window_layer_ms, latency_ms = plan.latency_ms(device, 1)
-        self._window = frames
-        started = time.perf_counter()
-        try:
-            yield frames
-        except BaseException:
-            self._step = frames[0].step
-            raise
-        finally:
-            self._window = None
-            self._window_layer_ms = None
-        t0 = time.perf_counter()
-        wall_ms = (t0 - started) * 1e3 / len(frames)
-        if device is None:
-            latency_ms = interpreter.last_latency_ms / len(frames)
-        memory_mb = (interpreter.weights_bytes()
-                     + plan.peak_activation_bytes(1)) / 2**20
+            latency_ms = interpreter.last_latency_ms / n \
+                if interpreter.device is None \
+                else _frame_latency_ms(interpreter, n)[1]
+            memory_mb = (interpreter.weights_bytes()
+                         + interpreter.plan.peak_activation_bytes(
+                             interpreter.last_batch // n)) / 2**20
+        if self._current is frames[0]:  # else window()'s body opened the
+            self._current = None        # next frame, which stays open
+        self._window = self._window_interp = self._inf_started_at = None
         for frame in frames:
             frame.wall_ms = wall_ms
             frame.latency_ms = latency_ms
             frame.memory_mb = memory_mb
             self.sink.emit(frame)
         self.monitor_overhead_ms += (time.perf_counter() - t0) * 1e3
+        return frame
+
+    def hold(self) -> None:
+        """Set the open frame's pre-invoke logs aside for the next :meth:`window`.
+
+        The frame keeps its step; the next log opens the next frame. Frames
+        cannot be held while a window is in flight.
+        """
+        if self._window is not None:
+            raise ValidationError("hold() inside an open inference frame")
+        self._held.append(self._frame_for_logging())
+        self._current = None
+
+    @contextmanager
+    def window(self, interpreter: Interpreter):
+        """A window over every held frame, closed by one batched invoke.
+
+        Yields the held frames, in order, so the body can attach outputs and
+        labels; the body runs one invoke of ``interpreter``, usually one row
+        per frame. On exit :meth:`on_inf_stop` closes the frames
+        as batch-B/n invokes (see the module docstring). Logs in the body
+        open the next frame. If the body raises, the held frames and any
+        frame opened in the body are discarded and their steps reused.
+        """
+        if not self._held:
+            raise ValidationError("window() without held frames; call hold() first")
+        if self._current is not None:
+            raise ValidationError("window() while a frame is open")
+        frames, self._held = self._held, []
+        self._window, self._window_interp = frames, interpreter
+        self._inf_started_at = time.perf_counter()
+        try:
+            yield frames
+        except BaseException:
+            self._discard()
+            raise
+        self.on_inf_stop(interpreter)
+
+    def _discard(self) -> None:
+        """Drop the in-flight frames and any frame opened since; reuse their steps."""
+        self._step = self._window[0].step
+        self._current = None
+        self._window = self._window_interp = self._inf_started_at = None
 
     def flush(self) -> FrameLog | None:
-        """Close a lazily-opened frame that never saw an inference window.
+        """Emit the held and lazily opened frames that never saw an inference.
 
-        Sensor/custom logs open frames lazily (see :meth:`_frame_for_logging`);
-        when no ``on_inf_stop`` follows — trailing sensor-only telemetry, an
-        aborted inference — the frame would otherwise never reach the sink
-        and the logs would silently vanish.  Called by
+        Trailing sensor telemetry or an aborted inference would otherwise
+        never reach the sink. The frames go out in step order, marked
+        ``sensor_only`` (their zero latency/memory are placeholders that
+        :meth:`summary` leaves out); the last is returned, or None. Frames
+        in flight are left alone. Called by
         :func:`~repro.instrument.store.save_log`,
-        :meth:`~repro.instrument.store.EXrayLog.from_monitor`, and
-        :meth:`close`.  A frame opened by an explicit ``on_inf_start`` is
-        left alone — that is an in-flight inference, not a trailing log.
-
-        The flushed frame is marked ``sensor_only``: it never saw an
-        inference, so its zero latency/memory are placeholders, and
-        :meth:`summary` excludes it from latency/wall statistics (reporting
-        it under ``sensor_only_frames`` instead).
-
-        One caveat remains: a lazy frame is indistinguishable from the
-        *leading* sensor logs of an inference that has not started yet, so
-        flush at end of stream (as save_log does), not between a sensor
-        read and its inference window — a mid-pipeline flush would split
-        the sensor context into its own frame.
+        :meth:`~repro.instrument.store.EXrayLog.from_monitor` and
+        :meth:`close`. Flush at end of stream: a lazy frame may hold the
+        leading sensor logs of an inference not yet started, which a
+        mid-pipeline flush would split into a frame of their own.
         """
-        if self._current is None or not self._lazy_frame:
-            return None
-        frame = self._current
-        frame.sensor_only = True
-        self.sink.emit(frame)
-        self._current = None
-        self._lazy_frame = False
-        self._inf_started_at = None
-        self._step += 1
-        return frame
+        frames, self._held = self._held, []
+        if self._current is not None and self._window is None:
+            frames.append(self._current)
+            self._current = None
+        for frame in frames:
+            frame.sensor_only = True
+            self.sink.emit(frame)
+        return frames[-1] if frames else None
 
     def close(self) -> None:
         """Flush any trailing lazy frame and finalize the sink.
@@ -407,14 +390,11 @@ class EdgeMLMonitor:
         return wrapped
 
     def _frame_for_logging(self) -> FrameLog:
-        if self._current is not None:
-            return self._current
-        # Logging outside an inference window opens a frame lazily (sensor
-        # events often precede on_inf_start); the explicit on_inf_start
-        # later adopts it.
-        self._current = FrameLog(step=self._step)
-        self._lazy_frame = True
-        self._inf_started_at = time.perf_counter()
+        # Logging with no frame open opens one lazily (sensor events often
+        # precede on_inf_start, which adopts it); it takes the next step.
+        if self._current is None:
+            self._current = FrameLog(step=self._step)
+            self._step += 1
         return self._current
 
     # -------------------------------------------------------------- summary
@@ -434,6 +414,12 @@ class EdgeMLMonitor:
         out = stats.summary()
         out["monitor_overhead_ms"] = self.monitor_overhead_ms
         return out
+
+
+def _frame_latency_ms(interpreter: Interpreter, n: int):
+    """Simulated (per-layer, total) latency of one of n frames of the last invoke."""
+    return interpreter.plan.latency_ms(interpreter.device,
+                                       interpreter.last_batch // n)
 
 
 MLEXray = EdgeMLMonitor

@@ -9,7 +9,8 @@ reference pipeline can replay the same bytes (§3.3).
 ``EdgeApp.run`` is the paper's edge loop: one frame per invoke. Offline
 replays of playback data (the reference pipeline, sweep variants) call
 ``EdgeApp.replay`` instead, which invokes :data:`REPLAY_BATCH` frames at a
-time and writes the same per-frame logs.
+time and writes the same per-frame logs. Both are one capture loop over the
+monitor's inference windows, one or many frames per invoke.
 """
 
 from __future__ import annotations
@@ -151,25 +152,14 @@ class EdgeApp:
         labels: np.ndarray | None = None,
         log_raw: bool = False,
     ) -> np.ndarray:
-        """Process items one frame at a time with full instrumentation.
+        """Process items one frame per invoke with full instrumentation.
 
-        Returns the stacked model outputs (one row per frame). Each frame
-        is delimited with ``with monitor.frame(...)`` so the closed frame —
-        model output and label included — reaches the monitor's sink the
-        moment the inference window ends, whatever the sink's retention
+        Returns the stacked model outputs (one row per frame). Each frame,
+        model output and label included, reaches the monitor's sink the
+        moment its inference window closes, whatever the sink's retention
         policy.
         """
-        outputs = []
-        for i in range(len(raw_items)):
-            x = self._sense(raw_items[i:i + 1], log_raw)
-            with self.monitor.frame(self.interpreter) as frame:
-                out = self.interpreter.invoke(np.asarray(x))
-                frame_out = next(iter(out.values()))[0]
-                frame.tensors["model_output"] = np.array(frame_out)
-                if labels is not None:
-                    frame.scalars["label"] = float(labels[i])
-            outputs.append(frame_out)
-        return np.stack(outputs)
+        return self._capture(raw_items, labels, log_raw, 1)
 
     def replay(
         self,
@@ -182,14 +172,19 @@ class EdgeApp:
         Writes the frames :meth:`run` writes — the same tensors, keys,
         steps, scalars and simulated latency/memory — and returns the same
         stacked outputs, as long as each row of a batched invoke equals a
-        batch-1 invoke (every zoo model's does). Each frame is
-        preprocessed on its own and the inputs are stacked. Per-frame
-        ``wall_ms`` is the batch's wall time divided by its frame count
-        (see :meth:`~repro.instrument.monitor.EdgeMLMonitor.window`).
+        batch-1 invoke (every zoo model's does). Per-frame ``wall_ms`` is
+        the batch's wall time divided by its frame count (see
+        :mod:`repro.instrument.monitor`).
         """
+        return self._capture(raw_items, labels, log_raw, REPLAY_BATCH)
+
+    def _capture(self, raw_items: np.ndarray, labels: np.ndarray | None,
+                 log_raw: bool, chunk: int) -> np.ndarray:
+        """Sense and preprocess each frame on its own, then invoke ``chunk``
+        frames at a time in one monitor window."""
         outputs = []
-        for start in range(0, len(raw_items), REPLAY_BATCH):
-            stop = min(start + REPLAY_BATCH, len(raw_items))
+        for start in range(0, len(raw_items), chunk):
+            stop = min(start + chunk, len(raw_items))
             inputs = []
             for i in range(start, stop):
                 inputs.append(np.asarray(self._sense(raw_items[i:i + 1], log_raw)))

@@ -109,7 +109,9 @@ class Interpreter:
         self._observers: list = []
         self._plan: ExecutionPlan | None = None
         self.resolver = resolver or OpResolver()  # property: builds the ctx
-        # Results of the most recent invoke().
+        # Results of the most recent invoke(); ``last_batch`` is set as the
+        # invoke starts, so observers read the running invoke's batch.
+        self.last_batch: int = 1
         self.last_latency_ms: float = 0.0
         self.last_peak_activation_bytes: int = 0
         self.last_profile: list[dict] = []
@@ -154,17 +156,13 @@ class Interpreter:
         """Total bytes of parameters attached to the graph."""
         return self.graph.param_bytes()
 
-    def model_memory_bytes(self) -> int:
-        """Weights plus the peak activation arena of the last invoke."""
-        return self.weights_bytes() + self.last_peak_activation_bytes
-
     # ---------------------------------------------------------------- invoke
     def invoke(
         self, feeds: np.ndarray | dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
         """Run the graph; returns a dict of output tensors by name."""
         values = self._prepare_feeds(feeds)
-        batch = self._feed_batch(values)
+        self.last_batch = batch = self._feed_batch(values)
         plan = self.plan
 
         profile: list[dict] = []

@@ -106,6 +106,105 @@ class TestMonitorLifecycle:
         assert frame.memory_mb > 0
 
 
+class TestHeldFrames:
+    # Regression: held frames used to vanish at end of stream, and a frame
+    # opened while frames were held emitted steps out of order.
+    def test_close_flushes_held_frames_in_step_order(self):
+        monitor = EdgeMLMonitor()
+        monitor.log("a", 1.0)
+        monitor.hold()
+        monitor.log("b", 2.0)
+        monitor.close()
+        assert [(f.step, f.scalars, f.sensor_only) for f in monitor.frames] \
+            == [(0, {"a": 1.0}, True), (1, {"b": 2.0}, True)]
+
+    def test_log_readers_flush_held_frames(self, tmp_path):
+        monitor = EdgeMLMonitor()
+        monitor.log("a", 1.0)
+        monitor.hold()
+        assert [f.step for f in EXrayLog.from_monitor(monitor).frames] == [0]
+        monitor.log("b", 2.0)
+        monitor.hold()
+        save_log(monitor, tmp_path / "log")
+        saved = EXrayLog.load(tmp_path / "log")
+        assert [(f.step, f.sensor_only) for f in saved.frames] \
+            == [(0, True), (1, True)]
+
+    def test_frame_while_frames_held_rejected(self):
+        monitor = EdgeMLMonitor()
+        monitor.log("a", 1.0)
+        monitor.hold()
+        with pytest.raises(ValidationError, match=r"window\(\)"):
+            with monitor.frame():
+                pass
+        with pytest.raises(ValidationError, match=r"window\(\)"):
+            monitor.on_inf_start()
+        monitor.close()
+        assert [f.step for f in monitor.frames] == [0]
+
+    def test_failed_window_discards_frames_opened_in_its_body(self, small_cnn,
+                                                              rng):
+        interp = Interpreter(small_cnn)
+        monitor = EdgeMLMonitor()
+        monitor.attach(interp)
+        x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
+        for _ in range(2):
+            monitor.hold()
+        with pytest.raises(RuntimeError):
+            with monitor.window(interp):
+                monitor.log("next_input", 1.0)
+                raise RuntimeError("abort")
+        for _ in range(2):
+            monitor.hold()
+        with monitor.window(interp):
+            interp.invoke(x)
+        monitor.close()
+        assert [f.step for f in monitor.frames] == [0, 1]
+        assert not any(f.sensor_only for f in monitor.frames)
+
+
+class TestFrameBatch:
+    """Each of a window's n frames is logged as an invoke of batch B/n."""
+
+    @staticmethod
+    def expected(interp, batch):
+        layer_ms, latency_ms = interp.plan.latency_ms(interp.device, batch)
+        memory_mb = (interp.weights_bytes()
+                     + interp.plan.peak_activation_bytes(batch)) / 2**20
+        return list(layer_ms), latency_ms, memory_mb
+
+    @pytest.mark.parametrize("frames, batch", [(1, 4), (2, 4), (4, 4)])
+    def test_frames_log_batch_share(self, small_cnn, rng, frames, batch):
+        from repro.perfmodel import PIXEL4_CPU
+        interp = Interpreter(small_cnn, device=PIXEL4_CPU)
+        monitor = EdgeMLMonitor(per_layer=frames in (1, batch))
+        monitor.attach(interp)
+        for _ in range(frames):
+            monitor.hold()
+        with monitor.window(interp):
+            interp.invoke(rng.normal(size=(batch, 8, 8, 3)).astype(np.float32))
+        assert len(monitor.frames) == frames
+        want = self.expected(interp, batch // frames)
+        for frame in monitor.frames:
+            assert (list(frame.layer_latency_ms.values()), frame.latency_ms,
+                    frame.memory_mb) == want
+            if monitor.per_layer:
+                assert frame.tensors["layer/probs"].shape == \
+                    (batch // frames, 4)
+
+    def test_frame_scope_logs_the_whole_batch(self, small_cnn, rng):
+        from repro.perfmodel import PIXEL4_CPU
+        interp = Interpreter(small_cnn, device=PIXEL4_CPU)
+        monitor = EdgeMLMonitor(per_layer=True)
+        monitor.attach(interp)
+        with monitor.frame(interp) as frame:
+            interp.invoke(rng.normal(size=(4, 8, 8, 3)).astype(np.float32))
+        assert (list(frame.layer_latency_ms.values()), frame.latency_ms,
+                frame.memory_mb) == self.expected(interp, 4)
+        assert frame.latency_ms == interp.last_latency_ms
+        assert frame.tensors["layer/probs"].shape == (4, 4)
+
+
 class TestCustomLogging:
     def test_log_tensor_scalar_other(self):
         monitor = EdgeMLMonitor()

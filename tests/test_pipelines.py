@@ -138,6 +138,40 @@ class TestEdgeApp:
         assert lats[0] == pytest.approx(lats[1])  # deterministic cost model
 
 
+@pytest.mark.parametrize("stage", ["mobile", "quantized"])
+def test_run_frames_match_an_independent_observer(stage):
+    # run() shares its capture loop with replay(), so this holds its frames
+    # to what a second observer of the same interpreter sees on each
+    # batch-1 invoke, not to another capture implementation.
+    from repro.zoo import get_model, playback_data
+    model = "micro_mobilenet_v1"
+    raw, labels = playback_data(model, 3, "observer")
+    app = EdgeApp(get_model(model, stage))
+    interp = app.interpreter
+    layers, seen = {}, []
+    interp.add_observer(
+        lambda record: layers.__setitem__(record.node.name, record.latency_ms))
+    invoke = interp.invoke
+
+    def observed_invoke(feeds):
+        out = invoke(feeds)
+        assert interp.last_batch == 1
+        seen.append((dict(layers), interp.last_latency_ms,
+                     (interp.weights_bytes()
+                      + interp.last_peak_activation_bytes) / 2**20))
+        return out
+
+    interp.invoke = observed_invoke
+    app.run(raw, labels)
+    frames = app.monitor.frames
+    assert len(frames) == len(seen) == 3
+    for frame, (layer_ms, latency_ms, memory_mb) in zip(frames, seen):
+        assert frame.layer_latency_ms == layer_ms
+        assert list(frame.layer_latency_ms) == list(layer_ms)
+        assert frame.latency_ms == latency_ms
+        assert frame.memory_mb == memory_mb
+
+
 class TestReferenceApp:
     def test_built_from_metadata(self, small_cnn_mobile, rng):
         small_cnn_mobile.metadata["pipeline"] = IMAGE_META
