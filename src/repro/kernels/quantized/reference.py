@@ -87,14 +87,16 @@ def qdepthwise_conv2d(
     xc = pad_spatial(
         x_q.astype(np.float64) - float(in_params.zero_point.item()), pad)
     # (N, oh, ow, C, kh, kw) strided windows: a view, so the per-channel
-    # loop below materializes one channel's patches at a time.
+    # loop below materializes one channel's patches at a time and sums them
+    # against its taps in one GEMM (exact: integer sums in float64).
     windows = np.lib.stride_tricks.sliding_window_view(
         xc, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
     n, oh, ow = windows.shape[:3]
+    taps = w_q.astype(np.float64).reshape(kh * kw, c, mult_ch)
     acc = np.empty((n, oh, ow, c, mult_ch), dtype=np.float64)
     for ch in range(c):  # naive per-channel loop
-        for m in range(mult_ch):
-            acc[..., ch, m] = (windows[..., ch, :, :] * w_q[:, :, ch, m]).sum(axis=(3, 4))
+        win = windows[..., ch, :, :].reshape(n * oh * ow, kh * kw)
+        acc[..., ch, :] = (win @ taps[:, ch]).reshape(n, oh, ow, mult_ch)
     acc = acc.reshape(n, oh, ow, c * mult_ch)
     if bias_q is not None:
         acc = acc + bias_q.astype(np.float64)

@@ -171,8 +171,9 @@ class EdgeApp:
 
         Writes the frames :meth:`run` writes — the same tensors, keys,
         steps, scalars and simulated latency/memory — and returns the same
-        stacked outputs, as long as each row of a batched invoke equals a
-        batch-1 invoke (every zoo model's does). Per-frame ``wall_ms`` is
+        stacked outputs, as long as both the preprocessing and the model
+        are row-invariant: row i of a batched call equals a batch-1 call on
+        frame i (every zoo recipe and model is). Per-frame ``wall_ms`` is
         the batch's wall time divided by its frame count (see
         :mod:`repro.instrument.monitor`).
         """
@@ -180,35 +181,30 @@ class EdgeApp:
 
     def _capture(self, raw_items: np.ndarray, labels: np.ndarray | None,
                  log_raw: bool, chunk: int) -> np.ndarray:
-        """Sense and preprocess each frame on its own, then invoke ``chunk``
-        frames at a time in one monitor window."""
+        """Preprocess ``chunk`` frames in one call, log each frame's sensor
+        read and model-input row on its own frame, then invoke the chunk in
+        one monitor window. A chunk above 1 needs row-invariant
+        preprocessing, as it needs a row-invariant model."""
         outputs = []
         for start in range(0, len(raw_items), chunk):
-            stop = min(start + chunk, len(raw_items))
-            inputs = []
-            for i in range(start, stop):
-                inputs.append(np.asarray(self._sense(raw_items[i:i + 1], log_raw)))
+            raw = raw_items[start:start + chunk]
+            x = np.asarray(self.preprocess(raw))
+            for i, row in enumerate(x):
+                self.monitor.on_sensor_start()
+                if log_raw:
+                    self.monitor.log("sensor_frame", np.asarray(raw[i]))
+                self.monitor.on_sensor_stop()
+                if self.log_inputs:
+                    self.monitor.log("model_input", row)
                 self.monitor.hold()
             with self.monitor.window(self.interpreter) as frames:
-                out = next(iter(self.interpreter.invoke(
-                    np.concatenate(inputs)).values()))
+                out = next(iter(self.interpreter.invoke(x).values()))
                 for i, frame in enumerate(frames):
                     frame.tensors["model_output"] = np.array(out[i])
                     if labels is not None:
                         frame.scalars["label"] = float(labels[start + i])
             outputs.append(out)
         return np.concatenate(outputs)
-
-    def _sense(self, raw: np.ndarray, log_raw: bool) -> np.ndarray:
-        """One frame's sensor read and preprocessing, logged on its frame."""
-        self.monitor.on_sensor_start()
-        if log_raw:
-            self.monitor.log("sensor_frame", np.asarray(raw[0]))
-        self.monitor.on_sensor_stop()
-        x = self.preprocess(raw)
-        if self.log_inputs:
-            self.monitor.log("model_input", np.asarray(x[0]))
-        return x
 
     def run_batched(self, raw_items: np.ndarray, batch: int = 128) -> np.ndarray:
         """Fast uninstrumented path (accuracy sweeps): batched invokes."""

@@ -4,6 +4,9 @@ the reference walk the compiled interpreter is pinned against.
 Zoo-backed fixtures rely on the on-disk training cache
 (``.cache/zoo``); the first test session trains the models it needs
 (seeded, deterministic) and later sessions reuse the cache.
+
+Hypothesis runs derandomized: each property test draws the same examples
+on every run, so tier-1 passes or fails the same way each time.
 """
 
 from __future__ import annotations
@@ -12,11 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.convert import convert_to_mobile, quantize_graph
 from repro.graph import GraphBuilder
 from repro.perfmodel.work import node_work
 from repro.runtime import ExecContext, derive_bindings
+
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -417,3 +417,38 @@ class TestBatchInvariance:
                         assert (row.dtype, row.shape) == (out.dtype, out.shape)
                         assert row.tobytes() == out.tobytes(), (
                             stage, resolver.__name__, layer, i)
+
+
+IMAGE_BUG_OVERRIDES = ({"channel_order": "bgr"}, {"normalization": "[0,1]"},
+                       {"rotation_k": 1}, {"resize_method": "bilinear"},
+                       {"resize_method": "nearest"})
+PREPROCESS_CASES = (
+    [(name, {}) for name in sorted(EXPECTED_MODELS)]
+    + [(name, overrides) for name in ("micro_mobilenet_v1", "ssd_lite")
+       for overrides in IMAGE_BUG_OVERRIDES]
+    + [("speech_cnn_a", {"spectrogram_normalization": "per_utterance"})])
+
+
+class TestPreprocessBatchInvariance:
+    """Row i of a batch preprocessed in one call equals that frame
+    preprocessed alone, byte for byte, for every zoo recipe and the §2 bug
+    overrides: what lets replay preprocess a chunk of frames per call."""
+
+    BATCH = 33
+
+    @pytest.mark.parametrize(
+        "name,overrides", PREPROCESS_CASES,
+        ids=[name + "".join(f"-{k}={v}" for k, v in overrides.items())
+             for name, overrides in PREPROCESS_CASES])
+    def test_rows_equal_batch_one(self, name, overrides):
+        from repro.pipelines import make_preprocess
+
+        raw = playback_data(name, self.BATCH, "batch-invariance")[0]
+        preprocess = make_preprocess(get_entry(name).pipeline, overrides)
+        batched = np.asarray(preprocess(raw))
+        assert len(batched) == self.BATCH
+        for i in range(self.BATCH):
+            single = np.asarray(preprocess(raw[i:i + 1]))
+            row = batched[i:i + 1]
+            assert (row.dtype, row.shape) == (single.dtype, single.shape)
+            assert row.tobytes() == single.tobytes(), i
