@@ -99,13 +99,6 @@ class ArenaLayout:
         """Total bytes if every tensor got its own buffer (no reuse)."""
         return sum(slot.nbytes for slot in self.slots)
 
-    def slot(self, tensor: str) -> ArenaSlot:
-        for s in self.slots:
-            if s.tensor == tensor:
-                return s
-        raise ValidationError(
-            f"arena layout for {self.graph!r} has no slot for {tensor!r}")
-
     # ------------------------------------------------------------ wire format
     def to_doc(self) -> dict:
         return {

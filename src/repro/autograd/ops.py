@@ -161,16 +161,17 @@ def gelu(x: Var) -> Var:
     return out
 
 
-def softmax(x: Var, axis: int = -1) -> Var:
+def softmax(x: Var) -> Var:
+    """Softmax over the last axis."""
     x = as_var(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    s = ex / ex.sum(axis=axis, keepdims=True)
+    s = ex / ex.sum(axis=-1, keepdims=True)
     out = Var(s, x.requires_grad, (x,))
 
     def backward(g):
         if x.requires_grad:
-            dot = (g * s).sum(axis=axis, keepdims=True)
+            dot = (g * s).sum(axis=-1, keepdims=True)
             x.accumulate_grad(s * (g - dot))
     out._backward_fn = backward
     return out
@@ -237,9 +238,9 @@ def conv2d(x: Var, w: Var, b: Var | None = None,
     return out
 
 
-def depthwise_conv2d(x: Var, w: Var, b: Var | None = None,
-                     stride: int | tuple[int, int] = 1,
+def depthwise_conv2d(x: Var, w: Var, stride: int | tuple[int, int] = 1,
                      padding: str = "same") -> Var:
+    """Bias-free depthwise conv; the DSL always follows it with batch norm."""
     x, w = as_var(x), as_var(w)
     kh, kw, c, mult = w.shape
     sh, sw = normalize_stride(stride)
@@ -248,18 +249,13 @@ def depthwise_conv2d(x: Var, w: Var, b: Var | None = None,
     acc = np.einsum("nhwklc,klcm->nhwcm", patches, w.data, optimize=True)
     n, oh, ow = acc.shape[:3]
     data = acc.reshape(n, oh, ow, c * mult)
-    if b is not None:
-        data = data + b.data
-    parents = (x, w) if b is None else (x, w, b)
-    out = Var(data, any(p.requires_grad for p in parents), parents)
+    out = Var(data, x.requires_grad or w.requires_grad, (x, w))
 
     def backward(g):
         g5 = g.reshape(n, oh, ow, c, mult)
         if w.requires_grad:
             gw = np.einsum("nhwklc,nhwcm->klcm", patches, g5, optimize=True)
             w.accumulate_grad(gw)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 1, 2)))
         if x.requires_grad:
             dpatch = np.einsum("nhwcm,klcm->nhwklc", g5, w.data, optimize=True)
             x.accumulate_grad(_col2im(dpatch, x.shape, kh, kw, sh, sw, pad))
@@ -299,16 +295,17 @@ def avg_pool2d(x: Var, pool_size: int | tuple[int, int] = 2,
     return out
 
 
-def global_avg_pool(x: Var, keepdims: bool = False) -> Var:
+def global_avg_pool(x: Var) -> Var:
+    """(N, H, W, C) -> (N, C) spatial mean."""
     x = as_var(x)
-    data = x.data.mean(axis=(1, 2), keepdims=keepdims)
+    data = x.data.mean(axis=(1, 2))
     out = Var(data, x.requires_grad, (x,))
     n, h, w, c = x.shape
 
     def backward(g):
         if x.requires_grad:
-            g4 = g if g.ndim == 4 else g[:, None, None, :]
-            x.accumulate_grad(np.broadcast_to(g4 / (h * w), x.shape).astype(np.float32))
+            x.accumulate_grad(np.broadcast_to(
+                g[:, None, None, :] / (h * w), x.shape).astype(np.float32))
     out._backward_fn = backward
     return out
 
@@ -330,19 +327,17 @@ def flatten(x: Var) -> Var:
     return reshape(x, (x.shape[0], -1))
 
 
-def concat(vars_: list[Var], axis: int = -1) -> Var:
+def concat(vars_: list[Var]) -> Var:
+    """Concatenate along the last (channel) axis."""
     vars_ = [as_var(v) for v in vars_]
-    data = np.concatenate([v.data for v in vars_], axis=axis)
+    data = np.concatenate([v.data for v in vars_], axis=-1)
     out = Var(data, any(v.requires_grad for v in vars_), tuple(vars_))
-    sizes = [v.shape[axis] for v in vars_]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [v.shape[-1] for v in vars_])
 
     def backward(g):
         for v, lo, hi in zip(vars_, offsets[:-1], offsets[1:]):
             if v.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                v.accumulate_grad(g[tuple(idx)])
+                v.accumulate_grad(g[..., lo:hi])
     out._backward_fn = backward
     return out
 
@@ -430,11 +425,11 @@ def batch_norm_train(
     return out
 
 
-def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-6) -> Var:
+def layer_norm(x: Var, gamma: Var, beta: Var) -> Var:
     x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
     m = x.data.mean(axis=-1, keepdims=True)
     v = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(v + eps)
+    inv = 1.0 / np.sqrt(v + 1e-6)
     xhat = (x.data - m) * inv
     out = Var(xhat * gamma.data + beta.data,
               x.requires_grad or gamma.requires_grad or beta.requires_grad,

@@ -574,7 +574,7 @@ def cmd_log(args, out) -> int:
         first = next(log.iter_frames(load_tensors=False))
         if first.layer_latency_ms:
             rows.append(("layers", str(len(first.layer_latency_ms))))
-        keys = log.tensor_keys(0)
+        keys = log.tensor_keys()
         if keys:
             shown = ", ".join(keys[:6]) + (", ..." if len(keys) > 6 else "")
             rows.append(("tensor keys", f"{len(keys)} ({shown})"))

@@ -213,13 +213,11 @@ class GraphBuilder:
                                "activation": "linear"})
 
     def depthwise_conv2d(self, x: str, weights: np.ndarray,
-                         bias: np.ndarray | None = None,
                          stride: int | tuple[int, int] = 1, padding: str = "same",
                          name: str | None = None) -> str:
-        w: dict[str, np.ndarray] = {"weights": weights}
-        if bias is not None:
-            w["bias"] = bias
-        return self.add("depthwise_conv2d", x, name=name, weights=w,
+        """Bias-free; converting folds a following batch norm into a bias."""
+        return self.add("depthwise_conv2d", x, name=name,
+                        weights={"weights": weights},
                         attrs={"stride": stride, "padding": padding,
                                "activation": "linear"})
 
@@ -231,9 +229,9 @@ class GraphBuilder:
         return self.add("dense", x, name=name, weights=w,
                         attrs={"activation": "linear"})
 
-    def batch_norm(self, x: str, mean, variance, gamma, beta, eps: float = 1e-3,
+    def batch_norm(self, x: str, mean, variance, gamma, beta,
                    name: str | None = None) -> str:
-        return self.add("batch_norm", x, name=name, attrs={"eps": eps},
+        return self.add("batch_norm", x, name=name, attrs={"eps": 1e-3},
                         weights={"mean": mean, "variance": variance,
                                  "gamma": gamma, "beta": beta})
 
@@ -249,7 +247,6 @@ class GraphBuilder:
     def mul_tensors(self, a: str, b: str, name: str | None = None) -> str:
         return self.add("mul", [a, b], name=name)
 
-    def global_avg_pool(self, x: str, keepdims: bool = False,
-                        name: str | None = None) -> str:
+    def global_avg_pool(self, x: str, name: str | None = None) -> str:
         return self.add("global_avg_pool", x, name=name,
-                        attrs={"keepdims": keepdims})
+                        attrs={"keepdims": False})

@@ -284,8 +284,8 @@ def save_log(monitor: EdgeMLMonitor, root: str | Path) -> int:
 class _ListSource:
     """Frame source over an in-memory list (zero-copy view).
 
-    ``load_tensors``/``keys`` are accepted for interface parity but
-    ignored: in-memory frames already hold their tensors.
+    ``load_tensors`` is accepted for interface parity but ignored:
+    in-memory frames already hold their tensors.
     """
 
     def __init__(self, frames: list[FrameLog]):
@@ -294,8 +294,7 @@ class _ListSource:
     def __len__(self) -> int:
         return len(self._frames)
 
-    def iter_frames(self, load_tensors: bool = True,
-                    keys=None) -> Iterator[FrameLog]:
+    def iter_frames(self, load_tensors: bool = True) -> Iterator[FrameLog]:
         return iter(self._frames)
 
     def frame(self, index: int, keys=None) -> FrameLog:
@@ -315,8 +314,8 @@ class _ListSource:
             stacked[key] = np.stack(arrays)
         return stacked
 
-    def tensor_keys(self, index: int) -> list[str]:
-        return sorted(self._frames[index].tensors)
+    def tensor_keys(self) -> list[str]:
+        return sorted(self._frames[0].tensors)
 
     def materialize(self) -> list[FrameLog]:
         return self._frames
@@ -357,8 +356,8 @@ class _DirectorySource:
             f"EXray log at {self.root} lists tensor {key!r} for frame "
             f"{step} but {why}")
 
-    def tensor_keys(self, index: int) -> list[str]:
-        return list(self._docs[index]["tensors"])
+    def tensor_keys(self) -> list[str]:
+        return list(self._docs[0]["tensors"])
 
     def _require(self, doc: dict, entries: list[tuple], keys) -> None:
         missing = sorted(set(keys) - {entry[0] for entry in entries})
@@ -368,13 +367,12 @@ class _DirectorySource:
                            f"{sorted(doc['tensors'])}")
 
     # ------------------------------------------------------------ iteration
-    def iter_frames(self, load_tensors: bool = True,
-                    keys=None) -> Iterator[FrameLog]:
+    def iter_frames(self, load_tensors: bool = True) -> Iterator[FrameLog]:
         with _TensorReader(self) as reader:
             for doc in self._docs:
                 frame = frame_from_doc(doc)
                 if load_tensors:
-                    frame.tensors.update(reader.read(doc, keys))
+                    frame.tensors.update(reader.read(doc))
                 yield frame
 
     def frame(self, index: int, keys=None) -> FrameLog:
@@ -489,31 +487,28 @@ class EXrayLog:
             self._frames = self._source.materialize()
         return self._frames
 
-    def iter_frames(self, load_tensors: bool = True,
-                    keys=None) -> Iterator[FrameLog]:
+    def iter_frames(self, load_tensors: bool = True) -> Iterator[FrameLog]:
         """Stream frames without materializing the whole log.
 
         ``load_tensors=False`` skips tensor payloads entirely — the cheap
-        path for latency/memory queries over directory-backed logs. A
-        ``keys`` set restricts which tensors load (e.g.
-        ``keys={"model_output"}`` reads one array per frame of a per-layer
-        trace instead of every layer's). Both knobs only
-        affect directory-backed logs; in-memory frames arrive as-is.
+        path for latency/memory queries over directory-backed logs; it only
+        affects directory-backed logs, in-memory frames arrive as-is. To
+        read a few keys, use :meth:`frame` or :meth:`stack_frames`.
         A directory-backed iteration keeps one ``tensors.bin`` handle open
-        and reads each frame's requested tensors with one positioned read;
+        and reads each frame's tensors with one positioned read;
         the frame's arrays are views of that one buffer.
         """
         if self._frames is not None:
             yield from self._frames
             return
-        yield from self._source.iter_frames(load_tensors=load_tensors,
-                                            keys=keys)
+        yield from self._source.iter_frames(load_tensors=load_tensors)
 
     def frame(self, index: int, keys=None) -> FrameLog:
         """Random access to one materialized frame.
 
-        ``keys`` restricts which tensors load for directory-backed logs
-        (same contract as :meth:`iter_frames`).
+        A ``keys`` set restricts which tensors load for directory-backed
+        logs (e.g. ``keys={"model_output"}`` reads one array of a per-layer
+        trace instead of every layer's); in-memory frames arrive as-is.
         """
         if self._frames is not None:
             return self._frames[index]
@@ -553,16 +548,16 @@ class EXrayLog:
         return np.array([frame.scalars[key]
                          for frame in self.iter_frames(load_tensors=False)])
 
-    def tensor_keys(self, index: int = 0) -> list[str]:
-        """Sorted tensor keys of one frame, from its document alone (no
-        tensor payload is read)."""
-        return self._source.tensor_keys(index)
+    def tensor_keys(self) -> list[str]:
+        """Sorted tensor keys of the first frame, from its document alone
+        (no tensor payload is read)."""
+        return self._source.tensor_keys()
 
     def layer_names(self) -> list[str]:
         """Names of per-layer-logged layers, in execution order."""
         if len(self) == 0:
             return []
-        keys = set(self.tensor_keys(0))
+        keys = set(self.tensor_keys())
         first = next(self.iter_frames(load_tensors=False))
         return [n for n in first.layer_latency_ms if f"layer/{n}" in keys]
 

@@ -166,16 +166,15 @@ class DebugSession:
     def run(
         self,
         assertions: list | None = None,
-        error_fn: str = "nrmse",
         always_run_assertions: bool = False,
-        drift_threshold: float = 0.1,
     ) -> ValidationReport:
         """Execute the three-stage flowchart and return the report.
 
         ``assertions`` extends/overrides the task's built-in suite; plain
         functions are wrapped automatically. By default assertions and
         per-layer analysis only run when accuracy degraded (the flowchart's
-        conditional edge); ``always_run_assertions`` forces them.
+        conditional edge); ``always_run_assertions`` forces them. Layer
+        drift is nrMSE, flagged by :func:`locate_discrepancies`' defaults.
         """
         # Stage 1: accuracy validation.
         accuracy: AccuracyReport | None = None
@@ -192,10 +191,8 @@ class DebugSession:
 
         # Stage 2: per-layer drift localization (when layer logs exist).
         if self.edge_log.layer_names() and self.ref_log.layer_names():
-            report.layer_diffs = per_layer_diff(
-                self.edge_log, self.ref_log, error_fn=error_fn)
-            report.flagged_layers = locate_discrepancies(
-                report.layer_diffs, threshold=drift_threshold)
+            report.layer_diffs = per_layer_diff(self.edge_log, self.ref_log)
+            report.flagged_layers = locate_discrepancies(report.layer_diffs)
 
         # Stage 3: root-cause assertions.
         suite: list[DeploymentAssertion] = default_assertions(self.task)

@@ -37,35 +37,28 @@ class Layer:
 
 # ------------------------------------------------------------- spec builders
 
-# Builders record fixed settings (a conv's ``explicit_pad``, a depthwise
-# conv's ``bn``, the SE ``reduction``, the dense-block ``k``) as attrs too:
-# :func:`arch_signature` keys the trained-weights cache on every attr.
-
 def conv(name: str, out_ch: int, k: int = 3, stride: int = 1,
-         padding: str = "same", act: str = "relu6", bn: bool = True) -> Layer:
-    """Conv2D (+BN unless ``bn=False``) (+activation unless ``act='linear'``)."""
+         act: str = "relu6", bn: bool = True) -> Layer:
+    """Conv2D, "same" padding (+BN unless ``bn=False``) (+activation unless
+    ``act='linear'``)."""
     return Layer("conv", name, {
-        "out_ch": out_ch, "k": k, "stride": stride, "padding": padding,
-        "act": act, "bn": bn, "explicit_pad": False,
+        "out_ch": out_ch, "k": k, "stride": stride, "act": act, "bn": bn,
     })
 
 
-def dwconv(name: str, k: int = 3, stride: int = 1, padding: str = "same",
-           act: str = "relu6", explicit_pad: bool = False) -> Layer:
-    """DepthwiseConv2D + BN (+activation); ``explicit_pad`` exports a
-    stride-2 layer's padding as its own Pad op (the Table 4 "Pad" rows)."""
-    return Layer("dwconv", name, {
-        "k": k, "stride": stride, "padding": padding, "act": act, "bn": True,
-        "explicit_pad": explicit_pad,
-    })
+def dwconv(name: str, stride: int = 1, act: str = "relu6") -> Layer:
+    """3x3 DepthwiseConv2D, "same" padding, + BN (+activation). A strided
+    layer exports its padding as its own Pad op (the Table 4 "Pad" rows)."""
+    return Layer("dwconv", name, {"stride": stride, "act": act})
 
 
 def dense(name: str, units: int, act: str = "linear") -> Layer:
     return Layer("dense", name, {"units": units, "act": act})
 
 
-def gap(name: str = "gap", keepdims: bool = False) -> Layer:
-    return Layer("gap", name, {"keepdims": keepdims})
+def gap() -> Layer:
+    """Global average pool to (N, C), exported as a ``Mean`` op."""
+    return Layer("gap", "gap")
 
 
 def flatten(name: str = "flatten") -> Layer:
@@ -95,11 +88,6 @@ def avgpool_full(name: str) -> Layer:
     return Layer("avgpool_full", name)
 
 
-def maxpool(name: str, pool: int = 2, stride: int | None = None,
-            padding: str = "valid") -> Layer:
-    return Layer("maxpool", name, {"pool": pool, "stride": stride, "padding": padding})
-
-
 def residual(name: str, body: list[Layer],
              shortcut: list[Layer] | None = None) -> Layer:
     """x -> body(x) + (shortcut(x) if given else x)."""
@@ -113,7 +101,7 @@ def se_block(name: str) -> Layer:
     The average-pool layer this introduces into every v3 residual block is
     precisely where Figure 6 (right) localizes the reference-kernel bug.
     """
-    return Layer("se", name, {"reduction": 4})
+    return Layer("se", name)
 
 
 def inception(name: str, branches: list[list[Layer]]) -> Layer:
@@ -123,7 +111,7 @@ def inception(name: str, branches: list[list[Layer]]) -> Layer:
 
 def dense_block(name: str, layers: int, growth: int) -> Layer:
     """DenseNet block: repeatedly concat 3x3 conv features onto the input."""
-    return Layer("dense_block", name, {"layers": layers, "growth": growth, "k": 3})
+    return Layer("dense_block", name, {"layers": layers, "growth": growth})
 
 
 def resize_nearest(name: str, out_h: int, out_w: int) -> Layer:
@@ -179,28 +167,20 @@ def run_arch(layers: list[Layer], x, backend):
 def _run_layer(layer: Layer, x, b):
     kind, name, attrs = layer.kind, layer.name, layer.attrs
     if kind == "conv":
-        if attrs.get("explicit_pad") and attrs["stride"] != 1:
-            x = b.pad_for(x, f"{name}_pad", attrs["k"], attrs["stride"])
-            pad_mode = "valid"
-        else:
-            pad_mode = attrs["padding"]
         x = b.conv(x, name, attrs["out_ch"], attrs["k"], attrs["stride"],
-                   pad_mode, use_bias=not attrs["bn"])
+                   "same", use_bias=not attrs["bn"])
         if attrs["bn"]:
             x = b.batch_norm(x, f"{name}_bn")
         if attrs["act"] != "linear":
             x = b.act(x, f"{name}_act", attrs["act"])
         return x
     if kind == "dwconv":
-        if attrs.get("explicit_pad") and attrs["stride"] != 1:
-            x = b.pad_for(x, f"{name}_pad", attrs["k"], attrs["stride"])
+        pad_mode = "same"
+        if attrs["stride"] != 1:
+            x = b.pad_for(x, f"{name}_pad", 3, attrs["stride"])
             pad_mode = "valid"
-        else:
-            pad_mode = attrs["padding"]
-        x = b.dwconv(x, name, attrs["k"], attrs["stride"], pad_mode,
-                     use_bias=not attrs["bn"])
-        if attrs["bn"]:
-            x = b.batch_norm(x, f"{name}_bn")
+        x = b.dwconv(x, name, 3, attrs["stride"], pad_mode)
+        x = b.batch_norm(x, f"{name}_bn")
         if attrs["act"] != "linear":
             x = b.act(x, f"{name}_act", attrs["act"])
         return x
@@ -210,7 +190,7 @@ def _run_layer(layer: Layer, x, b):
             x = b.act(x, f"{name}_act", attrs["act"])
         return x
     if kind == "gap":
-        return b.gap(x, name, attrs["keepdims"])
+        return b.gap(x, name)
     if kind == "flatten":
         return b.flatten(x, name)
     if kind == "softmax":
@@ -219,8 +199,6 @@ def _run_layer(layer: Layer, x, b):
         return b.act(x, name, attrs["fn"])
     if kind == "avgpool":
         return b.avgpool(x, name, attrs["pool"], attrs["stride"], attrs["padding"])
-    if kind == "maxpool":
-        return b.maxpool(x, name, attrs["pool"], attrs["stride"], attrs["padding"])
     if kind == "residual":
         body_out = run_arch(layer.body, x, b)
         shortcut = x
@@ -231,7 +209,7 @@ def _run_layer(layer: Layer, x, b):
         return b.avgpool_full(x, name)
     if kind == "se":
         channels = b.channels_of(x)
-        squeezed = max(channels // attrs["reduction"], 2)
+        squeezed = max(channels // 4, 2)
         s = b.avgpool_full(x, f"{name}_squeeze")
         s = b.conv(s, f"{name}_reduce", squeezed, 1, 1, "same", use_bias=True)
         s = b.act(s, f"{name}_relu", "relu")
@@ -243,8 +221,8 @@ def _run_layer(layer: Layer, x, b):
         return b.concat(outs, f"{name}_concat")
     if kind == "dense_block":
         for i in range(attrs["layers"]):
-            y = b.conv(x, f"{name}_l{i}", attrs["growth"], attrs["k"], 1,
-                       "same", use_bias=False)
+            y = b.conv(x, f"{name}_l{i}", attrs["growth"], 3, 1, "same",
+                       use_bias=False)
             y = b.batch_norm(y, f"{name}_l{i}_bn")
             y = b.act(y, f"{name}_l{i}_act", "relu")
             x = b.concat([x, y], f"{name}_l{i}_cat")

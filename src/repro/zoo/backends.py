@@ -105,11 +105,9 @@ class TrainBackend:
         b = self.store.get(f"{name}.b", (out_ch,), "zeros") if use_bias else None
         return ops.conv2d(x, w, b, stride=stride, padding=padding)
 
-    def dwconv(self, x, name, k, stride, padding, use_bias):
-        c = self.channels_of(x)
-        w = self.store.get(f"{name}.w", (k, k, c, 1))
-        b = self.store.get(f"{name}.b", (c,), "zeros") if use_bias else None
-        return ops.depthwise_conv2d(x, w, b, stride=stride, padding=padding)
+    def dwconv(self, x, name, k, stride, padding):
+        w = self.store.get(f"{name}.w", (k, k, self.channels_of(x), 1))
+        return ops.depthwise_conv2d(x, w, stride=stride, padding=padding)
 
     def dense(self, x, name, units):
         w = self.store.get(f"{name}.w", (self.channels_of(x), units), "xavier")
@@ -134,8 +132,8 @@ class TrainBackend:
     def softmax(self, x, name):
         return ops.softmax(x)
 
-    def gap(self, x, name, keepdims=False):
-        return ops.global_avg_pool(x, keepdims=keepdims)
+    def gap(self, x, name):
+        return ops.global_avg_pool(x)
 
     def flatten(self, x, name):
         return ops.flatten(x)
@@ -146,11 +144,6 @@ class TrainBackend:
     def avgpool_full(self, x, name):
         return ops.avg_pool2d(x, (int(x.shape[1]), int(x.shape[2])))
 
-    def maxpool(self, x, name, pool, stride, padding):
-        # Trained archs avoid max pooling (no autograd kernel needed); the
-        # inference runtime supports it for hand-built graphs.
-        raise GraphError("max pooling is not supported by the training backend")
-
     def add(self, a, b, name):
         return ops.add(a, b)
 
@@ -158,7 +151,7 @@ class TrainBackend:
         return ops.mul(a, b)
 
     def concat(self, xs, name):
-        return ops.concat(xs, axis=-1)
+        return ops.concat(xs)
 
     def resize_nearest(self, x, name, out_h, out_w):
         n, h, w, c = x.shape
@@ -203,7 +196,7 @@ class TrainBackend:
         v = heads(ops.dense(x, wv, bv))
         scores = ops.scale(ops.matmul(q, _transpose(k, (0, 1, 3, 2))),
                            1.0 / np.sqrt(dh))
-        weights = ops.softmax(scores, axis=-1)
+        weights = ops.softmax(scores)
         attended = ops.matmul(weights, v)
         merged = ops.reshape(_transpose(attended, (0, 2, 1, 3)), (batch, seq, d))
         return ops.dense(merged, wo, bo)
@@ -265,9 +258,8 @@ class ExportBackend:
         return self.builder.conv2d(x, self._param(f"{name}.w"), bias,
                                    stride=stride, padding=padding, name=name)
 
-    def dwconv(self, x, name, k, stride, padding, use_bias):
-        bias = self._param(f"{name}.b") if use_bias else None
-        return self.builder.depthwise_conv2d(x, self._param(f"{name}.w"), bias,
+    def dwconv(self, x, name, k, stride, padding):
+        return self.builder.depthwise_conv2d(x, self._param(f"{name}.w"),
                                              stride=stride, padding=padding,
                                              name=name)
 
@@ -289,8 +281,8 @@ class ExportBackend:
     def softmax(self, x, name):
         return self.builder.softmax(x, name=name)
 
-    def gap(self, x, name, keepdims=False):
-        return self.builder.global_avg_pool(x, keepdims=keepdims, name=name)
+    def gap(self, x, name):
+        return self.builder.global_avg_pool(x, name=name)
 
     def flatten(self, x, name):
         return self.builder.add("flatten", x, name=name)
@@ -305,12 +297,6 @@ class ExportBackend:
         h, w = self._spatial_of(x)
         return self.builder.add("avg_pool2d", x, name=name, attrs={
             "pool_size": (h, w), "stride": (h, w), "padding": "valid",
-        })
-
-    def maxpool(self, x, name, pool, stride, padding):
-        return self.builder.add("max_pool2d", x, name=name, attrs={
-            "pool_size": pool, "stride": stride if stride else pool,
-            "padding": padding,
         })
 
     def add(self, a, b, name):

@@ -63,8 +63,7 @@ def _inverted_residual(name: str, expand_ch: int | None, out_ch: int,
     layers: list[Layer] = []
     if expand_ch:
         layers.append(conv(f"{name}_expand", expand_ch, k=1, act=act_fn))
-    layers.append(dwconv(f"{name}_dw", stride=stride, act=act_fn,
-                         explicit_pad=(stride == 2)))
+    layers.append(dwconv(f"{name}_dw", stride=stride, act=act_fn))
     if se:
         layers.append(se_block(f"{name}_se"))
     layers.append(conv(f"{name}_project", out_ch, k=1, act="linear"))
@@ -78,8 +77,7 @@ def micro_mobilenet_v1() -> list[Layer]:
     spec: list[Layer] = [conv("stem", 8, stride=2)]
     blocks = [("b1", 16, 1), ("b2", 24, 2), ("b3", 24, 1), ("b4", 32, 2)]
     for name, out_ch, stride in blocks:
-        spec.append(dwconv(f"{name}_dw", stride=stride,
-                           explicit_pad=(stride == 2)))
+        spec.append(dwconv(f"{name}_dw", stride=stride))
         spec.append(conv(f"{name}_pw", out_ch, k=1))
     spec += [gap(), dense("logits", IMAGE_CLASSES), softmax()]
     return spec

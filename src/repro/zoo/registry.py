@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,9 +44,9 @@ from repro.pipelines.preprocess import (
     spectrogram,
 )
 from repro.util.errors import ReproError
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, stable_hash
 from repro.zoo import models as M
-from repro.zoo.arch import Layer, run_arch
+from repro.zoo.arch import Layer, arch_signature, run_arch
 from repro.zoo.backends import ExportBackend, ParamStore
 from repro.zoo.cache import cache_dir, load_trained, save_trained
 from repro.zoo.train import (
@@ -347,18 +348,25 @@ def get_entry(name: str) -> ZooEntry:
 # ------------------------------------------------------------------ training
 
 def _cache_key(entry: ZooEntry) -> str:
-    """Cache key tied to the architecture structure: edits retrain."""
-    from repro.util.rng import stable_hash
-    from repro.zoo.arch import arch_signature
-
-    fingerprint = stable_hash(arch_signature(entry.arch_fn())) % 16**8
+    """Cache key tied to everything that trains the weights — the
+    architecture, the training config and the input pipeline (which
+    :func:`training_data` applies) — so editing any of them retrains."""
+    recipe = json.dumps({"train_cfg": entry.train_cfg,
+                         "pipeline": entry.pipeline}, sort_keys=True)
+    fingerprint = stable_hash(arch_signature(entry.arch_fn()), recipe) % 16**8
     return f"{entry.name}_{fingerprint:08x}"
+
+
+@functools.lru_cache(maxsize=None)
+def _model_cache_key(name: str) -> str:
+    """:func:`_cache_key` of a registered model, computed once per process."""
+    return _cache_key(get_entry(name))
 
 
 def get_trained(name: str, force_retrain: bool = False):
     """Trained (params, state, meta) for a model, training+caching on demand."""
     entry = get_entry(name)
-    key = _cache_key(entry)
+    key = _model_cache_key(name)
     if not force_retrain:
         cached = load_trained(key)
         if cached is not None:

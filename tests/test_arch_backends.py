@@ -54,7 +54,7 @@ def train_then_export(arch, input_shape, rng, dtype="float32"):
 
 BLOCKS = {
     "conv_bn_act": [conv("c", 6, stride=2)],
-    "explicit_pad": [dwconv("d", stride=2, explicit_pad=True)],
+    "explicit_pad": [dwconv("d", stride=2)],
     "dwconv": [dwconv("d"), conv("p", 4, k=1)],
     "residual": [conv("c", 3, act="relu"),
                  residual("r", [conv("rc", 3, act="relu"),

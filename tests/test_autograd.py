@@ -76,7 +76,7 @@ class TestBasicOps:
         b = Var(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
 
         def build():
-            cat = ops.concat([a, b], axis=-1)
+            cat = ops.concat([a, b])
             return ops.slice_channels(ops.reshape(cat, (2, 7)), 2, 6)
 
         check_grads(build, [a, b])

@@ -6,7 +6,10 @@ entries, test-only definitions, and dead knobs. For the dead-knob rule, a
 defaulted ``src/`` parameter must be passed by some non-test call — by
 keyword, by position or through a ``*``/``**`` splat, with something other
 than its own default literal — or be named, with a reason, in
-``DEAD_KNOB_ALLOWLIST``.
+``DEAD_KNOB_ALLOWLIST``. Both whole-tree rules match a call or reference by
+what it can reach: a bare name reaches top-level definitions, an attribute
+of a module alias that module's definitions, and any other attribute
+methods (plus the definitions of modules passed around as values).
 """
 
 import importlib.util
@@ -124,6 +127,59 @@ class TestDeadKnobRule:
         # nothing passes Crate's lid or grow's by. Private methods are not
         # checked, and Bag() reaches the __init__ it inherits.
         assert self._keys(violations) == ["Box.grow(by)", "Crate(lid)"]
+
+    @pytest.mark.parametrize("call, dead", [
+        ("from pkg.shapes import Box\nBox().scale(1, 3, offset=1)\n",
+         ["scale(factor)", "scale(offset)"]),
+        ("from pkg.ops import scale\nscale(1, 3, offset=1)\n",
+         ["Box.scale(factor)", "Box.scale(offset)"]),
+    ], ids=["method-call", "bare-call"])
+    def test_calls_match_functions_or_methods_not_both(self, tmp_path, call,
+                                                       dead):
+        # A method call passes nothing to a same-named function, and a bare
+        # call nothing to a same-named method.
+        violations = self._check(tmp_path, {
+            "src/pkg/ops.py": SCALE,
+            "src/pkg/shapes.py": (
+                "class Box:\n"
+                "    def scale(self, x, factor=2, *, offset=0):\n"
+                "        return x * factor + offset\n"),
+            "examples/demo.py": call,
+        })
+        assert self._keys(violations) == dead
+
+    @pytest.mark.parametrize("call", [
+        "import pkg.ops as ops\nops.scale(1, 3, offset=1)\n",
+        "from pkg import ops\nops.scale(1, 3, offset=1)\n",
+        "import pkg.ops\npkg.ops.scale(1, 3, offset=1)\n",
+        "import pkg\npkg.scale(1, 3, offset=1)\n",
+    ], ids=["import-as", "from-import", "dotted", "re-export"])
+    def test_module_alias_call_passes_that_modules_function(self, tmp_path,
+                                                             call):
+        violations = self._check(tmp_path, {
+            "src/pkg/__init__.py": "from pkg.ops import scale\n",
+            "src/pkg/ops.py": SCALE,
+            "src/pkg/other.py": SCALE,
+            "examples/demo.py": call,
+        })
+        assert self._keys(violations) == ["scale(factor)", "scale(offset)"]
+        assert {path for path, _, _ in violations} == {
+            str(tmp_path / "src/pkg/other.py")}
+
+    def test_module_passed_as_value_reaches_its_functions(self, tmp_path):
+        # ``run(fast)`` hands the module around, so ``kernels.scale(...)``
+        # may call fast.scale; slow is only dotted through, never passed.
+        violations = self._check(tmp_path, {
+            "src/pkg/fast.py": SCALE,
+            "src/pkg/slow.py": SCALE,
+            "src/pkg/runner.py": ("from pkg import fast, slow\n"
+                                  "def run(kernels):\n"
+                                  "    return kernels.scale(1, 3, offset=1)\n"
+                                  "run(fast), slow.scale\n"),
+        })
+        assert self._keys(violations) == ["scale(factor)", "scale(offset)"]
+        assert {path for path, _, _ in violations} == {
+            str(tmp_path / "src/pkg/slow.py")}
 
     def test_allowlisted_knob_passes_and_stale_entries_fail(self, tmp_path):
         files = {"src/pkg/ops.py": SCALE,
@@ -391,6 +447,25 @@ class TestTestOnlyDefinitionRule:
         assert self._names(violations) == ["Box.grow", "Crate.stack"]
         assert self._check(tmp_path, {}, {"Box.grow": "kept on purpose",
                                           "Crate.stack": "kept too"}) == []
+
+    def test_references_match_by_what_they_can_reach(self, tmp_path):
+        violations = self._check(tmp_path, {
+            "src/pkg/util.py": ("def helper():\n"
+                                "    return 1\n"
+                                "class Box:\n"
+                                "    def size(self):\n"
+                                "        return 2\n"
+                                "    def area(self):\n"
+                                "        return 3\n"),
+            "examples/use.py": ("import numpy as np\n"
+                                "from pkg.util import Box\n"
+                                "size = 1\n"
+                                "Box().helper, size, np.area\n"),
+        })
+        # An attribute does not reach a top-level function, a bare name does
+        # not reach a method, and an outside module's attribute reaches
+        # nothing in src/.
+        assert self._names(violations) == ["Box.area", "Box.size", "helper"]
 
     def test_real_tree_clean_with_reasoned_entries(self):
         rules = _repo_rules()

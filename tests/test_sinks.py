@@ -419,12 +419,13 @@ class TestLazyReader:
         log = EXrayLog.load(tmp_path / "log")
         frame = log.frame(1, keys={"model_output"})
         assert set(frame.tensors) == {"model_output"}
-        for f in log.iter_frames(keys={"model_input"}):
-            assert set(f.tensors) == {"model_input"}
+        for i in range(len(log)):
+            assert set(log.frame(i, keys={"model_input"}).tensors) == \
+                {"model_input"}
         # A filtered pass over every frame stays correct.
-        series = [f.tensor("model_output")
-                  for f in log.iter_frames(keys={"model_output"})]
+        series = log.stack_frames(["model_output"])["model_output"]
         assert len(series) == 4
+        np.testing.assert_array_equal(series[1], frame.tensor("model_output"))
 
 
 class TestFormatCompat:
@@ -530,8 +531,8 @@ class TestMetadataReads:
     def test_keyed_iteration_reads_only_that_key(self, log_root, x_frames,
                                                  tensor_reads):
         log = EXrayLog.load(log_root)
-        outputs = [f.tensor("model_output")
-                   for f in log.iter_frames(keys={"model_output"})]
+        outputs = [log.frame(i, keys={"model_output"}).tensor("model_output")
+                   for i in range(len(log))]
         assert len(tensor_reads) == len(x_frames)
         assert sum(tensor_reads) == sum(o.nbytes for o in outputs)
 
@@ -559,8 +560,8 @@ class TestMetadataReads:
                                                log_root):
         monitor = EdgeMLMonitor(per_layer=True)
         stream_frames(small_cnn, monitor, x_frames)
-        assert EXrayLog.from_monitor(monitor).tensor_keys(0) == \
-            EXrayLog.load(log_root).tensor_keys(0)
+        assert EXrayLog.from_monitor(monitor).tensor_keys() == \
+            EXrayLog.load(log_root).tensor_keys()
 
 
 def per_frame_oracle(edge_log, ref_log, error_fn="nrmse"):

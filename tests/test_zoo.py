@@ -6,6 +6,8 @@ touches (deterministic, seeded).
 
 import copy
 import dataclasses
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,24 @@ from repro.zoo import (
 )
 from repro.zoo import registry
 from repro.zoo.arch import arch_signature
+from repro.zoo.cache import CACHE_VERSION
+
+
+@pytest.fixture(scope="module")
+def committed_weights():
+    """File names git tracks under the repo's ``.cache/zoo`` (the files
+    present there when git lists none, outside a checkout). Untracked
+    files a retrain left behind do not count."""
+    root = Path(__file__).resolve().parents[1]
+    try:
+        listing = subprocess.run(
+            ["git", "ls-files", "--", ".cache/zoo"], cwd=root,
+            capture_output=True, text=True, timeout=60).stdout
+    except OSError:
+        listing = ""
+    if listing:
+        return {Path(line).name for line in listing.splitlines()}
+    return {path.name for path in (root / ".cache" / "zoo").iterdir()}
 
 
 EXPECTED_MODELS = {
@@ -61,6 +81,41 @@ class TestRegistry:
         b = arch_signature(get_entry("micro_mobilenet_v2").arch_fn())
         c = arch_signature(get_entry("micro_mobilenet_v1").arch_fn())
         assert a == b and a != c
+
+    @pytest.mark.parametrize("edit", [
+        {"train_cfg": {"lr": 1e-3}},
+        {"train_cfg": {"epochs": 5}},
+        {"pipeline": {"image_preprocess": {"channel_order": "bgr"}}},
+        {"pipeline": {"dataset": {"seed": 7}}},
+    ], ids=["train_cfg-lr", "train_cfg-epochs", "pipeline-recipe",
+            "pipeline-dataset"])
+    def test_cache_key_covers_training_recipe(self, edit):
+        """Editing what trains the weights retrains: the key changes."""
+        entry = get_entry("micro_mobilenet_v1")
+
+        def merged(base, patch):
+            out = copy.deepcopy(base)
+            for key, value in patch.items():
+                out[key] = (merged(out[key], value)
+                            if isinstance(value, dict) else value)
+            return out
+
+        fields = {field: merged(getattr(entry, field), patch)
+                  for field, patch in edit.items()}
+        edited = dataclasses.replace(entry, **fields)
+        assert registry._cache_key(edited) != registry._cache_key(entry)
+        assert registry._cache_key(dataclasses.replace(entry)) == \
+            registry._cache_key(entry)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_MODELS))
+    def test_cache_key_names_a_committed_weights_file(self, name,
+                                                      committed_weights):
+        """A key change must come with the renamed committed weights, or a
+        fresh checkout retrains (and leaves untracked cache files)."""
+        key = registry._cache_key(get_entry(name))
+        for suffix in ("npz", "json"):
+            file = f"{key}_v{CACHE_VERSION}.{suffix}"
+            assert file in committed_weights, f"{name}: no committed {file}"
 
 
 class TestTrainedQuality:

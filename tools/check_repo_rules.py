@@ -42,20 +42,27 @@ Eight rules:
   definition only tests reach is code nothing ships.  The same holds
   for every undecorated public method of a ``src/`` class whose bases are
   all ``src/`` classes (or none): a reference to the method's name outside
-  its own body counts. Classes deriving from a stdlib or third-party base
-  are skipped, since their methods may be hooks the base calls. Decorated
-  definitions are exempt (registries such as ``@register_rule`` call
-  them); :data:`TEST_ONLY_ALLOWLIST` names the few kept on purpose
-  (methods as ``Class.method``), and an entry that is no longer defined
-  or has gained a caller is itself a violation, so the list cannot rot.
+  its own body counts.  References match by what they can reach
+  (:class:`_Scope`): a bare name reaches top-level definitions; an
+  attribute of a module alias (``ops.conv2d`` after ``from repro.autograd
+  import ops``) reaches that module's own or re-exported definitions and
+  no method; any other attribute reaches methods, and the definitions of
+  a module passed around as a value.  Classes deriving from a stdlib or
+  third-party base are skipped, since their methods may be hooks the base
+  calls.  Decorated definitions are exempt (registries such as
+  ``@register_rule`` call them); :data:`TEST_ONLY_ALLOWLIST` names the
+  few kept on purpose (methods as ``Class.method``), and an entry that is
+  no longer defined or has gained a caller is itself a violation, so the
+  list cannot rot.
 * **dead-knob** (same pass and roots as test-only-definition): every
   defaulted parameter of a ``src/`` top-level function, constructor
   (``__init__``) or public/static/class method of a ``src/``-based class
   must be passed by some call in ``src/``, ``bench/``, ``benchmarks/``,
   ``examples/`` or ``tools/`` — by keyword, by position, or through a
   ``*``/``**`` splat.  A literal equal to the default (``f(x=0.2)`` for
-  ``x=0.2``) does not count: it changes nothing.  Calls match by name, as
-  test-only-definition does;
+  ``x=0.2``) does not count: it changes nothing.  Calls match by what
+  they can reach, as test-only-definition references do, so ``b.conv(...)``
+  passes nothing to a top-level ``conv``;
   a call of a class, of ``cls`` inside one, or of ``super().__init__``
   reaches the ``__init__`` that runs.  A default only tests override is a
   setting no deployment changes: make it a constant.
@@ -103,6 +110,7 @@ DEAD_KNOB_ALLOWLIST = {
                         "schedule",
     "Var.backward(grad)": "gradient checks backpropagate a random "
                           "cotangent from non-scalar outputs",
+    "main(argv)": "CLI tests drive the parser with argument lists",
     "main(out)": "CLI tests capture the command's output stream",
     "SweepCoordinator(clock)": "lease-expiry tests drive a fake clock",
     "run_worker(attempts)": "worker tests bound retries against a fake "
@@ -343,10 +351,124 @@ def _public_methods(tree: ast.Module, src_classes: set[str]):
                 yield f"{cls.name}.{node.name}", node.name, node
 
 
-def _references(tree: ast.Module):
-    """Yield ``(name, statement, member)`` for each ``Name``/``Attribute``
-    load: the module-body statement it sits in and, inside a class body,
-    the class-body statement (else ``None``)."""
+class _Scope:
+    """What a ``Name``/``Attribute`` load can reach, for both whole-tree
+    rules.
+
+    A bare name reaches any module's top-level definitions of that name
+    (imports are not followed).  An attribute of a module — ``m.f`` after
+    ``import a.b as m`` or ``from a import b`` where ``a.b`` is a parsed
+    module — reaches the ``f`` that module defines or re-exports, and no
+    method.  Any other attribute reaches methods, and the top-level
+    definitions of every module some file uses as a value (passes, assigns
+    or returns, not only dots through): ``qkernels=_qopt`` makes
+    ``ctx.qkernels.qconv2d(...)`` a call of ``_qopt.qconv2d``.
+    """
+
+    def __init__(self, trees):
+        self.modules = {module: tree for _, _, tree, module in trees}
+        self.aliases: dict[str, dict[str, str]] = {}
+        self._origins: dict[tuple[str, str], str | None] = {}
+        value_modules: set[str] = set()
+        for _, path, tree, _ in trees:
+            aliases: dict[str, str] = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    aliases.update((a.asname, a.name) if a.asname
+                                   else (a.name.partition(".")[0],) * 2
+                                   for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    aliases.update(
+                        (a.asname or a.name, f"{node.module}.{a.name}")
+                        for a in node.names
+                        if f"{node.module}.{a.name}" in self.modules)
+            self.aliases[path] = aliases
+            dotted = {id(node.value) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+            value_modules.update(
+                aliases[node.id] for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id in aliases and id(node) not in dotted)
+        self.value_names: dict[str, set[str]] = {}
+        for module in value_modules & set(self.modules):
+            for name in _module_bindings(self.modules[module]):
+                if origin := self._origin(module, name):
+                    self.value_names.setdefault(name, set()).add(origin)
+
+    def _origin(self, module: str, name: str) -> str | None:
+        """The parsed module defining what *module* binds as *name*,
+        following module-level ``from x import name`` re-exports; ``None``
+        when that is a module or lies outside the parsed trees."""
+        if module not in self.modules:
+            return None
+        key = (module, name)
+        if key not in self._origins:
+            self._origins[key] = None  # a re-export cycle reaches nothing
+            origin = module
+            for node in self.modules[module].body:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                for alias in node.names:
+                    if (alias.asname or alias.name) != name:
+                        continue
+                    origin = None
+                    if (isinstance(node, ast.ImportFrom)
+                            and f"{node.module}.{alias.name}"
+                            not in self.modules):
+                        origin = self._origin(node.module, alias.name)
+            self._origins[key] = origin
+        return self._origins[key]
+
+    def _module_of(self, path: str, node: ast.expr) -> str | None:
+        """The module a dotted expression names, or ``None`` when it is not
+        a module (``m.Class`` is not)."""
+        dotted = _dotted(node)
+        head, *rest = (dotted or "").split(".")
+        module = self.aliases[path].get(head)
+        for part in rest:
+            if module is None or f"{module}.{part}" not in self.modules:
+                return None
+            module = f"{module}.{part}"
+        return module
+
+    def reaches(self, path: str, node: ast.expr):
+        """Yield ``("top", name, module)`` (``module`` ``None`` for a bare
+        name, which any module's definition matches) and
+        ``("member", name)`` targets for a ``Name``/``Attribute`` node."""
+        if isinstance(node, ast.Name):
+            yield "top", node.id, None
+        elif isinstance(node, ast.Attribute):
+            module = self._module_of(path, node.value)
+            if module is not None:
+                if origin := self._origin(module, node.attr):
+                    yield "top", node.attr, origin
+                return
+            yield "member", node.attr
+            for origin in self.value_names.get(node.attr, ()):
+                yield "top", node.attr, origin
+
+    @staticmethod
+    def top(name: str, module: str) -> tuple[tuple, tuple]:
+        """The targets that reach top-level *name* of *module*."""
+        return ("top", name, None), ("top", name, module)
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attribute lookups on a name, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _references(path: str, tree: ast.Module, scope: _Scope):
+    """Yield ``(target, statement, member)`` for each ``Name``/``Attribute``
+    load, one per target :meth:`_Scope.reaches` names: the module-body
+    statement it sits in and, inside a class body, the class-body statement
+    (else ``None``)."""
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
             scopes = [(member, member) for member in stmt.body]
@@ -354,14 +476,12 @@ def _references(tree: ast.Module):
                 *stmt.bases, *stmt.keywords, *stmt.decorator_list)]
         else:
             scopes = [(stmt, None)]
-        for scope, member in scopes:
-            for node in ast.walk(scope):
-                if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                             ast.Load):
-                    yield node.id, stmt, member
-                elif (isinstance(node, ast.Attribute)
+        for node_scope, member in scopes:
+            for node in ast.walk(node_scope):
+                if (isinstance(node, (ast.Name, ast.Attribute))
                         and isinstance(node.ctx, ast.Load)):
-                    yield node.attr, stmt, member
+                    for target in scope.reaches(path, node):
+                        yield target, stmt, member
 
 
 def _allowlist_line(name: str) -> int:
@@ -381,27 +501,30 @@ def check_test_only_definitions(
 
 def _test_only_violations(trees, allowlist):
     allowlist = TEST_ONLY_ALLOWLIST if allowlist is None else allowlist
-    src_trees = [(path, tree) for root, path, tree in trees if root == "src"]
-    callers: dict[str, list[tuple[ast.stmt, ast.stmt | None]]] = {}
-    for _, _, tree in trees:
-        for name, stmt, member in _references(tree):
-            callers.setdefault(name, []).append((stmt, member))
-    src_classes = {node.name for _, tree in src_trees for node in tree.body
-                   if isinstance(node, ast.ClassDef)}
-    # (path, allowlist key, referenced name, node, is a class member)
-    definitions: list[tuple[str, str, str, ast.AST, bool]] = []
-    for path, tree in src_trees:
-        definitions += [(path, name, name, node, False)
+    scope = _Scope(trees)
+    src_trees = [(path, tree, module) for root, path, tree, module in trees
+                 if root == "src"]
+    callers: dict[tuple, list[tuple[ast.stmt, ast.stmt | None]]] = {}
+    for _, path, tree, _ in trees:
+        for target, stmt, member in _references(path, tree, scope):
+            callers.setdefault(target, []).append((stmt, member))
+    src_classes = {node.name for _, tree, _ in src_trees
+                   for node in tree.body if isinstance(node, ast.ClassDef)}
+    # (path, allowlist key, reaching targets, node, is a class member)
+    definitions: list[tuple[str, str, tuple, ast.AST, bool]] = []
+    for path, tree, module in src_trees:
+        definitions += [(path, name, scope.top(name, module), node, False)
                         for name, node in _top_level_definitions(tree)]
-        definitions += [(path, key, name, node, True)
+        definitions += [(path, key, (("member", name),), node, True)
                         for key, name, node in _public_methods(tree,
                                                                src_classes)]
     violations: list[tuple[str, int, str]] = []
     defined: set[str] = set()
-    for path, key, name, node, is_member in definitions:
+    for path, key, targets, node, is_member in definitions:
         defined.add(key)
         used = any((member if is_member else stmt) is not node
-                   for stmt, member in callers.get(name, ()))
+                   for target in targets
+                   for stmt, member in callers.get(target, ()))
         if key in allowlist:
             if used:
                 violations.append((
@@ -438,16 +561,15 @@ def _defaulted_params(fn: ast.FunctionDef | ast.AsyncFunctionDef, skip: int):
 
 
 def _knob_owners(src_trees, src_classes):
-    """Yield ``(path, key prefix, callee, fn, skip)`` for each function whose
-    defaulted parameters the dead-knob rule checks: top-level functions,
-    every class's ``__init__`` (callee ``("init", Class)``) and the public,
-    static and class methods of classes whose bases are all ``src/``
-    classes (callee ``("call", name)``, matched by name like
-    test-only-definition)."""
-    for path, tree in src_trees:
+    """Yield ``(path, key prefix, callees, fn, skip)`` for each function
+    whose defaulted parameters the dead-knob rule checks: top-level
+    functions (callees :meth:`_Scope.top`), every class's ``__init__``
+    (``("init", Class)``) and the public, static and class methods of
+    classes whose bases are all ``src/`` classes (``("member", name)``)."""
+    for path, tree, module in src_trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield path, node.name, ("call", node.name), node, 0
+                yield path, node.name, _Scope.top(node.name, module), node, 0
             if not isinstance(node, ast.ClassDef):
                 continue
             own_bases = all(getattr(base, "id", getattr(base, "attr", None))
@@ -458,17 +580,18 @@ def _knob_owners(src_trees, src_classes):
                     continue
                 decorators = _decorator_names(member)
                 if member.name == "__init__":
-                    yield path, node.name, ("init", node.name), member, 1
+                    yield path, node.name, (("init", node.name),), member, 1
                 elif (own_bases and not member.name.startswith("_")
                         and decorators <= {"classmethod", "staticmethod"}):
                     yield (path, f"{node.name}.{member.name}",
-                           ("call", member.name), member,
+                           (("member", member.name),), member,
                            0 if "staticmethod" in decorators else 1)
 
 
-def _calls(trees, bases: dict[str, list[str]], inits: set[str]):
+def _calls(trees, scope: _Scope, bases: dict[str, list[str]],
+           inits: set[str]):
     """Yield ``(callee, call)`` for every call in *trees*.  A call reaches
-    ``("call", name)`` by its function or attribute name; a call of a
+    what :meth:`_Scope.reaches` names for its function; a call of a
     ``src/`` class, of ``cls`` inside one, or of ``super().__init__`` also
     reaches ``("init", owner)``, the class whose ``__init__`` runs."""
     def init_owner(name, seen=()):
@@ -479,7 +602,7 @@ def _calls(trees, bases: dict[str, list[str]], inits: set[str]):
                 return owner
         return None
 
-    for _, _, tree in trees:
+    for _, path, tree, _ in trees:
         for stmt in tree.body:
             context = stmt.name if isinstance(stmt, ast.ClassDef) else None
             for call in ast.walk(stmt):
@@ -489,7 +612,8 @@ def _calls(trees, bases: dict[str, list[str]], inits: set[str]):
                 name = getattr(func, "id", getattr(func, "attr", None))
                 if name is None:
                     continue
-                yield ("call", name), call
+                for target in scope.reaches(path, func):
+                    yield target, call
                 owner = None
                 if name == "cls" and context:
                     owner = init_owner(context)
@@ -536,15 +660,22 @@ def _passes(call: ast.Call, param: str, slot: int | None,
     return literal is None or _literal(value) != literal
 
 
-def _parse_non_test_roots(repo: Path) -> list[tuple[str, str, ast.Module]]:
-    """``(root, path, tree)`` for every parseable module under
-    :data:`NON_TEST_ROOTS`; unparseable files are left to ``check_source``."""
-    trees: list[tuple[str, str, ast.Module]] = []
+def _parse_non_test_roots(
+        repo: Path) -> list[tuple[str, str, ast.Module, str]]:
+    """``(root, path, tree, module)`` for every parseable module under
+    :data:`NON_TEST_ROOTS`; unparseable files are left to ``check_source``.
+    *module* is the dotted import name: relative to ``src/`` there, to the
+    repo elsewhere (``bench/cli.py`` is ``bench.cli``)."""
+    trees: list[tuple[str, str, ast.Module, str]] = []
     for root in NON_TEST_ROOTS:
         for path in sorted((repo / root).rglob("*.py")):
+            parts = path.relative_to(
+                repo / root if root == "src" else repo).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
             try:
                 trees.append((root, str(path), ast.parse(
-                    path.read_text(), filename=str(path))))
+                    path.read_text(), filename=str(path)), ".".join(parts)))
             except SyntaxError:
                 continue
     return trees
@@ -560,24 +691,26 @@ def check_dead_knobs(
 
 def _dead_knob_violations(trees, allowlist):
     allowlist = DEAD_KNOB_ALLOWLIST if allowlist is None else allowlist
-    src_trees = [(path, tree) for root, path, tree in trees if root == "src"]
-    classes = [node for _, tree in src_trees for node in tree.body
+    src_trees = [(path, tree, module) for root, path, tree, module in trees
+                 if root == "src"]
+    classes = [node for _, tree, _ in src_trees for node in tree.body
                if isinstance(node, ast.ClassDef)]
     bases = {cls.name: [getattr(base, "id", getattr(base, "attr", None))
                         for base in cls.bases] for cls in classes}
     inits = {cls.name for cls in classes for member in cls.body
              if getattr(member, "name", None) == "__init__"}
-    calls: dict[tuple[str, str], list[ast.Call]] = {}
-    for callee, call in _calls(trees, bases, inits):
+    calls: dict[tuple, list[ast.Call]] = {}
+    for callee, call in _calls(trees, _Scope(trees), bases, inits):
         calls.setdefault(callee, []).append(call)
     violations: list[tuple[str, int, str]] = []
     defined: set[str] = set()
-    for path, prefix, callee, fn, skip in _knob_owners(src_trees,
-                                                       set(bases)):
+    for path, prefix, callees, fn, skip in _knob_owners(src_trees,
+                                                        set(bases)):
         for param, slot, default in _defaulted_params(fn, skip):
             key = f"{prefix}({param})"
             defined.add(key)
             passed = any(_passes(call, param, slot, default)
+                         for callee in callees
                          for call in calls.get(callee, ()))
             if key in allowlist:
                 if passed:
