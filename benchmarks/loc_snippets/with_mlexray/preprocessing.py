@@ -14,6 +14,6 @@ def instrument(monitor, extract_channels):
 
 def assertion(ctx):
     from repro.util.errors import AssertionFailure
-    edge, ref = ctx.edge_input(0), ctx.ref_input(0)
+    edge, ref = ctx.input_stacks()
     if not np.allclose(edge, ref) and np.allclose(edge[..., ::-1], ref):
         raise AssertionFailure("channel", "BGR->RGB")

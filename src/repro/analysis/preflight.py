@@ -8,9 +8,9 @@ and returns one :class:`~repro.analysis.diagnostics.LintReport` per
 variant; the scheduler marks variants with error-severity findings as
 ``skipped`` (diagnostics attached) instead of burning a worker on them.
 
-Each variant lints its own copy of its stage's graph from the zoo, which
-builds every stage once per process; a stage that fails to build is tried
-once per lineup.
+Each variant lints its stage's graph from the zoo, which builds every
+stage once per process and hands out that one frozen graph; a stage that
+fails to build is tried once per lineup.
 """
 
 from __future__ import annotations

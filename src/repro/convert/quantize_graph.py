@@ -110,13 +110,8 @@ def _quantize_weighted_node(
     qnode.weight_quant = dict(node.weight_quant)
 
     w_params = _weight_qparams(node, config)
-    w = node.weights["weights"].astype(np.float64)
-    if node.op == "depthwise_conv2d" and w_params.per_channel:
-        # scales along axis=2 (input channel); output channels == C for mult=1
-        w_q = w_params.quantize(w)
-    else:
-        w_q = w_params.quantize(w)
-    qnode.weights["weights"] = w_q
+    qnode.weights["weights"] = w_params.quantize(
+        node.weights["weights"].astype(np.float64))
     qnode.weight_quant["weights"] = w_params
 
     bias = node.weights.get("bias")
@@ -203,7 +198,6 @@ def quantize_graph(
         else:
             qnode = copy.copy(node)
             qnode.weights = dict(node.weights)
-        qnode = copy.copy(qnode)
         qnode.inputs = [rename.get(t, t) for t in node.inputs]
         nodes.append(qnode)
         orig_spec = graph.spec(node.output)

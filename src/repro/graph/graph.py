@@ -3,10 +3,12 @@
 A :class:`Graph` is the library's model format — the analogue of a TFLite
 FlatBuffer: a topologically-ordered list of nodes over named tensors, with
 weights attached to nodes and optional quantization annotations on tensors.
+:meth:`Graph.freeze` makes a graph read-only so it can be shared.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +16,44 @@ import numpy as np
 from repro.graph.node import Node
 from repro.graph.shapes import infer_output_spec
 from repro.graph.spec import TensorSpec
+from repro.quantize.params import QuantParams
 from repro.util.errors import GraphError
+
+
+class FrozenDict(dict):
+    """A dict that refuses writes: the mappings of a frozen graph.
+
+    ``copy.deepcopy`` of one is a plain, editable dict.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a frozen graph is read-only; edit a copy.deepcopy "
+                        "of it instead")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __deepcopy__(self, memo) -> dict:
+        return {key: copy.deepcopy(value, memo) for key, value in self.items()}
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+
+def _frozen(value):
+    """``value`` made read-only: dicts (nested too) become
+    :class:`FrozenDict`, arrays (also those of quantization params) stop
+    being writeable. Other values are returned as they are."""
+    if isinstance(value, dict):
+        return FrozenDict({key: _frozen(v) for key, v in value.items()})
+    if isinstance(value, TensorSpec):
+        _frozen(value.quant)
+    elif isinstance(value, QuantParams):
+        _frozen(value.scale)
+        _frozen(value.zero_point)
+    elif isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
 
 
 @dataclass
@@ -27,6 +66,33 @@ class Graph:
     nodes: list[Node]
     tensors: dict[str, TensorSpec]
     metadata: dict = field(default_factory=dict)
+
+    # ------------------------------------------------------------- sharing
+    def freeze(self) -> "Graph":
+        """Make this graph read-only in place and return it.
+
+        ``nodes``, ``inputs`` and ``outputs`` become tuples; ``tensors``,
+        ``metadata`` and each node's ``attrs``, ``weights`` and
+        ``weight_quant`` become :class:`FrozenDict`; every parameter and
+        quantization-parameter array stops being writeable. A frozen graph
+        can be handed to many users, none of whom can change it for the
+        others; ``copy.deepcopy`` gives an independent, editable graph.
+        """
+        self.inputs, self.outputs = tuple(self.inputs), tuple(self.outputs)
+        self.nodes = tuple(self.nodes)
+        for node in self.nodes:
+            node.attrs = _frozen(node.attrs)
+            node.weights = _frozen(node.weights)
+            node.weight_quant = _frozen(node.weight_quant)
+        self.tensors = _frozen(self.tensors)
+        self.metadata = _frozen(self.metadata)
+        return self
+
+    def __deepcopy__(self, memo) -> "Graph":
+        return Graph(self.name, list(self.inputs), list(self.outputs),
+                     [copy.deepcopy(node, memo) for node in self.nodes],
+                     copy.deepcopy(self.tensors, memo),
+                     copy.deepcopy(self.metadata, memo))
 
     # ------------------------------------------------------------------ access
     def node(self, name: str) -> Node:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ VALID_DTYPES = FLOAT_DTYPES + INT_DTYPES
 Shape = tuple[int | None, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorSpec:
     """Static description of one tensor flowing through a graph.
 
@@ -40,9 +40,9 @@ class TensorSpec:
     def __post_init__(self) -> None:
         if self.dtype not in VALID_DTYPES:
             raise ShapeError(f"tensor {self.name!r}: unknown dtype {self.dtype!r}")
-        self.shape = tuple(
+        object.__setattr__(self, "shape", tuple(
             None if d is None else int(d) for d in self.shape
-        )
+        ))
         for d in self.shape:
             if d is not None and d < 0:
                 raise ShapeError(f"tensor {self.name!r}: negative dim in {self.shape}")

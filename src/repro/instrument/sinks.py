@@ -31,6 +31,7 @@ measurements.
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -217,7 +218,8 @@ class DirectorySink(LogSink):
         self.name = name
         self.per_layer = per_layer
         self.monitor_overhead_ms = 0.0
-        self._monitor: "EdgeMLMonitor | None" = None
+        # Weak, so a monitor and its sink form no reference cycle.
+        self._monitor: "weakref.ref[EdgeMLMonitor] | None" = None
         self._closed = False
         self.root.mkdir(parents=True, exist_ok=True)
         self._tensors = (self.root / TENSORS_NAME).open("wb")
@@ -228,12 +230,13 @@ class DirectorySink(LogSink):
     def begin(self, monitor: "EdgeMLMonitor") -> None:
         self.name = monitor.name
         self.per_layer = monitor.per_layer
-        self._monitor = monitor
+        self._monitor = weakref.ref(monitor)
         self._write_meta()
 
     def _write_meta(self) -> None:
-        if self._monitor is not None:
-            self.monitor_overhead_ms = self._monitor.monitor_overhead_ms
+        monitor = self._monitor() if self._monitor is not None else None
+        if monitor is not None:
+            self.monitor_overhead_ms = monitor.monitor_overhead_ms
         meta = {
             "name": self.name,
             "per_layer": self.per_layer,

@@ -88,20 +88,27 @@ class ValidationContext:
         self.edge_log = edge_log
         self.ref_log = ref_log
         self.layer_diffs = layer_diffs or []
-
-    def edge_input(self, frame: int = 0) -> np.ndarray:
-        # Random access via EXrayLog.frame keeps directory-backed (lazy)
-        # logs lazy, and the keys filter reads just this tensor's bytes
-        # rather than every per-layer tensor of the frame.
-        return self.edge_log.frame(frame, keys={"model_input"}) \
-            .tensor("model_input")
-
-    def ref_input(self, frame: int = 0) -> np.ndarray:
-        return self.ref_log.frame(frame, keys={"model_input"}) \
-            .tensor("model_input")
+        self._input_stacks: tuple[np.ndarray, np.ndarray] | None = None
 
     def num_frames(self) -> int:
         return min(len(self.edge_log), len(self.ref_log))
+
+    def input_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge and reference ``model_input`` of the first (up to) four
+        frames, each stacked as float64. Each log is read once per context;
+        every call returns the same read-only arrays. Keyed reads keep
+        directory-backed (lazy) logs lazy: only ``model_input`` bytes are
+        read, not every per-layer tensor of a frame."""
+        if self._input_stacks is None:
+            n = min(self.num_frames(), 4)
+            stacks = []
+            for log in (self.edge_log, self.ref_log):
+                stack = log.stack_frames({"model_input"}, 0, n)["model_input"]
+                stack = stack.astype(np.float64)
+                stack.flags.writeable = False
+                stacks.append(stack)
+            self._input_stacks = tuple(stacks)
+        return self._input_stacks
 
 
 class DeploymentAssertion:
@@ -137,13 +144,6 @@ class FunctionAssertion(DeploymentAssertion):
 
 # ----------------------------------------------------------------- built-ins
 
-def _mean_inputs(ctx: ValidationContext):
-    n = min(ctx.num_frames(), 4)
-    edge = np.stack([ctx.edge_input(i) for i in range(n)]).astype(np.float64)
-    ref = np.stack([ctx.ref_input(i) for i in range(n)]).astype(np.float64)
-    return edge, ref
-
-
 class ChannelArrangementAssertion(DeploymentAssertion):
     """Detects RGB/BGR mix-ups: the paper's §3.2 example assertion."""
 
@@ -151,7 +151,7 @@ class ChannelArrangementAssertion(DeploymentAssertion):
     atol = 2e-2
 
     def check(self, ctx: ValidationContext) -> str:
-        edge, ref = _mean_inputs(ctx)
+        edge, ref = ctx.input_stacks()
         if edge.shape != ref.shape:
             raise AssertionFailure(self.name,
                                    f"input shape {edge.shape} != {ref.shape}")
@@ -171,7 +171,7 @@ class NormalizationRangeAssertion(DeploymentAssertion):
     tol = 0.05
 
     def check(self, ctx: ValidationContext) -> str:
-        edge, ref = _mean_inputs(ctx)
+        edge, ref = ctx.input_stacks()
         e = edge.ravel()
         r = ref.ravel()
         a_mat = np.stack([e, np.ones_like(e)], axis=1)
@@ -213,7 +213,7 @@ class OrientationAssertion(DeploymentAssertion):
     name = "orientation"
 
     def check(self, ctx: ValidationContext) -> str:
-        edge, ref = _mean_inputs(ctx)
+        edge, ref = ctx.input_stacks()
         errors = {}
         for k in range(4):
             rotated = np.rot90(edge, k=k, axes=(1, 2))
@@ -247,7 +247,7 @@ class ResizeFunctionAssertion(DeploymentAssertion):
                 "log_raw=True"
             )
         sensor = to_float(frame.tensor("sensor_frame"))
-        edge_in = ctx.edge_input(0).astype(np.float64)
+        edge_in = ctx.input_stacks()[0][0]
         h, w = edge_in.shape[0], edge_in.shape[1]
         # Undo whatever affine normalization was applied by matching moments.
         errors = {}
@@ -278,7 +278,7 @@ class QuantizationHealthAssertion(DeploymentAssertion):
         # Per §3.4: "if the error happens at the model input, the problem
         # resides in the preprocessing functions" — defer to the
         # preprocessing assertions instead of blaming model ops.
-        edge_in, ref_in = _mean_inputs(ctx)
+        edge_in, ref_in = ctx.input_stacks()
         if edge_in.shape == ref_in.shape:
             span = float(ref_in.max() - ref_in.min()) or 1.0
             input_drift = float(np.sqrt(np.mean((edge_in - ref_in) ** 2))) / span
@@ -339,7 +339,7 @@ class SpectrogramNormalizationAssertion(DeploymentAssertion):
     tol = 0.15
 
     def check(self, ctx: ValidationContext) -> str:
-        edge, ref = _mean_inputs(ctx)
+        edge, ref = ctx.input_stacks()
         stats = {
             "edge": (float(edge.mean()), float(edge.std())),
             "ref": (float(ref.mean()), float(ref.std())),

@@ -119,8 +119,8 @@ def iter_sweep(
 
     # Warm the on-disk weight cache in the parent so pool workers load
     # trained parameters instead of each retraining the model.
-    from repro.zoo import get_trained
-    get_trained(model)
+    from repro.zoo.registry import ensure_trained
+    ensure_trained(model)
 
     from repro.analysis.preflight import preflight_lineup
 

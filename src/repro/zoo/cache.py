@@ -49,13 +49,18 @@ def save_trained(
     meta_path.write_text(json.dumps(meta, indent=2))
 
 
+def is_cached(name: str) -> bool:
+    """Whether a training result is cached under ``name`` (nothing is read)."""
+    return all(path.exists() for path in _paths(name))
+
+
 def load_trained(
     name: str,
 ) -> tuple[dict[str, np.ndarray], dict[str, dict[str, np.ndarray]], dict] | None:
     """Load a cached training result, or ``None`` if absent."""
-    npz_path, meta_path = _paths(name)
-    if not npz_path.exists() or not meta_path.exists():
+    if not is_cached(name):
         return None
+    npz_path, meta_path = _paths(name)
     params: dict[str, np.ndarray] = {}
     state: dict[str, dict[str, np.ndarray]] = {}
     with np.load(npz_path) as data:

@@ -14,7 +14,9 @@ Every exported graph carries its correct input pipeline in
 replay and that deployment assertions check against.
 
 Model stages and playback frames are deterministic, so each is built once
-per process and every call hands out its own copy.
+per process. Every call hands out the same frozen stage graph
+(:meth:`~repro.graph.graph.Graph.freeze`) and its own copy of playback
+frames.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.util.rng import derive_rng, stable_hash
 from repro.zoo import models as M
 from repro.zoo.arch import Layer, arch_signature, run_arch
 from repro.zoo.backends import ExportBackend, ParamStore
-from repro.zoo.cache import cache_dir, load_trained, save_trained
+from repro.zoo.cache import cache_dir, is_cached, load_trained, save_trained
 from repro.zoo.train import (
     classification_accuracy,
     classification_loss,
@@ -393,6 +395,13 @@ def get_trained(name: str, force_retrain: bool = False):
     return load_trained(key)
 
 
+def ensure_trained(name: str) -> None:
+    """Train and cache a model's weights unless they are cached already;
+    cached weights are not read."""
+    if not is_cached(_model_cache_key(name)):
+        get_trained(name)
+
+
 # -------------------------------------------------------------------- export
 
 def build_checkpoint(name: str) -> Graph:
@@ -426,25 +435,28 @@ def get_model(name: str, stage: str = "mobile") -> Graph:
 
     Each stage is built once per process (per cache directory) from the
     stage before it, quantized with the default
-    :class:`~repro.convert.QuantizationConfig`; every call returns an
-    independent deep copy the caller owns. Every convert pass verifies its
-    output, so each stage built is lint-checked once. Retraining or
-    switching ``REPRO_CACHE_DIR`` rebuilds. A build that raises is not
-    remembered.
+    :class:`~repro.convert.QuantizationConfig`, and frozen; every call
+    returns that one read-only graph, so a write to it raises instead of
+    reaching later callers. ``copy.deepcopy`` of it is an independent,
+    editable graph. Every convert pass verifies its output, so each stage
+    built is lint-checked once. Retraining or switching
+    ``REPRO_CACHE_DIR`` rebuilds. A build that raises is not remembered.
     """
     if stage not in ("checkpoint", "mobile", "quantized"):
         raise ReproError(
             f"unknown stage {stage!r}; use checkpoint/mobile/quantized")
-    return copy.deepcopy(_build_stage(name, stage, cache_dir()))
+    return _build_stage(name, stage, cache_dir())
 
 
 @functools.lru_cache(maxsize=None)
 def _build_stage(name, stage, root) -> Graph:
-    """The memoized graph behind :func:`get_model`, never handed out;
-    ``root`` (the weights cache directory) is only part of the key."""
+    """The frozen, memoized graph :func:`get_model` hands out; ``root``
+    (the weights cache directory) is only part of the key."""
     if stage == "checkpoint":
-        return build_checkpoint(name)
-    if stage == "mobile":
-        return convert_to_mobile(_build_stage(name, "checkpoint", root))
-    return quantize_graph(_build_stage(name, "mobile", root),
-                          calibration_batches(name))
+        graph = build_checkpoint(name)
+    elif stage == "mobile":
+        graph = convert_to_mobile(_build_stage(name, "checkpoint", root))
+    else:
+        graph = quantize_graph(_build_stage(name, "mobile", root),
+                               calibration_batches(name))
+    return graph.freeze()

@@ -302,6 +302,21 @@ class TestDirectorySink:
         monitor.close()
         assert len(EXrayLog.load(tmp_path / "log")) == 8
 
+    def test_closed_monitor_and_sink_freed_without_gc(self, tmp_path):
+        # No reference cycle between a monitor and its sink: dropping both
+        # frees them by reference counting alone.
+        gc.disable()
+        try:
+            sink = DirectorySink(tmp_path / "log")
+            with EdgeMLMonitor(sink=sink) as monitor:
+                with monitor.frame() as frame:
+                    frame.tensors["x"] = np.zeros(3, np.float32)
+            refs = [weakref.ref(monitor), weakref.ref(sink)]
+            del monitor, sink, frame
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_emit_after_close_rejected(self, tmp_path):
         monitor = EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))
         monitor.close()

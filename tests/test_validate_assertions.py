@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.instrument import EXrayLog, EdgeMLMonitor
+from repro.instrument import DirectorySink, EXrayLog, EdgeMLMonitor, store
 from repro.util.errors import AssertionFailure, ValidationError
 from repro.validate import (
     ChannelArrangementAssertion,
@@ -192,6 +192,46 @@ class TestSpectrogramAssertion:
         feats = SPEC_NORMALIZATIONS["global_db"].apply(spec)[..., None]
         assert SpectrogramNormalizationAssertion().run(
             ctx_for(list(feats), list(feats))).passed
+
+
+class TestInputStacks:
+    INPUT_ASSERTIONS = (ChannelArrangementAssertion,
+                        NormalizationRangeAssertion, OrientationAssertion,
+                        QuantizationHealthAssertion,
+                        SpectrogramNormalizationAssertion)
+
+    @staticmethod
+    def dir_log(inputs, root):
+        with EdgeMLMonitor(name="t", sink=DirectorySink(root)) as monitor:
+            for x in inputs:
+                monitor.on_inf_start()
+                monitor.log("model_input", np.asarray(x, dtype=np.float32))
+                monitor.on_inf_stop()
+        return EXrayLog.load(root)
+
+    def test_each_log_read_once_per_context(self, base_inputs, tmp_path,
+                                            monkeypatch):
+        edge_inputs = base_inputs + 1.0
+        opened = []
+        open_tensors = store._open_tensors
+        monkeypatch.setattr(store, "_open_tensors",
+                            lambda path: opened.append(path)
+                            or open_tensors(path))
+        ctx = ValidationContext(self.dir_log(edge_inputs, tmp_path / "e"),
+                                self.dir_log(base_inputs, tmp_path / "r"))
+        docs = [a().run(ctx).to_doc() for a in self.INPUT_ASSERTIONS]
+        assert sorted(path.parent.name for path in opened) == ["e", "r"]
+        in_memory = ctx_for(edge_inputs, base_inputs)
+        assert docs == [a().run(in_memory).to_doc()
+                        for a in self.INPUT_ASSERTIONS]
+
+    def test_stacks_are_shared_and_read_only(self, base_inputs):
+        ctx = ctx_for(base_inputs, base_inputs)
+        edge, ref = ctx.input_stacks()
+        assert ctx.input_stacks()[0] is edge
+        assert edge.dtype == np.float64 and edge.shape == (4, 8, 8, 3)
+        with pytest.raises(ValueError):
+            ref[...] = 0
 
 
 class TestAssertionFramework:

@@ -244,7 +244,8 @@ PLAYBACK_MODELS = ("micro_mobilenet_v1", "ssd_lite", "deeplab_lite",
 def canon(obj):
     """Exact, comparable form of a graph or any value it holds: arrays by
     dtype, shape and bytes; dataclasses (nodes, specs, quant params) field
-    by field."""
+    by field. Lists and tuples, and dicts and read-only mappings, compare
+    alike, so a frozen graph equals its editable build."""
     if isinstance(obj, np.ndarray):
         return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
     if dataclasses.is_dataclass(obj):
@@ -253,7 +254,7 @@ def canon(obj):
     if isinstance(obj, dict):
         return ("dict", [(k, canon(v)) for k, v in sorted(obj.items())])
     if isinstance(obj, (list, tuple)):
-        return (type(obj).__name__, [canon(v) for v in obj])
+        return ("sequence", [canon(v) for v in obj])
     return (type(obj).__name__, obj)
 
 
@@ -270,6 +271,30 @@ def uncached_build(name, stage):
 def buildable_stages(name):
     stages = ["checkpoint", "mobile", "quantized"]
     return stages[:2] if name in UNQUANTIZABLE else stages
+
+
+def graph_writes(graph):
+    """One closure per kind of write a caller could make to a quantized
+    zoo graph: into parameter and quantization arrays, node attrs, the
+    tensor map, the node sequence and nested metadata."""
+    conv = next(n for n in graph.nodes if n.op == "conv2d")
+    quant = graph.spec(conv.output).quant
+
+    def fill(array, value):
+        array[...] = value
+
+    return [
+        lambda: fill(conv.weights["weights"], 0),
+        lambda: conv.attrs.__setitem__("stride", 7),
+        lambda: fill(conv.weight_quant["weights"].scale, 1.0),
+        lambda: fill(quant.zero_point, 3),
+        lambda: graph.tensors.pop(graph.inputs[0]),
+        lambda: graph.nodes.reverse(),
+        lambda: graph.nodes.pop(),
+        lambda: graph.metadata["quantization"].__setitem__(
+            "activation_dtype", "uint8"),
+        lambda: graph.metadata.__setitem__("stage", "mobile"),
+    ]
 
 
 @pytest.fixture
@@ -309,31 +334,38 @@ class TestBuildMemo:
         name = "micro_mobilenet_v1"
         truth = copy.deepcopy(get_entry(name).pipeline)
         graph = get_model(name, "mobile")
-        try:
+        with pytest.raises(TypeError, match="read-only"):
             graph.metadata["pipeline"]["image_preprocess"][
                 "channel_order"] = "bgr"
-            assert get_model(name, "mobile").metadata["pipeline"] == truth
-            assert get_entry(name).pipeline == truth
-        finally:
-            get_entry(name).pipeline["image_preprocess"].update(
-                truth["image_preprocess"])
+        assert get_model(name, "mobile").metadata["pipeline"] == truth
+        assert get_entry(name).pipeline == truth
+        assert graph.metadata["pipeline"]["image_preprocess"] \
+            is not get_entry(name).pipeline["image_preprocess"]
 
     def test_writes_to_returned_graph_do_not_reach_next_call(self):
         name = "micro_mobilenet_v1"
-        pristine = canon(get_model(name, "quantized"))
         graph = get_model(name, "quantized")
         conv = next(n for n in graph.nodes if n.op == "conv2d")
-        conv.weights["weights"][...] = 0
-        conv.attrs["stride"] = 7
-        conv.weight_quant["weights"].scale[...] = 1.0
-        spec = graph.spec(conv.output)
-        spec.dtype = "float32"
-        spec.quant.zero_point[...] = 3
-        graph.tensors.pop(graph.inputs[0])
-        graph.nodes.reverse()
-        graph.nodes.pop()
-        graph.metadata["quantization"]["activation_dtype"] = "uint8"
-        graph.metadata["stage"] = "mobile"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.spec(conv.output).dtype = "float32"
+        for write in graph_writes(graph):
+            with pytest.raises((TypeError, ValueError, AttributeError)):
+                write()
+        assert canon(graph) == canon(uncached_build(name, "quantized"))
+
+    def test_every_call_hands_out_the_same_graph(self):
+        for stage in ("checkpoint", "mobile", "quantized"):
+            assert get_model("micro_mobilenet_v1", stage) \
+                is get_model("micro_mobilenet_v1", stage)
+
+    def test_deepcopy_of_returned_graph_is_editable_and_independent(self):
+        name = "micro_mobilenet_v1"
+        graph = get_model(name, "quantized")
+        pristine = canon(graph)
+        mine = copy.deepcopy(graph)
+        for write in graph_writes(mine):
+            write()
+        assert canon(mine) != pristine
         assert canon(get_model(name, "quantized")) == pristine
 
     def test_writes_to_returned_playback_do_not_reach_next_call(self):
@@ -383,6 +415,32 @@ class TestBuildMemo:
         assert calls == {"build_checkpoint": 1, "convert_to_mobile": 1,
                          "calibration_batches": 1, "quantize_graph": 1,
                          "sample": 1}
+
+    def test_warm_sweep_loads_no_weights(self, monkeypatch):
+        from repro.validate.sweep import SweepVariant, run_sweep
+
+        lineup = (SweepVariant("clean"),
+                  SweepVariant("q", stage="quantized"))
+        run_sweep("micro_mobilenet_v1", lineup, frames=4,
+                  executor="serial", tag="warm-loads")
+        loads = []
+        load_trained = registry.load_trained
+        monkeypatch.setattr(registry, "load_trained",
+                            lambda key: loads.append(key)
+                            or load_trained(key))
+        run_sweep("micro_mobilenet_v1", lineup, frames=4,
+                  executor="serial", tag="warm-loads")
+        assert loads == []
+
+    def test_ensure_trained_trains_only_an_uncached_model(self, tmp_path,
+                                                         monkeypatch):
+        trained = []
+        monkeypatch.setattr(registry, "get_trained", trained.append)
+        registry.ensure_trained("nnlm_lite")
+        assert trained == []
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        registry.ensure_trained("nnlm_lite")
+        assert trained == ["nnlm_lite"]
 
     def test_retrain_and_cache_dir_switch_rebuild(self, tmp_path,
                                                   monkeypatch):
