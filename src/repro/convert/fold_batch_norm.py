@@ -9,7 +9,7 @@ convolution ... can sometimes be very different from channel to channel").
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +22,13 @@ _FOLDABLE = ("conv2d", "depthwise_conv2d", "dense")
 
 
 def _fold_into(producer: Node, bn: Node) -> Node:
-    """Return a copy of ``producer`` with ``bn`` folded into its weights."""
+    """Return a copy of ``producer`` with ``bn`` folded into its weights.
+
+    The folded node takes over the BN's name/output tensor: downstream
+    consumers already reference it, and — crucially — per-layer log keys
+    keep their meaning across deployment stages (the folded output IS the
+    post-BN value).
+    """
     w = producer.weights["weights"].astype(np.float64)
     bias = producer.weights.get("bias")
     bias = np.zeros(_out_channels(producer), dtype=np.float64) if bias is None \
@@ -43,11 +49,9 @@ def _fold_into(producer: Node, bn: Node) -> Node:
         w_folded = w * inv.reshape(c, mult)
     bias_folded = (bias - mean) * inv + beta
 
-    folded = copy.copy(producer)
-    folded.weights = dict(producer.weights)
-    folded.weights["weights"] = w_folded.astype(np.float32)
-    folded.weights["bias"] = bias_folded.astype(np.float32)
-    return folded
+    return replace(producer, name=bn.name, outputs=[bn.output], weights={
+        **producer.weights, "weights": w_folded.astype(np.float32),
+        "bias": bias_folded.astype(np.float32)})
 
 
 def _out_channels(node: Node) -> int:
@@ -85,14 +89,7 @@ def fold_batch_norm(graph: Graph) -> Graph:
             continue  # producer output used elsewhere; cannot fold
         if src.attrs.get("activation", "linear") != "linear":
             continue  # activation already fused before BN — not foldable
-        folded = _fold_into(src, node)
-        # The folded node takes over the BN's name/output tensor: downstream
-        # consumers already reference it, and — crucially — per-layer log
-        # keys keep their meaning across deployment stages (the folded
-        # output IS the post-BN value).
-        folded.name = node.name
-        folded.outputs = [node.output]
-        replacements[src.name] = folded
+        replacements[src.name] = _fold_into(src, node)
         folded_away.add(node.name)
 
     new_nodes: list[Node] = []
@@ -100,7 +97,7 @@ def fold_batch_norm(graph: Graph) -> Graph:
         if node.name in folded_away:
             continue
         node = replacements.get(node.name, node)
-        new_nodes.append(copy.copy(node))
+        new_nodes.append(replace(node))
 
     out = rebuild(graph, new_nodes, metadata={"folded_batch_norm": True})
     from repro.analysis.registry import verify_pass

@@ -7,7 +7,7 @@ in the quantized domain; hard-swish and friends stay standalone LUT nodes.
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 
 from repro.convert.rebuild import rebuild
 from repro.graph.graph import Graph
@@ -40,14 +40,11 @@ def fuse_activations(graph: Graph) -> Graph:
             continue
         if src.attrs.get("activation", "linear") != "linear":
             continue
-        fused = copy.copy(src)
-        fused.attrs = dict(src.attrs)
-        fused.attrs["activation"] = node.attrs["fn"]
         # Take over the activation node's name/output so downstream wiring
         # and per-layer log keys stay stable (see fold_batch_norm).
-        fused.name = node.name
-        fused.outputs = [node.output]
-        replacements[src.name] = fused
+        replacements[src.name] = replace(
+            src, name=node.name, outputs=[node.output],
+            attrs={**src.attrs, "activation": node.attrs["fn"]})
         dropped.add(node.name)
 
     new_nodes = []
@@ -55,7 +52,7 @@ def fuse_activations(graph: Graph) -> Graph:
         if node.name in dropped:
             continue
         node = replacements.get(node.name, node)
-        new_nodes.append(copy.copy(node))
+        new_nodes.append(replace(node))
 
     out = rebuild(graph, new_nodes, metadata={"fused_activations": True})
     from repro.analysis.registry import verify_pass

@@ -14,8 +14,7 @@ per-layer validation (Figure 6) relies on.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,20 +98,17 @@ def _weight_qparams(node: Node, config: QuantizationConfig) -> QuantParams:
     return choose_qparams(-bound, bound, dtype="int8", symmetric=True)
 
 
-def _quantize_weighted_node(
+def _quantized_weights(
     node: Node,
     in_params: QuantParams,
     config: QuantizationConfig,
-) -> Node:
-    """Quantize a conv/dwconv/dense node's weights and bias in place (on a copy)."""
-    qnode = copy.copy(node)
-    qnode.weights = dict(node.weights)
-    qnode.weight_quant = dict(node.weight_quant)
-
+) -> dict:
+    """The quantized ``weights`` and ``weight_quant`` of a conv/dwconv/dense
+    node: int8 weights and, when it has a bias, an int32 bias."""
     w_params = _weight_qparams(node, config)
-    qnode.weights["weights"] = w_params.quantize(
-        node.weights["weights"].astype(np.float64))
-    qnode.weight_quant["weights"] = w_params
+    weights = {**node.weights, "weights": w_params.quantize(
+        node.weights["weights"].astype(np.float64))}
+    weight_quant = {**node.weight_quant, "weights": w_params}
 
     bias = node.weights.get("bias")
     if bias is not None:
@@ -123,12 +119,12 @@ def _quantize_weighted_node(
             dtype="int32",
             axis=0 if bias_scale.size > 1 else None,
         )
-        qnode.weights["bias"] = np.clip(
+        weights["bias"] = np.clip(
             np.round(bias.astype(np.float64) / bias_scale),
             -(2**31), 2**31 - 1,
         ).astype(np.int32)
-        qnode.weight_quant["bias"] = bias_params
-    return qnode
+        weight_quant["bias"] = bias_params
+    return {"weights": weights, "weight_quant": weight_quant}
 
 
 def _activation_qparams(
@@ -193,13 +189,11 @@ def quantize_graph(
         out_params = _activation_qparams(node.output, node, observers, config)
         in_name = rename.get(node.inputs[0], node.inputs[0])
         in_params = tensors[in_name].quant
-        if node.op in _WEIGHT_CHANNEL_AXIS:
-            qnode = _quantize_weighted_node(node, in_params, config)
-        else:
-            qnode = copy.copy(node)
-            qnode.weights = dict(node.weights)
-        qnode.inputs = [rename.get(t, t) for t in node.inputs]
-        nodes.append(qnode)
+        fields = (_quantized_weights(node, in_params, config)
+                  if node.op in _WEIGHT_CHANNEL_AXIS
+                  else {"weights": dict(node.weights)})
+        nodes.append(replace(
+            node, inputs=[rename.get(t, t) for t in node.inputs], **fields))
         orig_spec = graph.spec(node.output)
         tensors[node.output] = TensorSpec(
             node.output, orig_spec.shape, config.activation_dtype, quant=out_params

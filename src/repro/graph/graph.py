@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.node import Node
+from repro.graph.node import Node, refuse_if_frozen
 from repro.graph.shapes import infer_output_spec
 from repro.graph.spec import TensorSpec
 from repro.quantize.params import QuantParams
@@ -71,22 +71,31 @@ class Graph:
     def freeze(self) -> "Graph":
         """Make this graph read-only in place and return it.
 
-        ``nodes``, ``inputs`` and ``outputs`` become tuples; ``tensors``,
-        ``metadata`` and each node's ``attrs``, ``weights`` and
-        ``weight_quant`` become :class:`FrozenDict`; every parameter and
-        quantization-parameter array stops being writeable. A frozen graph
-        can be handed to many users, none of whom can change it for the
-        others; ``copy.deepcopy`` gives an independent, editable graph.
+        ``nodes``, ``inputs`` and ``outputs``, and each node's ``inputs``
+        and ``outputs``, become tuples; ``tensors``, ``metadata`` and each
+        node's ``attrs``, ``weights`` and ``weight_quant`` become
+        :class:`FrozenDict`; every parameter and quantization-parameter
+        array stops being writeable; and the graph and its nodes refuse
+        field assignment. A frozen graph can be handed to many users, none
+        of whom can change it for the others; ``copy.deepcopy`` gives an
+        independent, editable graph.
         """
-        self.inputs, self.outputs = tuple(self.inputs), tuple(self.outputs)
-        self.nodes = tuple(self.nodes)
         for node in self.nodes:
-            node.attrs = _frozen(node.attrs)
-            node.weights = _frozen(node.weights)
-            node.weight_quant = _frozen(node.weight_quant)
-        self.tensors = _frozen(self.tensors)
-        self.metadata = _frozen(self.metadata)
+            for name in ("inputs", "outputs"):
+                object.__setattr__(node, name, tuple(getattr(node, name)))
+            for name in ("attrs", "weights", "weight_quant"):
+                object.__setattr__(node, name, _frozen(getattr(node, name)))
+            object.__setattr__(node, "_frozen", True)
+        for name in ("inputs", "outputs", "nodes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("tensors", "metadata"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "_frozen", True)
         return self
+
+    def __setattr__(self, name: str, value) -> None:
+        refuse_if_frozen(self, name)
+        object.__setattr__(self, name, value)
 
     def __deepcopy__(self, memo) -> "Graph":
         return Graph(self.name, list(self.inputs), list(self.outputs),

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -39,6 +40,15 @@ OP_TYPES = frozenset({
 })
 
 
+def refuse_if_frozen(obj, name: str) -> None:
+    """Raise :class:`~dataclasses.FrozenInstanceError` when ``obj`` belongs
+    to a frozen graph (:meth:`~repro.graph.graph.Graph.freeze`)."""
+    if obj.__dict__.get("_frozen"):
+        raise FrozenInstanceError(
+            f"cannot assign {type(obj).__name__}.{name}: a frozen graph is "
+            "read-only; edit a copy.deepcopy of it instead")
+
+
 @dataclass
 class Node:
     """One operation in a model graph.
@@ -58,6 +68,9 @@ class Node:
         "bias": b}``). Quantized graphs store these already quantized.
     weight_quant:
         Per-parameter quantization params for quantized graphs.
+
+    A node of a frozen graph refuses field assignment, and its ``inputs``
+    and ``outputs`` are tuples; ``copy.deepcopy`` gives an editable node.
     """
 
     name: str
@@ -67,6 +80,15 @@ class Node:
     attrs: dict = field(default_factory=dict)
     weights: dict[str, np.ndarray] = field(default_factory=dict)
     weight_quant: dict[str, QuantParams] = field(default_factory=dict)
+
+    def __setattr__(self, name: str, value) -> None:
+        refuse_if_frozen(self, name)
+        object.__setattr__(self, name, value)
+
+    def __deepcopy__(self, memo) -> "Node":
+        return Node(self.name, self.op, list(self.inputs), list(self.outputs),
+                    *(copy.deepcopy(value, memo) for value in (
+                        self.attrs, self.weights, self.weight_quant)))
 
     def __post_init__(self) -> None:
         if self.op not in OP_TYPES:

@@ -244,7 +244,9 @@ class DirectorySink(LogSink):
             "monitor_overhead_ms": self.monitor_overhead_ms,
             "version": LOG_FORMAT_VERSION,
         }
-        (self.root / "meta.json").write_text(json.dumps(meta, indent=2))
+        # No indent: an indented dump falls back to the pure-Python
+        # encoder, which leaves reference cycles for the collector.
+        (self.root / "meta.json").write_text(json.dumps(meta))
 
     def write(self, frame: FrameLog) -> None:
         if self._closed:

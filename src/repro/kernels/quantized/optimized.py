@@ -8,17 +8,31 @@ the property the paper exploits ("any accuracy discrepancies in int8
 fully-quantized model between builtin op and builtin reference op should be
 treated as a bug").
 
-Convolutions run on *centered* float64 activations with the float kernels'
+Convolutions run on *centered* activations with the float kernels'
 strategies: ``qconv2d`` is one GEMM over the batch (a 1x1 filter multiplies
 the flattened pixels, larger filters the im2col patches) and
-``qdepthwise_conv2d`` is one multiply-add per filter tap. Centered int8
-activations and int8 weights are exact integers in float64 and every
-accumulator stays far below 2**53, so the sums are exact whatever the
-accumulation order — which is why these kernels stay bit-identical to the
-per-channel reference loops.
+``qdepthwise_conv2d`` is one multiply-add per filter tap.
+
+Accumulation is exact. Centered activations (``|x - zp| <= 255``) and int8
+weights (``|w| <= 128``) are integers, and so is every partial sum. A layer
+whose outputs each sum K products (``kh*kw*Cin`` for conv, ``kh*kw`` for
+depthwise, the input features for dense) accumulates in float32 when
+``K*255*128 < 2**24`` (:func:`accumulator_dtype`), where float32 holds every
+partial sum, so any BLAS order or FMA gives the float64 result; a larger
+layer accumulates in float64. Either way the kernels stay bit-identical to
+the per-channel reference loops. The bias add and requantization run in
+float64, in place.
+
+``prepare_q*`` computes once what each call of a conv, depthwise or dense
+layer needs (the accumulator dtype, the cast weights, the float64 bias, the
+multiplier, clamp bounds and zero points) and returns the function to call
+per input. The execution plan prepares every such node when it compiles;
+the one-shot ``q*`` kernels prepare and call.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -35,16 +49,75 @@ from repro.kernels.common import (
 )
 from repro.kernels.quantized.bugs import NO_BUGS, KernelBugs
 from repro.kernels.quantized.requant import (
+    Requantizer,
     output_multiplier,
     requantize,
     wrap_to_bits,
 )
 from repro.quantize.params import QuantParams
 
+PreparedLayer = Callable[[np.ndarray, KernelBugs], np.ndarray]
+"""A prepared layer: ``run(x_q, bugs) -> out_q``."""
+
+
+def accumulator_dtype(terms: int) -> np.dtype:
+    """The float dtype that sums ``terms`` centered int8 products exactly:
+    float32 while ``terms * 255 * 128 < 2**24``, else float64."""
+    return np.dtype(np.float32 if terms * 255 * 128 < 2**24 else np.float64)
+
 
 def _centered(x_q: np.ndarray, in_params: QuantParams) -> np.ndarray:
     """Zero-point-corrected activations in float64 (exact for int8 data)."""
     return x_q.astype(np.float64) - float(in_params.zero_point.item())
+
+
+class _Layer:
+    """The per-call constants shared by conv, depthwise and dense."""
+
+    def __init__(self, terms: int, w_q: np.ndarray, in_params: QuantParams,
+                 w_params: QuantParams, bias_q: np.ndarray | None,
+                 out_params: QuantParams, activation: str):
+        self.weights = w_q.astype(accumulator_dtype(terms))
+        self.zero_point = float(in_params.zero_point.item())
+        self.bias = None if bias_q is None else bias_q.astype(np.float64)
+        self.multiplier = output_multiplier(in_params, w_params, out_params)
+        self.requantize = Requantizer.for_output(out_params, activation)
+
+    def center(self, x_q: np.ndarray) -> np.ndarray:
+        """``x_q - zp`` in the accumulator dtype (exact: at most 255)."""
+        xc = x_q.astype(self.weights.dtype)
+        xc -= self.zero_point
+        return xc
+
+    def finish(self, acc: np.ndarray) -> np.ndarray:
+        """Widen to float64, then add the bias and requantize in place."""
+        q = acc.astype(np.float64, copy=False)
+        if self.bias is not None:
+            q += self.bias
+        q *= self.multiplier
+        return self.requantize(q)
+
+
+def prepare_qconv2d(
+    in_params: QuantParams,
+    w_q: np.ndarray,
+    w_params: QuantParams,
+    bias_q: np.ndarray | None,
+    out_params: QuantParams,
+    stride: int | tuple[int, int],
+    padding: Padding,
+    activation: str,
+) -> PreparedLayer:
+    """Prepare a quantized 2-D convolution (see :func:`qconv2d`)."""
+    kh, kw, cin, cout = w_q.shape
+    layer = _Layer(kh * kw * cin, w_q.reshape(kh * kw * cin, cout), in_params,
+                   w_params, bias_q, out_params, activation)
+
+    def run(x_q: np.ndarray, bugs: KernelBugs) -> np.ndarray:
+        sh, sw, pad, oh, ow = window_geometry(x_q, kh, kw, stride, padding)
+        acc = im2col_rows(layer.center(x_q), kh, kw, sh, sw, pad) @ layer.weights
+        return layer.finish(acc.reshape(x_q.shape[0], oh, ow, cout))
+    return run
 
 
 def qconv2d(
@@ -65,15 +138,34 @@ def qconv2d(
     zero-padding after, which is arithmetically identical.
     """
     check_filter_bank(x_q, w_q, "conv2d", "kh,kw,Cin,Cout")
-    kh, kw, cin, cout = w_q.shape
-    sh, sw, pad, oh, ow = window_geometry(x_q, kh, kw, stride, padding)
-    cols = im2col_rows(_centered(x_q, in_params), kh, kw, sh, sw, pad)
-    acc = cols @ w_q.astype(np.float64).reshape(kh * kw * cin, cout)
-    acc = acc.reshape(x_q.shape[0], oh, ow, cout)
-    if bias_q is not None:
-        acc = acc + bias_q.astype(np.float64)
-    mult = output_multiplier(in_params, w_params, out_params)
-    return requantize(acc, mult, out_params, activation)
+    return prepare_qconv2d(in_params, w_q, w_params, bias_q, out_params,
+                           stride, padding, activation)(x_q, bugs)
+
+
+def prepare_qdepthwise_conv2d(
+    in_params: QuantParams,
+    w_q: np.ndarray,
+    w_params: QuantParams,
+    bias_q: np.ndarray | None,
+    out_params: QuantParams,
+    stride: int | tuple[int, int],
+    padding: Padding,
+    activation: str,
+) -> PreparedLayer:
+    """Prepare a quantized depthwise convolution (see
+    :func:`qdepthwise_conv2d`)."""
+    kh, kw = w_q.shape[:2]
+    layer = _Layer(kh * kw, w_q, in_params, w_params, bias_q, out_params,
+                   activation)
+
+    def run(x_q: np.ndarray, bugs: KernelBugs) -> np.ndarray:
+        sh, sw, pad, oh, ow = window_geometry(x_q, kh, kw, stride, padding)
+        xc = pad_spatial(layer.center(x_q), pad)
+        acc = depthwise_taps(xc, layer.weights, oh, ow, sh, sw)
+        if bugs.dwconv_accumulator_bits is not None:
+            acc = wrap_to_bits(acc, bugs.dwconv_accumulator_bits)
+        return layer.finish(acc)
+    return run
 
 
 def qdepthwise_conv2d(
@@ -96,16 +188,26 @@ def qdepthwise_conv2d(
     kernel (§4.4, Figure 6 left).
     """
     check_filter_bank(x_q, w_q, "depthwise", "kh,kw,C,mult")
-    kh, kw = w_q.shape[:2]
-    sh, sw, pad, oh, ow = window_geometry(x_q, kh, kw, stride, padding)
-    xc = pad_spatial(_centered(x_q, in_params), pad)
-    acc = depthwise_taps(xc, w_q.astype(np.float64), oh, ow, sh, sw)
-    if bugs.dwconv_accumulator_bits is not None:
-        acc = wrap_to_bits(acc, bugs.dwconv_accumulator_bits)
-    if bias_q is not None:
-        acc = acc + bias_q.astype(np.float64)
-    mult = output_multiplier(in_params, w_params, out_params)
-    return requantize(acc, mult, out_params, activation)
+    return prepare_qdepthwise_conv2d(in_params, w_q, w_params, bias_q,
+                                     out_params, stride, padding,
+                                     activation)(x_q, bugs)
+
+
+def prepare_qdense(
+    in_params: QuantParams,
+    w_q: np.ndarray,
+    w_params: QuantParams,
+    bias_q: np.ndarray | None,
+    out_params: QuantParams,
+    activation: str,
+) -> PreparedLayer:
+    """Prepare a quantized fully-connected layer (see :func:`qdense`)."""
+    layer = _Layer(w_q.shape[0], w_q, in_params, w_params, bias_q, out_params,
+                   activation)
+
+    def run(x_q: np.ndarray, bugs: KernelBugs) -> np.ndarray:
+        return layer.finish(layer.center(x_q) @ layer.weights)
+    return run
 
 
 def qdense(
@@ -119,11 +221,8 @@ def qdense(
     bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Quantized fully-connected layer."""
-    acc = _centered(x_q, in_params) @ w_q.astype(np.float64)
-    if bias_q is not None:
-        acc = acc + bias_q.astype(np.float64)
-    mult = output_multiplier(in_params, w_params, out_params)
-    return requantize(acc, mult, out_params, activation)
+    return prepare_qdense(in_params, w_q, w_params, bias_q, out_params,
+                          activation)(x_q, bugs)
 
 
 def _requant_mean(
@@ -236,8 +335,8 @@ def qadd(
         + (b_q.astype(np.float64) - float(b_params.zero_point.item()))
         * float(b_params.scale.item())
     )
-    acc = real / float(out_params.scale.item())
-    return requantize(acc, np.float64(1.0), out_params, activation)
+    return Requantizer.for_output(out_params, activation)(
+        real / float(out_params.scale.item()))
 
 
 def qmul(

@@ -4,13 +4,17 @@ Integer kernels accumulate exact int32-style sums, then map them to the
 output quantization with ``out_q = clamp(round(acc * M) + zp_out)`` where the
 multiplier ``M = s_in * s_w / s_out`` (per-channel for per-channel weights).
 
-Accumulation happens in float64, which is bit-exact for int8 GEMMs at our
-sizes (every partial product and sum is an integer far below 2**53), while
-keeping the BLAS-fast numpy path — per the ml-systems guidance of avoiding
-Python-level loops for the hot path.
+Accumulators are integers held in a float dtype, so the sums run on the
+BLAS-fast numpy path: the reference kernels accumulate in float64, the
+optimized ones in float32 where it is exact
+(:func:`~repro.kernels.quantized.optimized.accumulator_dtype`). Either way
+the mapping itself runs in float64. :class:`Requantizer` holds its
+constants, computed once per layer, and applies them in place.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +34,35 @@ def output_multiplier(
     )
 
 
+@dataclass(frozen=True)
+class Requantizer:
+    """One layer's ``clamp(round(q) + zp_out)`` constants, computed once.
+
+    ``lo``/``hi`` are the clamp bounds of the fused activation
+    (:func:`fused_activation_bounds`).
+    """
+
+    zero_point: float
+    lo: int
+    hi: int
+    dtype: np.dtype
+
+    @classmethod
+    def for_output(cls, out_params: QuantParams,
+                   fused_activation: str) -> "Requantizer":
+        lo, hi = fused_activation_bounds(fused_activation, out_params)
+        return cls(float(out_params.zero_point.item()), lo, hi,
+                   NP_DTYPES[out_params.dtype])
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        """Quantize the float64 scaled accumulators ``q = acc * M``,
+        overwriting them."""
+        np.round(q, out=q)
+        q += self.zero_point
+        np.clip(q, self.lo, self.hi, out=q)
+        return q.astype(self.dtype)
+
+
 def requantize(
     acc: np.ndarray,
     multiplier: np.ndarray,
@@ -42,12 +75,8 @@ def requantize(
     the last axis). ``fused_activation`` clamps in the quantized domain, the
     way TFLite folds activations into the preceding op.
     """
-    q = acc * multiplier
-    np.round(q, out=q)
-    q += float(out_params.zero_point.item())
-    lo, hi = fused_activation_bounds(fused_activation, out_params)
-    np.minimum(np.maximum(q, lo, out=q), hi, out=q)
-    return q.astype(NP_DTYPES[out_params.dtype])
+    return Requantizer.for_output(out_params, fused_activation)(
+        acc * multiplier)
 
 
 def fused_activation_bounds(activation: str, out_params: QuantParams) -> tuple[int, int]:

@@ -95,12 +95,16 @@ class QuantParams:
         return arr.reshape(shape)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Quantize a float array to this parameterization (saturating)."""
-        x = np.asarray(x, dtype=np.float64)
-        scale = self._broadcast(self.scale, x.ndim)
-        zp = self._broadcast(self.zero_point, x.ndim)
-        q = np.round(x / scale) + zp
-        q = np.clip(q, self.qmin, self.qmax)
+        """Quantize a float array to this parameterization (saturating).
+
+        Computed in float64 in one scratch array, then cast to the storage
+        dtype.
+        """
+        q = np.array(x, dtype=np.float64)
+        q /= self._broadcast(self.scale, q.ndim)
+        np.round(q, out=q)
+        q += self._broadcast(self.zero_point, q.ndim)
+        np.clip(q, self.qmin, self.qmax, out=q)
         return q.astype(NP_DTYPES[self.dtype])
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:

@@ -12,6 +12,18 @@ When a tensor dies is decided in one place,
 schedule, its activation peak and the arena packer all read it, and lint
 rule P002 re-checks the free schedule against the graph independently.
 
+The plan also prepares what a kernel would otherwise recompute on every
+call: an executor with a ``prepare(node, graph, resolver)`` hook
+(:mod:`repro.runtime.executors_quant`) is bound to what the hook returns
+for the node. Each optimized int8 ``conv2d``, ``depthwise_conv2d`` and
+``dense`` node gets its accumulator dtype (float32 where that is exact),
+its weights cast and reshaped for the GEMM, its float64 bias, and its
+requantization multiplier, clamp bounds and zero points; each int8
+standalone activation gets its lookup table. That state lives in the
+plan's bindings and is a snapshot: an in-place edit of an editable
+(deep-copied) graph's int8 weights reaches invoke once the plan is rebuilt
+(by a ``resolver.register`` or a resolver assignment).
+
 Plans are invalidated automatically when the resolver registers new kernels
 (see :attr:`~repro.runtime.resolver.BaseOpResolver.version`), so the custom
 op workflow — build an interpreter, then ``resolver.register(...)`` — keeps
@@ -50,7 +62,9 @@ def node_is_quantized(graph: Graph, node: Node) -> bool:
 class NodeBinding:
     """Everything invoke needs for one node, resolved at compile time.
 
-    ``alias`` mirrors the bound executor's ``aliases_input`` annotation
+    ``executor`` is the resolver's executor for the node, or what its
+    ``prepare`` hook returned for it. ``alias`` mirrors the resolver
+    executor's ``aliases_input`` annotation
     (:mod:`repro.runtime.annotations`): whether it returns a view of its
     input, which the activation peak and the arena packer read.
     """
@@ -75,10 +89,11 @@ def derive_bindings(graph: Graph, resolver: BaseOpResolver) -> list[NodeBinding]
     for index, node in enumerate(graph.nodes):
         quantized = node_is_quantized(graph, node)
         executor = resolver.lookup(node.op, quantized)
+        prepare = getattr(executor, "prepare", None)
         bindings.append(NodeBinding(
             index=index,
             node=node,
-            executor=executor,
+            executor=(prepare and prepare(node, graph, resolver)) or executor,
             quantized=quantized,
             spec=graph.spec(node.output),
             op_class=OP_CLASS.get(node.op, "other"),

@@ -7,6 +7,8 @@ profile, simulated latency, and peak-memory accounting — wall-clock fields
 excepted, as they are measured, not computed.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,46 @@ class TestStaleness:
         assert calls == ["probs"]  # the swapped-in resolver's kernel ran
         assert interp.plan is not old_plan
         assert interp.plan.resolver is replacement
+
+    def test_register_int8_conv_after_invoke_runs_it(self, small_cnn_quantized,
+                                                     rng):
+        # The plan binds prepared int8 conv layers, not the resolver's
+        # executor; a conv2d executor registered after the first invoke
+        # must still replace them on the next one.
+        resolver = OpResolver()
+        interp = Interpreter(small_cnn_quantized, resolver)
+        x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
+        before = interp.invoke_single(x)
+        builtin = resolver.lookup("conv2d", True)
+        calls = []
+
+        def spy_conv(node, inputs, ctx):
+            calls.append(node.name)
+            return builtin(node, inputs, ctx)
+
+        resolver.register("conv2d", True, spy_conv)
+        np.testing.assert_array_equal(interp.invoke_single(x), before)
+        assert calls == [n.name for n in small_cnn_quantized.nodes
+                         if n.op == "conv2d"]
+        assert len(calls) == 2
+
+    def test_int8_weights_are_read_when_the_plan_compiles(
+            self, small_cnn_quantized, rng):
+        # The contract for an editable (deep-copied) graph: the plan
+        # prepares int8 layers from the weights it compiles with, so an
+        # in-place edit reaches invoke once the plan is rebuilt.
+        graph = copy.deepcopy(small_cnn_quantized)
+        interp = Interpreter(graph)
+        x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
+        before = interp.invoke_single(x)
+        conv = next(n for n in graph.nodes if n.op == "conv2d")
+        conv.weights["weights"][...] = 0
+        np.testing.assert_array_equal(interp.invoke_single(x), before)
+        interp.resolver = interp.resolver  # rebuilds the plan
+        edited = interp.invoke_single(x)
+        assert not np.array_equal(edited, before)
+        np.testing.assert_array_equal(edited,
+                                      Interpreter(graph).invoke_single(x))
 
 
 class TestSeedParity:

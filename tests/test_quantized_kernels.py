@@ -20,7 +20,7 @@ from repro.kernels.quantized import (
     rescale_tensor,
     wrap_to_bits,
 )
-from repro.quantize import choose_qparams, choose_qparams_per_channel
+from repro.quantize import QuantParams, choose_qparams, choose_qparams_per_channel
 from repro.util.errors import KernelError
 
 
@@ -328,3 +328,91 @@ class TestKernelBugsConfig:
     def test_with_override(self):
         bugs = NO_BUGS.with_(pad_ignores_zero_point=True)
         assert bugs.pad_ignores_zero_point and not NO_BUGS.pad_ignores_zero_point
+
+
+def wide_graph(rng):
+    """An int8 conv (3x3x72: K = 648) into a dense layer (K = 576), both
+    past the float32 bound."""
+    from repro.convert import quantize_graph
+    from repro.graph import GraphBuilder
+
+    b = GraphBuilder("wide")
+    x = b.input("x", (None, 6, 6, 72))
+    h = b.conv2d(x, rng.normal(0, 0.1, (3, 3, 72, 16)).astype(np.float32),
+                 rng.normal(0, 0.1, 16).astype(np.float32), name="conv")
+    h = b.add("flatten", h, name="flat")
+    b.mark_output(b.dense(h, rng.normal(0, 0.1, (576, 10)).astype(np.float32),
+                          rng.normal(0, 0.1, 10).astype(np.float32),
+                          name="fc"))
+    calib = rng.normal(0, 1, (16, 6, 6, 72)).astype(np.float32)
+    return quantize_graph(b.finish(), [calib]), calib
+
+
+class TestExactAccumulation:
+    """Optimized int8 layers accumulate in float32 while every partial sum
+    is an integer float32 holds (K * 255 * 128 < 2**24), else in float64."""
+
+    def test_bound(self):
+        assert 514 * 255 * 128 < 2**24 < 515 * 255 * 128
+        assert qopt.accumulator_dtype(514) == np.float32
+        assert qopt.accumulator_dtype(515) == np.float64
+
+    @pytest.mark.parametrize("kernel,x_shape,w_shape", [
+        ("qdense", (4, 514), (514, 6)),
+        ("qconv2d", (2, 3, 3, 514), (1, 1, 514, 6)),
+        ("qconv2d", (2, 5, 5, 57), (3, 3, 57, 6)),
+    ], ids=["dense-k514", "conv1x1-k514", "conv3x3-k513"])
+    def test_worst_case_inputs_exact_on_float32(self, rng, kernel, x_shape,
+                                                w_shape):
+        # |x - zp| = 255 and |w| = 128 in every product: the largest sums
+        # the bound admits. Unit scales and an int32 output make the
+        # kernel return its accumulators unrounded.
+        terms = int(np.prod(w_shape[:-1]))
+        assert qopt.accumulator_dtype(terms) == np.float32
+        in_p = QuantParams(np.float64(1.0), np.int64(-128), "int8")
+        unit = QuantParams(np.float64(1.0), np.int64(0), "int8")
+        out_p = QuantParams(np.float64(1.0), np.int64(0), "int32")
+        x_q = np.full(x_shape, 127, np.int8)
+        mixed = np.full(w_shape, -128, np.int8)
+        mixed.reshape(-1)[rng.random(mixed.size) < 0.25] = 127
+        kwargs = {} if kernel == "qdense" else {"padding": "valid"}
+        for w_q in (np.full(w_shape, -128, np.int8), mixed):
+            args = (x_q, in_p, w_q, unit, None, out_p)
+            got = getattr(qopt, kernel)(*args, **kwargs)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(
+                got, getattr(qref, kernel)(*args, **kwargs))
+            # Every output sums the same 255 * w column.
+            exact = 255 * w_q.astype(np.int64).reshape(terms, -1).sum(axis=0)
+            np.testing.assert_array_equal(got.reshape(-1, w_shape[-1]),
+                                          np.broadcast_to(exact, (
+                                              got.size // w_shape[-1],
+                                              w_shape[-1])))
+            # Sums in float32's last binade of exact integers.
+            assert np.abs(exact).max() > 2**23
+
+    def test_past_the_bound_takes_float64_and_matches_reference(
+            self, rng, monkeypatch):
+        from repro.runtime import Interpreter, OpResolver, ReferenceOpResolver
+
+        graph, calib = wide_graph(rng)
+        chosen = {}
+        real = qopt.accumulator_dtype
+
+        def spy(terms):
+            chosen[terms] = real(terms)
+            return chosen[terms]
+        monkeypatch.setattr(qopt, "accumulator_dtype", spy)
+        layers = {}
+        for resolver in (OpResolver(), ReferenceOpResolver()):
+            interp = Interpreter(graph, resolver)
+            seen = layers.setdefault(resolver.kind, {})
+            interp.add_observer(
+                lambda rec, seen=seen: seen.__setitem__(rec.node.name,
+                                                        rec.output))
+            interp.invoke(calib)
+        assert chosen == {648: np.float64, 576: np.float64}
+        assert layers["optimized"].keys() == layers["reference"].keys()
+        for name, out in layers["optimized"].items():
+            np.testing.assert_array_equal(out, layers["reference"][name],
+                                          err_msg=name)

@@ -181,6 +181,38 @@ class TestDeadKnobRule:
         assert {path for path, _, _ in violations} == {
             str(tmp_path / "src/pkg/slow.py")}
 
+    @pytest.mark.parametrize("wrap, call, dead", [
+        ("def wrap(x, factor=2):\n    return scale(x, factor=factor)\n",
+         "wrap(1)", ["scale(factor)", "scale(offset)", "wrap(factor)"]),
+        ("def wrap(x, factor=2):\n    return scale(x, factor)\n",
+         "wrap(1, factor=3)", ["scale(offset)"]),
+        ("def wrap(x, factor=5):\n    return scale(x, factor=factor)\n",
+         "wrap(1)", ["scale(offset)", "wrap(factor)"]),
+        ("def wrap(x, factor=2):\n    factor += 1\n"
+         "    return scale(x, factor=factor)\n",
+         "wrap(1)", ["scale(offset)", "wrap(factor)"]),
+        ("def wrap(x, factor=2):\n    return scale(x, factor=factor)\n"
+         "def outer(x, factor=2):\n    return wrap(x, factor=factor)\n",
+         "outer(1, factor=3)", ["scale(offset)"]),
+        ("def wrap(x, factor=2):\n    return outer(x, factor=factor)\n"
+         "def outer(x, factor=2):\n    return scale(wrap(x, factor=factor))"
+         "\n", "outer(1)",
+         ["outer(factor)", "scale(factor)", "scale(offset)", "wrap(factor)"]),
+    ], ids=["forward-only", "outer-passed", "other-default", "rebound",
+            "chain", "cycle"])
+    def test_forwarded_parameter_counts_only_when_passed_on(
+            self, tmp_path, wrap, call, dead):
+        # ``scale(x, factor=factor)`` inside wrap passes scale's factor only
+        # when a caller passes wrap's, unless wrap changes the value (its
+        # own default differs, or it rebinds the name first).
+        violations = self._check(tmp_path, {
+            "src/pkg/ops.py": SCALE,
+            "src/pkg/wrap.py": f"from pkg.ops import scale\n{wrap}",
+            "examples/demo.py": ("from pkg.wrap import outer, wrap\n"
+                                 f"{call}\n"),
+        })
+        assert self._keys(violations) == dead
+
     def test_allowlisted_knob_passes_and_stale_entries_fail(self, tmp_path):
         files = {"src/pkg/ops.py": SCALE,
                  "examples/demo.py": "from pkg.ops import scale\n"

@@ -367,6 +367,27 @@ class TestDirectorySink:
         EdgeMLMonitor(sink=DirectorySink(tmp_path / "log"))  # no frames yet
         assert len(EXrayLog.load(tmp_path / "log")) == 0
 
+    def test_meta_writes_leave_no_cyclic_garbage(self, tmp_path):
+        # Each header write (construction, begin, close) must leave nothing
+        # for the cycle collector; an indented json.dumps runs the
+        # pure-Python encoder, whose closures form reference cycles.
+        monitor = EdgeMLMonitor(name="edge")
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            sink = DirectorySink(tmp_path / "log")
+            sink.begin(monitor)
+            sink.close()
+            del sink
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
+        assert json.loads((tmp_path / "log" / "meta.json").read_text())[
+            "name"] == "edge"
+
 
 class TestTeeSink:
     def test_fans_out_to_all_children(self, small_cnn, x_frames, tmp_path):

@@ -183,11 +183,26 @@ class TestStages:
         assert abs(acc_f - acc_q) < 0.06  # Fig 5: +-3% for correct kernels
 
     def test_quantized_resolvers_bit_identical(self):
-        x, _ = eval_data("micro_mobilenet_v1", 32)
-        quant = get_model("micro_mobilenet_v1", "quantized")
-        a = Interpreter(quant, OpResolver()).invoke_single(x)
-        b = Interpreter(quant, ReferenceOpResolver()).invoke_single(x)
-        np.testing.assert_array_equal(a, b)
+        """Every layer of every int8 zoo model, batch 1 and 32: the
+        optimized kernels (float32 accumulation where exact) equal the
+        reference kernels byte for byte."""
+        for name in sorted(EXPECTED_MODELS - UNQUANTIZABLE):
+            x, _ = eval_data(name, 32)
+            quant = get_model(name, "quantized")
+            layers = {}
+            for resolver in (OpResolver(), ReferenceOpResolver()):
+                interp = Interpreter(quant, resolver)
+                seen = layers.setdefault(resolver.kind, {})
+                interp.add_observer(lambda rec, seen=seen: seen.setdefault(
+                    rec.node.name, []).append(rec.output))
+                for batch in (1, 32):
+                    interp.invoke(np.ascontiguousarray(x[:batch]))
+            assert layers["optimized"].keys() == layers["reference"].keys()
+            for layer, outs in layers["optimized"].items():
+                for a, b in zip(outs, layers["reference"][layer],
+                                strict=True):
+                    np.testing.assert_array_equal(
+                        a, b, err_msg=f"{name}/{layer}")
 
     def test_quant_config_respected(self):
         name = "micro_mobilenet_v1"
@@ -276,7 +291,8 @@ def buildable_stages(name):
 def graph_writes(graph):
     """One closure per kind of write a caller could make to a quantized
     zoo graph: into parameter and quantization arrays, node attrs, the
-    tensor map, the node sequence and nested metadata."""
+    tensor map, the node sequence and nested metadata, and reassigning a
+    node or graph field or growing a node's inputs."""
     conv = next(n for n in graph.nodes if n.op == "conv2d")
     quant = graph.spec(conv.output).quant
 
@@ -294,6 +310,11 @@ def graph_writes(graph):
         lambda: graph.metadata["quantization"].__setitem__(
             "activation_dtype", "uint8"),
         lambda: graph.metadata.__setitem__("stage", "mobile"),
+        lambda: setattr(conv, "weights", {}),
+        lambda: setattr(conv, "attrs", {}),
+        lambda: conv.inputs.append(graph.inputs[0]),
+        lambda: setattr(graph, "metadata", {}),
+        lambda: setattr(graph, "name", "edited"),
     ]
 
 
@@ -351,6 +372,8 @@ class TestBuildMemo:
         for write in graph_writes(graph):
             with pytest.raises((TypeError, ValueError, AttributeError)):
                 write()
+        assert all(isinstance(n.inputs, tuple) and isinstance(n.outputs, tuple)
+                   for n in graph.nodes)
         assert canon(graph) == canon(uncached_build(name, "quantized"))
 
     def test_every_call_hands_out_the_same_graph(self):

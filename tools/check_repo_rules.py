@@ -64,8 +64,11 @@ Eight rules:
   they can reach, as test-only-definition references do, so ``b.conv(...)``
   passes nothing to a top-level ``conv``;
   a call of a class, of ``cls`` inside one, or of ``super().__init__``
-  reaches the ``__init__`` that runs.  A default only tests override is a
-  setting no deployment changes: make it a constant.
+  reaches the ``__init__`` that runs.  A call inside a checked function
+  that only forwards that function's own defaulted parameter, unchanged and
+  with the same default (``f(keys=keys)``), counts only when some call
+  passes the outer parameter (:class:`_Forwards`).  A default only tests
+  override is a setting no deployment changes: make it a constant.
   :data:`DEAD_KNOB_ALLOWLIST` names the kept ones (``func(param)``,
   ``Class(param)`` for constructors, ``Class.method(param)``) with a
   reason, and a stale entry is itself a violation.
@@ -124,6 +127,13 @@ DEAD_KNOB_ALLOWLIST = {
                             "jitter=0",
     "with_retries(rng)": "retry tests seed the jitter",
     "with_retries(on_retry)": "retry tests observe each backoff",
+    "with_retries(sleep)": "retry tests record backoff sleeps instead of "
+                           "waiting; run_worker only forwards its own seam",
+    "backoff_delays(jitter)": "retry tests make the schedule exact with "
+                              "jitter=0; with_retries only forwards its "
+                              "own seam",
+    "backoff_delays(rng)": "retry tests seed the jitter; with_retries only "
+                           "forwards its own seam",
     "iter_sweep(on_dispatch)": "scheduler tests observe dispatch order",
     # Deployment settings.
     "CoordinatorClient(timeout_s)": "per-request HTTP timeout, a property "
@@ -637,11 +647,11 @@ def _literal(node: ast.expr):
     return type(value), value
 
 
-def _passes(call: ast.Call, param: str, slot: int | None,
-            default: ast.expr) -> bool:
-    """Whether *call* may set *param* to something other than *default*: by
-    keyword, by position, or through a ``*``/``**`` splat.  A literal equal
-    to a literal default is no pass."""
+def _passed_value(call: ast.Call, param: str,
+                  slot: int | None) -> ast.expr | bool | None:
+    """What *call* passes as *param*: the expression, by keyword or by
+    position; ``True`` when a ``*``/``**`` splat may pass it; else
+    ``None``."""
     value = None
     for kw in call.keywords:
         if kw.arg is None:
@@ -654,10 +664,61 @@ def _passes(call: ast.Call, param: str, slot: int | None,
             return True
         if len(call.args) > slot:
             value = call.args[slot]
-    if value is None:
+    return value
+
+
+class _Forwards:
+    """Which defaulted parameters non-test calls pass, following forwards.
+
+    A call inside a checked function *g* that passes *g*'s own defaulted
+    parameter on unchanged (``f(keys=keys)``, *g* never rebinding
+    ``keys``) with the same default as *f*'s passes *f* nothing by itself:
+    it counts only when some call passes *g*'s parameter, followed the same
+    way (a forwarding cycle passes nothing).
+    """
+
+    def __init__(self, owners, calls):
+        self.calls = calls
+        self.callees = {id(fn): callees for _, _, callees, fn, _ in owners}
+        self.params = {id(fn): {name: (slot, default) for name, slot, default
+                                in _defaulted_params(fn, skip)}
+                       for _, _, _, fn, skip in owners}
+        self.rebound = {id(fn): {node.id for node in ast.walk(fn)
+                                 if isinstance(node, ast.Name)
+                                 and not isinstance(node.ctx, ast.Load)}
+                        for _, _, _, fn, _ in owners}
+        self.enclosing = {id(call): fn for _, _, _, fn, _ in owners
+                          for call in ast.walk(fn)
+                          if isinstance(call, ast.Call)}
+
+    def passed(self, fn, param: str, visiting=frozenset()) -> bool:
+        """Whether some non-test call may set *fn*'s *param* to something
+        other than its default."""
+        slot, default = self.params[id(fn)][param]
+        visiting |= {(id(fn), param)}
+        for callee in self.callees[id(fn)]:
+            for call in self.calls.get(callee, ()):
+                value = _passed_value(call, param, slot)
+                if value is None:
+                    continue
+                if value is True:
+                    return True
+                literal = _literal(default)
+                if literal is not None and _literal(value) == literal:
+                    continue  # the default literal changes nothing
+                outer = self.enclosing.get(id(call))
+                forwarded = (
+                    outer is not None and isinstance(value, ast.Name)
+                    and value.id in self.params[id(outer)]
+                    and value.id not in self.rebound[id(outer)]
+                    and ast.dump(self.params[id(outer)][value.id][1])
+                    == ast.dump(default))
+                if not forwarded:
+                    return True
+                if ((id(outer), value.id) not in visiting
+                        and self.passed(outer, value.id, visiting)):
+                    return True
         return False
-    literal = _literal(default)
-    return literal is None or _literal(value) != literal
 
 
 def _parse_non_test_roots(
@@ -702,16 +763,15 @@ def _dead_knob_violations(trees, allowlist):
     calls: dict[tuple, list[ast.Call]] = {}
     for callee, call in _calls(trees, _Scope(trees), bases, inits):
         calls.setdefault(callee, []).append(call)
+    owners = list(_knob_owners(src_trees, set(bases)))
+    forwards = _Forwards(owners, calls)
     violations: list[tuple[str, int, str]] = []
     defined: set[str] = set()
-    for path, prefix, callees, fn, skip in _knob_owners(src_trees,
-                                                        set(bases)):
-        for param, slot, default in _defaulted_params(fn, skip):
+    for path, prefix, _, fn, skip in owners:
+        for param, _, _ in _defaulted_params(fn, skip):
             key = f"{prefix}({param})"
             defined.add(key)
-            passed = any(_passes(call, param, slot, default)
-                         for callee in callees
-                         for call in calls.get(callee, ()))
+            passed = forwards.passed(fn, param)
             if key in allowlist:
                 if passed:
                     violations.append((
