@@ -29,7 +29,6 @@ def instrument(graph, resolver, inputs, out_dir):
         ctx.graph = graph
         ctx.resolver = resolver
         ctx.bugs = resolver.bugs
-        ctx.qkernels = resolver.qkernels
         start = time.perf_counter()
         values[node.output] = executor(node, op_inputs, ctx)
         elapsed_ms = (time.perf_counter() - start) * 1e3

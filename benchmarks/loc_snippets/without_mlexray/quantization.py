@@ -29,7 +29,6 @@ def instrument(graph, resolver, inputs, out_dir):
         ctx.graph = graph
         ctx.resolver = resolver
         ctx.bugs = resolver.bugs
-        ctx.qkernels = resolver.qkernels
         out = executor(node, op_inputs, ctx)
         values[node.output] = out
         spec = graph.spec(node.output)

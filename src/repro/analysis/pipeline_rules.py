@@ -17,6 +17,8 @@ from collections.abc import Iterator
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.registry import RuleContext, register_rule
+from repro.kernels.quantized.bugs import full_extent
+from repro.runtime.plan import node_is_quantized
 from repro.util.errors import did_you_mean
 
 _IMAGE_TASKS = ("classification", "detection", "segmentation")
@@ -25,10 +27,10 @@ _CHANNEL_ORDERS = ("rgb", "bgr")
 
 _BUG_TARGET_OPS = {
     "dwconv_accumulator_bits": ("depthwise_conv2d",),
-    "avgpool_zero_point_bug": ("avg_pool2d", "global_avg_pool"),
+    "avgpool_zero_point_bug": ("avg_pool2d",),
     "pad_ignores_zero_point": ("pad2d",),
 }
-"""Which ops each KernelBugs flag can affect (all quantized-kernel bugs)."""
+"""Which int8 ops each KernelBugs flag can affect (avg pools: full-extent)."""
 
 
 def _image_recipe(ctx: RuleContext) -> dict | None:
@@ -136,7 +138,13 @@ def vacuous_kernel_bugs(ctx: RuleContext) -> Iterator[Diagnostic]:
     Kernel-bug presets flip behavior only in *quantized* kernels for
     specific ops; selecting one for a float-stage variant, or for a graph
     that never runs a targeted op, silently tests nothing — the experiment
-    "injects" a bug the model can never hit.
+    "injects" a bug the model can never hit. The average-pool flag reaches
+    only full-extent (1x1-output) pools.
+
+    The rule ignores the variant's resolver, so it stays silent on
+    ``paper-optimized`` under ``reference``, although the reference
+    depthwise loop never reads the accumulator flag: that clone in a
+    ``--backends`` fan-out is a deliberate control.
     """
     variant = ctx.variant
     if variant is None or variant.kernel_bugs == "none":
@@ -156,15 +164,19 @@ def vacuous_kernel_bugs(ctx: RuleContext) -> Iterator[Diagnostic]:
                       "stage": variant.stage})
         return
     graph_ops = {node.op for node in g.nodes}
+    reachable = {node.op for node in g.nodes if node_is_quantized(g, node)
+                 and (node.op != "avg_pool2d"
+                      or full_extent(g.spec(node.output).shape))}
     targeted: set[str] = set()
     for flag, ops in _BUG_TARGET_OPS.items():
         if getattr(bugs, flag) not in (None, False):
             targeted.update(ops)
-    if targeted and not targeted & graph_ops:
+    if targeted and not targeted & reachable:
         yield ctx.diag(
             f"variant {variant.name!r}: kernel-bug preset "
-            f"{variant.kernel_bugs!r} targets op(s) {sorted(targeted)}, "
-            "none of which appear in the graph — the preset is inert",
+            f"{variant.kernel_bugs!r} targets int8 op(s) {sorted(targeted)} "
+            "(average pools only when full-extent), none of which the "
+            "graph runs — the preset is inert",
             evidence={"preset": variant.kernel_bugs,
                       "targeted_ops": sorted(targeted),
                       "graph_ops": sorted(graph_ops)})

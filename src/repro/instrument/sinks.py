@@ -51,6 +51,15 @@ The only version :meth:`~repro.instrument.store.EXrayLog.load` reads."""
 
 TENSORS_NAME = "tensors.bin"
 
+LOG_FILES = ("meta.json", "frames.jsonl", TENSORS_NAME)
+"""The files a log directory consists of."""
+
+
+def log_bytes(root: Path) -> int:
+    """Bytes on disk of the log at ``root``: its :data:`LOG_FILES`' sizes."""
+    paths = [root / name for name in LOG_FILES]
+    return sum(path.stat().st_size for path in paths if path.is_file())
+
 
 class StreamStats:
     """Running aggregates over every frame emitted to a sink.
@@ -287,8 +296,7 @@ class DirectorySink(LogSink):
 
     def total_bytes(self) -> int:
         """Bytes on disk for this stream (meta + frame docs + tensors)."""
-        return sum(p.stat().st_size
-                   for p in self.root.rglob("*") if p.is_file())
+        return log_bytes(self.root)
 
     def open_log(self, monitor: "EdgeMLMonitor") -> "EXrayLog":
         """A lazy reader over the directory (tensors stay on disk)."""

@@ -46,12 +46,9 @@ from repro.instrument.sinks import (
     DirectorySink,
     LogSink,
     TeeSink,
+    log_bytes,
 )
 from repro.util.errors import ValidationError
-
-
-def _dir_bytes(root: Path) -> int:
-    return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
 
 
 HASH_CHUNK_BYTES = 1 << 20
@@ -463,7 +460,7 @@ class EXrayLog:
         root = Path(root)
         source = _DirectorySource(root)
         return cls(source.meta["name"], source.meta["per_layer"],
-                   log_bytes=_dir_bytes(root),
+                   log_bytes=log_bytes(root),
                    monitor_overhead_ms=source.meta.get("monitor_overhead_ms", 0.0),
                    source=source)
 

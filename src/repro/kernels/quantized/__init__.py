@@ -1,9 +1,12 @@
-"""Quantized integer kernels, in optimized and reference flavours.
+"""Quantized integer kernels.
 
-``optimized`` mirrors TFLite's builtin OpResolver kernels (fast, shipped in
-production); ``reference`` mirrors RefOpResolver (naive, for debugging).
-Both share the requantization math in :mod:`repro.kernels.quantized.requant`
-and the injectable bug flags in :mod:`repro.kernels.quantized.bugs`.
+``optimized`` holds every int8 kernel: its conv, depthwise and dense
+kernels mirror TFLite's builtin OpResolver (fast, shipped in production),
+and its pool, add, mul and pad kernels serve both backends. ``reference``
+holds the naive conv, depthwise and dense loops RefOpResolver would run
+(for debugging). Both share the requantization math in
+:mod:`repro.kernels.quantized.requant`; the injectable bug flags live in
+:mod:`repro.kernels.quantized.bugs`.
 """
 
 from repro.kernels.quantized import optimized, reference

@@ -14,11 +14,13 @@ localizes two real TFLite kernel bugs:
 Those bugs are long fixed upstream and TFLite is not available offline, so we
 inject faithful analogues behind flags. **All flags default to off**: the
 library's kernels are correct unless an experiment explicitly opts in.
+Each flag acts in one kernel: the optimized depthwise accumulator, a
+full-extent average pool's zero point (:func:`full_extent`), the pad fill.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -59,17 +61,12 @@ class KernelBugs:
     avgpool_zero_point_bug: bool = False
     pad_ignores_zero_point: bool = False
 
-    def any(self) -> bool:
-        """True if at least one bug is enabled."""
-        return (
-            self.dwconv_accumulator_bits is not None
-            or self.avgpool_zero_point_bug
-            or self.pad_ignores_zero_point
-        )
 
-    def with_(self, **kwargs) -> "KernelBugs":
-        """Return a copy with the given flags changed."""
-        return replace(self, **kwargs)
+def full_extent(out_shape) -> bool:
+    """Whether an average pool with this NHWC output shape pools its whole
+    input (a 1x1 output): the only pools
+    :attr:`KernelBugs.avgpool_zero_point_bug` reaches."""
+    return tuple(out_shape[1:3]) == (1, 1)
 
 
 NO_BUGS = KernelBugs()
@@ -79,4 +76,6 @@ PAPER_OPTIMIZED_BUGS = KernelBugs(dwconv_accumulator_bits=13)
 """The bug the paper found in TFLite's *optimized* int8 kernels."""
 
 PAPER_REFERENCE_BUGS = KernelBugs(avgpool_zero_point_bug=True)
-"""The bug the paper found in TFLite's *reference* int8 kernels."""
+"""The bug the paper found in TFLite's *reference* int8 kernels. It sits in
+the average-pool kernel both backends share (they differ only in conv,
+depthwise and dense), so it breaks MobileNet v3 under ``optimized`` too."""

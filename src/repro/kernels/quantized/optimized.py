@@ -1,12 +1,13 @@
-"""Optimized (vectorized) int8 kernels — the production execution path.
+"""Int8 kernels — the production execution path, shared by both backends.
 
-These are the analogue of TFLite's builtin ``OpResolver`` kernels: the fast
-path an app actually ships with. They share requantization math with the
-reference kernels in :mod:`repro.kernels.quantized.reference`; on correct
-configurations both paths produce **bit-identical** outputs, which is exactly
-the property the paper exploits ("any accuracy discrepancies in int8
-fully-quantized model between builtin op and builtin reference op should be
-treated as a bug").
+These are the analogue of TFLite's builtin ``OpResolver`` kernels. The
+``reference`` backend swaps only ``qconv2d``, ``qdepthwise_conv2d`` and
+``qdense`` for the loops in :mod:`repro.kernels.quantized.reference`; on
+correct configurations both produce **bit-identical** outputs, which is
+exactly the property the paper exploits ("any accuracy discrepancies in
+int8 fully-quantized model between builtin op and builtin reference op
+should be treated as a bug"). Only the three kernels a bug flag acts on
+take ``bugs``: ``qdepthwise_conv2d``, ``qavg_pool2d`` and ``qpad2d``.
 
 Convolutions run on *centered* activations with the float kernels'
 strategies: ``qconv2d`` is one GEMM over the batch (a 1x1 filter multiplies
@@ -47,7 +48,7 @@ from repro.kernels.common import (
     resolve_padding,
     window_geometry,
 )
-from repro.kernels.quantized.bugs import NO_BUGS, KernelBugs
+from repro.kernels.quantized.bugs import NO_BUGS, KernelBugs, full_extent
 from repro.kernels.quantized.requant import (
     Requantizer,
     output_multiplier,
@@ -56,8 +57,9 @@ from repro.kernels.quantized.requant import (
 )
 from repro.quantize.params import QuantParams
 
-PreparedLayer = Callable[[np.ndarray, KernelBugs], np.ndarray]
-"""A prepared layer: ``run(x_q, bugs) -> out_q``."""
+PreparedLayer = Callable[..., np.ndarray]
+"""A prepared layer: ``run(x_q) -> out_q``, or ``run(x_q, bugs)`` for the
+depthwise layer, the one a flag acts on."""
 
 
 def accumulator_dtype(terms: int) -> np.dtype:
@@ -113,7 +115,7 @@ def prepare_qconv2d(
     layer = _Layer(kh * kw * cin, w_q.reshape(kh * kw * cin, cout), in_params,
                    w_params, bias_q, out_params, activation)
 
-    def run(x_q: np.ndarray, bugs: KernelBugs) -> np.ndarray:
+    def run(x_q: np.ndarray) -> np.ndarray:
         sh, sw, pad, oh, ow = window_geometry(x_q, kh, kw, stride, padding)
         acc = im2col_rows(layer.center(x_q), kh, kw, sh, sw, pad) @ layer.weights
         return layer.finish(acc.reshape(x_q.shape[0], oh, ow, cout))
@@ -130,7 +132,6 @@ def qconv2d(
     stride: int | tuple[int, int] = 1,
     padding: Padding = "same",
     activation: str = "linear",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Quantized 2-D convolution (one GEMM on centered integers).
 
@@ -139,7 +140,7 @@ def qconv2d(
     """
     check_filter_bank(x_q, w_q, "conv2d", "kh,kw,Cin,Cout")
     return prepare_qconv2d(in_params, w_q, w_params, bias_q, out_params,
-                           stride, padding, activation)(x_q, bugs)
+                           stride, padding, activation)(x_q)
 
 
 def prepare_qdepthwise_conv2d(
@@ -205,7 +206,7 @@ def prepare_qdense(
     layer = _Layer(w_q.shape[0], w_q, in_params, w_params, bias_q, out_params,
                    activation)
 
-    def run(x_q: np.ndarray, bugs: KernelBugs) -> np.ndarray:
+    def run(x_q: np.ndarray) -> np.ndarray:
         return layer.finish(layer.center(x_q) @ layer.weights)
     return run
 
@@ -218,23 +219,22 @@ def qdense(
     bias_q: np.ndarray | None,
     out_params: QuantParams,
     activation: str = "linear",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Quantized fully-connected layer."""
     return prepare_qdense(in_params, w_q, w_params, bias_q, out_params,
-                          activation)(x_q, bugs)
+                          activation)(x_q)
 
 
 def _requant_mean(
     mean_centered: np.ndarray,
     in_params: QuantParams,
     out_params: QuantParams,
-    bugs: KernelBugs,
+    zero_point_bug: bool = False,
 ) -> np.ndarray:
     """Requantize a centered mean.
 
-    Under :attr:`KernelBugs.avgpool_zero_point_bug` the kernel applies the
-    output zero point with the wrong sign. With ReLU-style asymmetric
+    With ``zero_point_bug`` the kernel applies the output zero point with
+    the wrong sign. With ReLU-style asymmetric
     activations (strongly negative zero point) every output shifts by
     ``-2*zp`` and saturates at qmax — the constant-output, 0%-accuracy
     failure the paper reports for quantized MobileNet v3 under the
@@ -243,7 +243,7 @@ def _requant_mean(
     """
     scale_ratio = float(in_params.scale.item()) / float(out_params.scale.item())
     zp_out = float(out_params.zero_point.item())
-    if bugs.avgpool_zero_point_bug:
+    if zero_point_bug:
         zp_out = -zp_out
     q = np.round(mean_centered * scale_ratio) + zp_out
     return np.clip(q, out_params.qmin, out_params.qmax).astype(
@@ -276,9 +276,8 @@ def qavg_pool2d(
     ones = np.ones((1,) + x_q.shape[1:3] + (1,), dtype=np.float64)
     counts = extract_patches(ones, kh, kw, sh, sw, pad).sum(axis=(3, 4))[0, :, :, 0]
     mean = patches.sum(axis=(3, 4)) / counts[None, :, :, None]
-    full_extent = mean.shape[1] == 1 and mean.shape[2] == 1
-    effective_bugs = bugs if full_extent else bugs.with_(avgpool_zero_point_bug=False)
-    return _requant_mean(mean, in_params, out_params, effective_bugs)
+    return _requant_mean(mean, in_params, out_params,
+                         bugs.avgpool_zero_point_bug and full_extent(mean.shape))
 
 
 def qmax_pool2d(
@@ -288,7 +287,6 @@ def qmax_pool2d(
     pool_size: int | tuple[int, int] = 2,
     stride: int | tuple[int, int] | None = None,
     padding: Padding = "valid",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Quantized max pooling (max commutes with the affine map)."""
     kh, kw = normalize_stride(pool_size)
@@ -298,7 +296,7 @@ def qmax_pool2d(
         x_q.astype(np.float64), kh, kw, sh, sw, pad, pad_value=float(out_params.qmin)
     )
     mx = patches.max(axis=(3, 4)) - float(in_params.zero_point.item())
-    return _requant_mean(mx, in_params, out_params, bugs.with_(avgpool_zero_point_bug=False))
+    return _requant_mean(mx, in_params, out_params)
 
 
 def qglobal_avg_pool(
@@ -306,7 +304,6 @@ def qglobal_avg_pool(
     in_params: QuantParams,
     out_params: QuantParams,
     keepdims: bool = False,
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Quantized global mean over H, W (the TFLite ``Mean`` op).
 
@@ -315,8 +312,7 @@ def qglobal_avg_pool(
     global pooling exports as Mean) survive the buggy reference resolver.
     """
     mean = _centered(x_q, in_params).mean(axis=(1, 2), keepdims=keepdims)
-    return _requant_mean(mean, in_params, out_params,
-                         bugs.with_(avgpool_zero_point_bug=False))
+    return _requant_mean(mean, in_params, out_params)
 
 
 def qadd(
@@ -326,7 +322,6 @@ def qadd(
     b_params: QuantParams,
     out_params: QuantParams,
     activation: str = "linear",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Quantized elementwise add: rescale both operands into the output scale."""
     real = (
@@ -346,7 +341,6 @@ def qmul(
     b_params: QuantParams,
     out_params: QuantParams,
     activation: str = "linear",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Quantized elementwise multiply (SE gating), with fused activation."""
     acc = (

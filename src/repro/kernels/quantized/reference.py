@@ -6,8 +6,11 @@ diagnosing a quantized model (§4.4). They are drastically slower on a real
 device (Table 4 shows three orders of magnitude); our performance model
 charges them accordingly, while the numerics remain exact.
 
-On correct configurations these kernels agree bit-for-bit with
-:mod:`repro.kernels.quantized.optimized`.
+Only conv, depthwise and dense have a reference loop: the ``reference``
+backend registers these three and runs the shared pool, add, mul and pad
+kernels of :mod:`repro.kernels.quantized.optimized` for every other op. No
+bug flag reaches these loops. On correct configurations they agree
+bit-for-bit with the optimized kernels.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from repro.kernels.common import (
     pad_spatial,
     resolve_padding,
 )
-from repro.kernels.quantized import optimized as _opt
-from repro.kernels.quantized.bugs import NO_BUGS, KernelBugs
 from repro.kernels.quantized.requant import output_multiplier, requantize
 from repro.quantize.params import QuantParams
 
@@ -38,7 +39,6 @@ def qconv2d(
     stride: int | tuple[int, int] = 1,
     padding: Padding = "same",
     activation: str = "linear",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Reference quantized convolution: loops over output channels."""
     check_filter_bank(x_q, w_q, "conv2d", "kh,kw,Cin,Cout")
@@ -72,7 +72,6 @@ def qdepthwise_conv2d(
     stride: int | tuple[int, int] = 1,
     padding: Padding = "same",
     activation: str = "linear",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Reference quantized depthwise convolution: loops over channels.
 
@@ -112,7 +111,6 @@ def qdense(
     bias_q: np.ndarray | None,
     out_params: QuantParams,
     activation: str = "linear",
-    bugs: KernelBugs = NO_BUGS,
 ) -> np.ndarray:
     """Reference quantized dense layer: loops over output units."""
     xc = x_q.astype(np.float64) - float(in_params.zero_point.item())
@@ -125,41 +123,3 @@ def qdense(
     mult = output_multiplier(in_params, w_params, out_params)
     return requantize(acc, mult, out_params, activation)
 
-
-def qavg_pool2d(
-    x_q: np.ndarray,
-    in_params: QuantParams,
-    out_params: QuantParams,
-    pool_size: int | tuple[int, int] = 2,
-    stride: int | tuple[int, int] | None = None,
-    padding: Padding = "valid",
-    bugs: KernelBugs = NO_BUGS,
-) -> np.ndarray:
-    """Reference quantized average pool.
-
-    Subject to :attr:`KernelBugs.avgpool_zero_point_bug` — the paper's
-    reference-kernel bug that breaks quantized MobileNet v3 (§4.4).
-    """
-    return _opt.qavg_pool2d(
-        x_q, in_params, out_params, pool_size, stride, padding, bugs
-    )
-
-
-def qglobal_avg_pool(
-    x_q: np.ndarray,
-    in_params: QuantParams,
-    out_params: QuantParams,
-    keepdims: bool = False,
-    bugs: KernelBugs = NO_BUGS,
-) -> np.ndarray:
-    """Reference quantized global mean; shares the avg-pool bug surface."""
-    return _opt.qglobal_avg_pool(x_q, in_params, out_params, keepdims, bugs)
-
-
-# Elementwise/max-pool/pad reference kernels share the optimized
-# implementations — they have no interesting naive/optimized split and are
-# already exact.
-qmax_pool2d = _opt.qmax_pool2d
-qadd = _opt.qadd
-qmul = _opt.qmul
-qpad2d = _opt.qpad2d

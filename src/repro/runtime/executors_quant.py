@@ -1,17 +1,16 @@
 """Quantized op executors.
 
 Each executor collects quantization parameters from the surrounding tensor
-specs / node weight annotations and dispatches into the resolver's kernel
-flavour (optimized or reference), threading the resolver's
-:class:`~repro.kernels.quantized.bugs.KernelBugs` through.
+specs / node weight annotations and calls its one kernel, passing the
+resolver's :class:`~repro.kernels.quantized.bugs.KernelBugs` to the three
+kernels a flag acts on. :data:`REFERENCE_EXECUTORS` are the ``reference``
+backend's conv2d, depthwise_conv2d and dense entries.
 
 Executors whose per-node constants are worth computing once carry a
-``prepare(node, graph, resolver)`` attribute: the execution plan calls it
-when it compiles and binds the executor it returns, or the plain executor
-when it returns ``None``. Optimized ``conv2d``, ``depthwise_conv2d`` and
-``dense`` nodes bind a prepared layer
-(:mod:`repro.kernels.quantized.optimized`), and standalone activations
-their lookup table.
+``prepare(node, graph)`` attribute: the execution plan calls it when it
+compiles and binds the executor it returns. Optimized ``conv2d``,
+``depthwise_conv2d`` and ``dense`` nodes bind a prepared layer, and
+standalone activations their lookup table.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from repro import kernels as K
 from repro.graph.graph import Graph
 from repro.graph.node import Node
 from repro.kernels.quantized import optimized as _qopt
+from repro.kernels.quantized import reference as _qref
 from repro.kernels.quantized.requant import apply_lut, build_lut, rescale_tensor
 from repro.runtime.annotations import aliases_input
 from repro.util.errors import GraphError
@@ -52,59 +52,51 @@ def _layer_args(node: Node, graph: Graph) -> tuple:
             _out_params(node, graph))
 
 
+def _layer_kwargs(node: Node) -> dict:
+    """The trailing kernel arguments of a conv2d, depthwise_conv2d or dense
+    node: its activation, and a convolution's stride and padding."""
+    kwargs = {"activation": node.attrs.get("activation", "linear")}
+    if node.op != "dense":
+        kwargs["stride"] = node.attrs.get("stride", 1)
+        kwargs["padding"] = node.attrs.get("padding", "same")
+    return kwargs
+
+
 def conv2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qconv2d(
-        inputs[0], *_layer_args(node, ctx.graph),
-        stride=node.attrs.get("stride", 1),
-        padding=node.attrs.get("padding", "same"),
-        activation=node.attrs.get("activation", "linear"),
-        bugs=ctx.bugs,
-    )
+    return _qopt.qconv2d(inputs[0], *_layer_args(node, ctx.graph),
+                         **_layer_kwargs(node))
 
 
 def depthwise_conv2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qdepthwise_conv2d(
-        inputs[0], *_layer_args(node, ctx.graph),
-        stride=node.attrs.get("stride", 1),
-        padding=node.attrs.get("padding", "same"),
-        activation=node.attrs.get("activation", "linear"),
-        bugs=ctx.bugs,
-    )
+    return _qopt.qdepthwise_conv2d(inputs[0], *_layer_args(node, ctx.graph),
+                                   **_layer_kwargs(node), bugs=ctx.bugs)
 
 
 def dense(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qdense(
-        inputs[0], *_layer_args(node, ctx.graph),
-        activation=node.attrs.get("activation", "linear"),
-        bugs=ctx.bugs,
-    )
+    return _qopt.qdense(inputs[0], *_layer_args(node, ctx.graph),
+                        **_layer_kwargs(node))
 
 
-def _prepare_layer(node: Node, graph: Graph, resolver):
+def _prepare_layer(node: Node, graph: Graph):
     """Bind an optimized conv2d/depthwise_conv2d/dense node's prepared
-    layer; other kernel sets keep the plain executor."""
-    if resolver.qkernels is not _qopt:
-        return None
-    args = _layer_args(node, graph)
-    activation = node.attrs.get("activation", "linear")
-    if node.op == "dense":
-        run = _qopt.prepare_qdense(*args, activation)
-    else:
-        prepare = (_qopt.prepare_qconv2d if node.op == "conv2d"
-                   else _qopt.prepare_qdepthwise_conv2d)
-        run = prepare(*args, node.attrs.get("stride", 1),
-                      node.attrs.get("padding", "same"), activation)
-    return lambda node, inputs, ctx: run(inputs[0], ctx.bugs)
+    layer."""
+    prepare = {"conv2d": _qopt.prepare_qconv2d,
+               "depthwise_conv2d": _qopt.prepare_qdepthwise_conv2d,
+               "dense": _qopt.prepare_qdense}[node.op]
+    run = prepare(*_layer_args(node, graph), **_layer_kwargs(node))
+    if node.op == "depthwise_conv2d":
+        return lambda node, inputs, ctx: run(inputs[0], ctx.bugs)
+    return lambda node, inputs, ctx: run(inputs[0])
 
 
 conv2d.prepare = depthwise_conv2d.prepare = dense.prepare = _prepare_layer
 
 
 def activation(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return _prepare_activation(node, ctx.graph, ctx.resolver)(node, inputs, ctx)
+    return _prepare_activation(node, ctx.graph)(node, inputs, ctx)
 
 
-def _prepare_activation(node: Node, graph: Graph, resolver):
+def _prepare_activation(node: Node, graph: Graph):
     """Bind a standalone activation node's 256-entry lookup table."""
     fn_name = node.attrs["fn"]
     try:
@@ -128,7 +120,7 @@ def softmax(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
 
 
 def avg_pool2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qavg_pool2d(
+    return _qopt.qavg_pool2d(
         inputs[0], _in_params(node, ctx.graph), _out_params(node, ctx.graph),
         pool_size=node.attrs.get("pool_size", 2),
         stride=node.attrs.get("stride"),
@@ -138,46 +130,42 @@ def avg_pool2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
 
 
 def max_pool2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qmax_pool2d(
+    return _qopt.qmax_pool2d(
         inputs[0], _in_params(node, ctx.graph), _out_params(node, ctx.graph),
         pool_size=node.attrs.get("pool_size", 2),
         stride=node.attrs.get("stride"),
         padding=node.attrs.get("padding", "valid"),
-        bugs=ctx.bugs,
     )
 
 
 def global_avg_pool(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qglobal_avg_pool(
+    return _qopt.qglobal_avg_pool(
         inputs[0], _in_params(node, ctx.graph), _out_params(node, ctx.graph),
         keepdims=node.attrs.get("keepdims", False),
-        bugs=ctx.bugs,
     )
 
 
 def pad2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qpad2d(
+    return _qopt.qpad2d(
         inputs[0], _in_params(node, ctx.graph), node.attrs["paddings"], bugs=ctx.bugs
     )
 
 
 def add(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qadd(
+    return _qopt.qadd(
         inputs[0], _in_params(node, ctx.graph, 0),
         inputs[1], _in_params(node, ctx.graph, 1),
         _out_params(node, ctx.graph),
         activation=node.attrs.get("activation", "linear"),
-        bugs=ctx.bugs,
     )
 
 
 def mul(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
-    return ctx.qkernels.qmul(
+    return _qopt.qmul(
         inputs[0], _in_params(node, ctx.graph, 0),
         inputs[1], _in_params(node, ctx.graph, 1),
         _out_params(node, ctx.graph),
         activation=node.attrs.get("activation", "linear"),
-        bugs=ctx.bugs,
     )
 
 
@@ -229,3 +217,28 @@ QUANT_EXECUTORS = {
     "quantize": quantize,
     "dequantize": dequantize,
 }
+
+
+def reference_conv2d(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _qref.qconv2d(inputs[0], *_layer_args(node, ctx.graph),
+                         **_layer_kwargs(node))
+
+
+def reference_depthwise_conv2d(node: Node, inputs: list[np.ndarray],
+                               ctx) -> np.ndarray:
+    return _qref.qdepthwise_conv2d(inputs[0], *_layer_args(node, ctx.graph),
+                                   **_layer_kwargs(node))
+
+
+def reference_dense(node: Node, inputs: list[np.ndarray], ctx) -> np.ndarray:
+    return _qref.qdense(inputs[0], *_layer_args(node, ctx.graph),
+                        **_layer_kwargs(node))
+
+
+REFERENCE_EXECUTORS = {
+    "conv2d": reference_conv2d,
+    "depthwise_conv2d": reference_depthwise_conv2d,
+    "dense": reference_dense,
+}
+"""The int8 entries the ``reference`` backend registers over
+:data:`QUANT_EXECUTORS`: reference loops, unprepared and bug-free."""

@@ -78,10 +78,6 @@ class ExecContext:
     def bugs(self):
         return self.resolver.bugs
 
-    @property
-    def qkernels(self):
-        return self.resolver.qkernels
-
 
 class Interpreter:
     """Executes a :class:`~repro.graph.graph.Graph` over numpy feeds.

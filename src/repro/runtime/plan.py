@@ -13,7 +13,7 @@ schedule, its activation peak and the arena packer all read it, and lint
 rule P002 re-checks the free schedule against the graph independently.
 
 The plan also prepares what a kernel would otherwise recompute on every
-call: an executor with a ``prepare(node, graph, resolver)`` hook
+call: an executor with a ``prepare(node, graph)`` hook
 (:mod:`repro.runtime.executors_quant`) is bound to what the hook returns
 for the node. Each optimized int8 ``conv2d``, ``depthwise_conv2d`` and
 ``dense`` node gets its accumulator dtype (float32 where that is exact),
@@ -93,7 +93,7 @@ def derive_bindings(graph: Graph, resolver: BaseOpResolver) -> list[NodeBinding]
         bindings.append(NodeBinding(
             index=index,
             node=node,
-            executor=(prepare and prepare(node, graph, resolver)) or executor,
+            executor=prepare(node, graph) if prepare else executor,
             quantized=quantized,
             spec=graph.spec(node.output),
             op_class=OP_CLASS.get(node.op, "other"),

@@ -1,12 +1,14 @@
 """Op resolvers: which kernel implementation executes each node.
 
-Mirrors TFLite's design (§4.4): one float kernel set, and two int8 kernel
-sets on the paper's reference-vs-optimized axis.
+Mirrors TFLite's design (§4.4): a registry from (op, quantized?) to
+executor, which alone carries the paper's reference-vs-optimized axis.
 
 * :class:`OpResolver` — the builtin resolver invoking **optimized kernels**
   (the production path);
 * :class:`ReferenceOpResolver` — the builtin resolver invoking **reference
-  kernels** (the debugging path, drastically slower on-device);
+  kernels** (the debugging path, drastically slower on-device) for int8
+  ``conv2d``, ``depthwise_conv2d`` and ``dense``, and the same kernels as
+  :class:`OpResolver` for every other op;
 * custom resolvers — "advanced users have the option to create their own
   OpResolver which could invoke their custom ops and kernels": construct a
   resolver, call :meth:`BaseOpResolver.register`, and pass it as
@@ -21,19 +23,18 @@ manifests still name it.
 Builtin resolvers accept a :class:`~repro.kernels.quantized.bugs.KernelBugs`
 configuration; the paper-era TFLite behaviour is obtained with
 ``OpResolver(bugs=PAPER_OPTIMIZED_BUGS)`` /
-``ReferenceOpResolver(bugs=PAPER_REFERENCE_BUGS)``.
+``ReferenceOpResolver(bugs=PAPER_REFERENCE_BUGS)``. The flags sit on
+kernels, not backends: the pool and pad kernels are shared, so
+``PAPER_REFERENCE_BUGS`` breaks the optimized backend too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from types import ModuleType
 
 import numpy as np
 
 from repro.graph.node import Node
-from repro.kernels.quantized import optimized as _qopt
-from repro.kernels.quantized import reference as _qref
 from repro.kernels.quantized.bugs import (
     NO_BUGS,
     PAPER_OPTIMIZED_BUGS,
@@ -41,7 +42,7 @@ from repro.kernels.quantized.bugs import (
     KernelBugs,
 )
 from repro.runtime.executors_float import FLOAT_EXECUTORS
-from repro.runtime.executors_quant import QUANT_EXECUTORS
+from repro.runtime.executors_quant import QUANT_EXECUTORS, REFERENCE_EXECUTORS
 from repro.util.errors import GraphError, ValidationError, did_you_mean
 
 Executor = Callable[[Node, list[np.ndarray], "object"], np.ndarray]
@@ -64,7 +65,8 @@ class BaseOpResolver:
         performance model, which charges reference kernels their on-device
         slowdown (Table 4) and every other kind the optimized coefficients.
     bugs:
-        Kernel-bug injection flags threaded into quantized kernels.
+        Kernel-bug flags, passed to the int8 depthwise, average-pool and
+        pad kernels (the only ones a flag acts on).
     version:
         Bumped on every :meth:`register`; compiled execution plans compare
         it against the version they were built from to detect staleness.
@@ -72,9 +74,8 @@ class BaseOpResolver:
 
     kind: str = "custom"
 
-    def __init__(self, bugs: KernelBugs = NO_BUGS, qkernels: ModuleType = _qopt):
+    def __init__(self, bugs: KernelBugs = NO_BUGS):
         self.bugs = bugs
-        self.qkernels = qkernels
         self.version = 0
         self._registry: dict[tuple[str, bool], Executor] = {}
         for op, fn in FLOAT_EXECUTORS.items():
@@ -106,9 +107,6 @@ class OpResolver(BaseOpResolver):
 
     kind = "optimized"
 
-    def __init__(self, bugs: KernelBugs = NO_BUGS):
-        super().__init__(bugs=bugs, qkernels=_qopt)
-
 
 class ReferenceOpResolver(BaseOpResolver):
     """Builtin resolver invoking reference (debugging) kernels."""
@@ -116,7 +114,9 @@ class ReferenceOpResolver(BaseOpResolver):
     kind = "reference"
 
     def __init__(self, bugs: KernelBugs = NO_BUGS):
-        super().__init__(bugs=bugs, qkernels=_qref)
+        super().__init__(bugs)
+        for op, fn in REFERENCE_EXECUTORS.items():
+            self.register(op, True, fn)
 
 
 ResolverFactory = Callable[..., BaseOpResolver]

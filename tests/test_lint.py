@@ -40,6 +40,7 @@ from repro.validate.variants import SweepVariant
 from repro.zoo import get_model, list_models
 
 from arena_faults import corrupt_layout_for_test
+from test_zoo import UNQUANTIZABLE
 
 
 # --------------------------------------------------------------------------
@@ -479,3 +480,40 @@ class TestSweepPreflight:
         doc = report.to_doc()
         assert all("diagnostics" not in r for r in doc["results"])
         assert "pre-flight" not in report.render()
+
+
+class TestVacuousKernelBugsMatchesExecution:
+    """S003 against concrete execution: on every int8 zoo model the rule
+    fires exactly when the preset leaves every layer output unchanged."""
+
+    FRAMES = 8
+    CASES = (("optimized", "paper-optimized"),
+             ("optimized", "paper-reference"),
+             ("reference", "paper-reference"))
+
+    @staticmethod
+    def _layers(graph, resolver, x):
+        from repro.runtime.interpreter import Interpreter
+
+        interp = Interpreter(graph, resolver)
+        seen = []
+        interp.add_observer(lambda rec: seen.append(rec.output.tobytes()))
+        interp.invoke(x)
+        return seen
+
+    @pytest.mark.parametrize("model", sorted(set(list_models())
+                                             - UNQUANTIZABLE))
+    def test_fires_iff_no_layer_output_moves(self, model):
+        from repro.runtime.resolver import make_resolver
+        from repro.zoo import eval_data
+
+        graph = get_model(model, stage="quantized")
+        x = np.ascontiguousarray(eval_data(model, self.FRAMES)[0])
+        for kind, preset in self.CASES:
+            clean = self._layers(graph, make_resolver(kind), x)
+            moved = self._layers(graph, make_resolver(kind, preset), x) != clean
+            variant = SweepVariant("v", stage="quantized", resolver=kind,
+                                   kernel_bugs=preset)
+            fired = [d.rule_id for d in lint_graph(
+                graph, variant=variant, categories=("pipeline",)).diagnostics]
+            assert fired == ([] if moved else ["S003"]), (kind, preset)

@@ -1,5 +1,7 @@
 """Integer kernel tests: fidelity to float, opt/ref bit-equality, bug flags."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,12 @@ class TestQConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_1x1_optimized_equals_reference(self, rng, stride, bugs):
         # The pointwise fast path (one GEMM over the flattened pixels)
-        # against the per-channel reference loop.
+        # against the per-channel reference loop; no bug flag reaches a
+        # conv2d, so both backends' executors agree under any profile.
+        from repro.convert import quantize_graph
+        from repro.graph import GraphBuilder
+        from repro.runtime import Interpreter, OpResolver, ReferenceOpResolver
+
         x, x_q, in_p = qpair(rng, (6, 9, 9, 4), 0.0, 6.0)
         w = rng.normal(0, 0.5, (1, 1, 4, 6))
         w_p = choose_qparams_per_channel(w, axis=3)
@@ -123,10 +130,26 @@ class TestQConv2d:
         bias_q = rng.integers(-50, 50, 6).astype(np.int32)
         out_p = choose_qparams(-4.0, 4.0, "int8")
         a = qopt.qconv2d(x_q, in_p, w_q, w_p, bias_q, out_p, stride,
-                         "same", "relu6", bugs)
+                         "same", "relu6")
         b = qref.qconv2d(x_q, in_p, w_q, w_p, bias_q, out_p, stride,
-                         "same", "relu6", bugs)
+                         "same", "relu6")
         np.testing.assert_array_equal(a, b)
+
+        gb = GraphBuilder("pointwise")
+        h = gb.input("x", (None, 9, 9, 4))
+        gb.mark_output(gb.conv2d(h, w.astype(np.float32),
+                                 rng.normal(0, 0.1, 6).astype(np.float32),
+                                 stride=stride, name="pw"))
+        x32 = x.astype(np.float32)
+        graph = quantize_graph(gb.finish(), [x32])
+        layers = []
+        for resolver in (OpResolver(bugs=bugs), ReferenceOpResolver(bugs=bugs)):
+            interp = Interpreter(graph, resolver)
+            interp.add_observer(lambda rec: rec.node.name == "pw"
+                                and layers.append(np.array(rec.output)))
+            interp.invoke(x32)
+        assert len(layers) == 2
+        np.testing.assert_array_equal(layers[0], layers[1])
 
 
 def einsum_qdepthwise(x_q, in_p, w_q, w_p, bias_q, out_p, bugs):
@@ -161,7 +184,7 @@ class TestQDepthwise:
         got = qopt.qdepthwise_conv2d(*args, 1, "same", "relu6", bugs)
         np.testing.assert_array_equal(
             got, einsum_qdepthwise(*args, bugs=bugs))
-        ref = qref.qdepthwise_conv2d(*args, 1, "same", "relu6", bugs)
+        ref = qref.qdepthwise_conv2d(*args, 1, "same", "relu6")
         if bugs.dwconv_accumulator_bits is None:
             np.testing.assert_array_equal(got, ref)
         else:
@@ -188,8 +211,7 @@ class TestQDepthwise:
         clean = qopt.qdepthwise_conv2d(x_q, in_p, w_q, w_p, None, out_p)
         buggy = qopt.qdepthwise_conv2d(x_q, in_p, w_q, w_p, None, out_p,
                                        bugs=PAPER_OPTIMIZED_BUGS)
-        ref = qref.qdepthwise_conv2d(x_q, in_p, w_q, w_p, None, out_p,
-                                     bugs=PAPER_OPTIMIZED_BUGS)
+        ref = qref.qdepthwise_conv2d(x_q, in_p, w_q, w_p, None, out_p)
         assert not np.array_equal(clean, buggy)
         np.testing.assert_array_equal(clean, ref)  # ref kernel immune
 
@@ -266,16 +288,20 @@ class TestQPooling:
         np.testing.assert_array_equal(clean, buggy)
 
     def test_avgpool_bug_skips_mean_op(self, rng):
-        """The Mean op (v1/v2 global pooling) has a separate correct kernel."""
+        """The Mean op (v1/v2 global pooling) has a separate correct kernel:
+        it equals the clean full-extent pool the bug saturates."""
         x, x_q, in_p = qpair(rng, (1, 4, 4, 2), 0.0, 6.0)
-        a = qopt.qglobal_avg_pool(x_q, in_p, in_p)
-        b = qopt.qglobal_avg_pool(x_q, in_p, in_p, bugs=PAPER_REFERENCE_BUGS)
-        np.testing.assert_array_equal(a, b)
+        mean = qopt.qglobal_avg_pool(x_q, in_p, in_p, keepdims=True)
+        clean = qopt.qavg_pool2d(x_q, in_p, in_p, pool_size=(4, 4))
+        buggy = qopt.qavg_pool2d(x_q, in_p, in_p, pool_size=(4, 4),
+                                 bugs=PAPER_REFERENCE_BUGS)
+        np.testing.assert_array_equal(mean, clean)
+        assert not np.array_equal(mean, buggy)
 
     def test_avgpool_bug_off_by_default(self, rng):
         x, x_q, in_p = qpair(rng, (1, 4, 4, 2), 0.0, 6.0)
-        a = qopt.qglobal_avg_pool(x_q, in_p, in_p)
-        b = qopt.qglobal_avg_pool(x_q, in_p, in_p, bugs=NO_BUGS)
+        a = qopt.qavg_pool2d(x_q, in_p, in_p, pool_size=(4, 4))
+        b = qopt.qavg_pool2d(x_q, in_p, in_p, pool_size=(4, 4), bugs=NO_BUGS)
         np.testing.assert_array_equal(a, b)
 
     def test_max_pool_commutes_with_quantization(self, rng):
@@ -317,16 +343,19 @@ class TestQElementwise:
 
 class TestKernelBugsConfig:
     def test_defaults_off(self):
-        assert not NO_BUGS.any()
+        assert NO_BUGS == KernelBugs(dwconv_accumulator_bits=None,
+                                     avgpool_zero_point_bug=False,
+                                     pad_ignores_zero_point=False)
 
     def test_paper_configs_on(self):
-        assert PAPER_OPTIMIZED_BUGS.any()
-        assert PAPER_REFERENCE_BUGS.any()
         assert PAPER_OPTIMIZED_BUGS.dwconv_accumulator_bits is not None
         assert PAPER_REFERENCE_BUGS.avgpool_zero_point_bug
 
     def test_with_override(self):
-        bugs = NO_BUGS.with_(pad_ignores_zero_point=True)
+        # Presets are shared frozen values: a variant is a replaced copy.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NO_BUGS.pad_ignores_zero_point = True
+        bugs = dataclasses.replace(NO_BUGS, pad_ignores_zero_point=True)
         assert bugs.pad_ignores_zero_point and not NO_BUGS.pad_ignores_zero_point
 
 

@@ -501,7 +501,7 @@ class TestTestOnlyDefinitionRule:
 
     def test_real_tree_clean_with_reasoned_entries(self):
         rules = _repo_rules()
-        assert len(rules.TEST_ONLY_ALLOWLIST) == 3
+        assert len(rules.TEST_ONLY_ALLOWLIST) == 2
         assert all(reason.strip()
                    for reason in rules.TEST_ONLY_ALLOWLIST.values())
         root = Path(__file__).resolve().parents[1]

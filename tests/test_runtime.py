@@ -204,6 +204,45 @@ class TestResolvers:
             rng.normal(size=(1, 8, 8, 3)).astype(np.float32))
         assert calls == ["probs"]
 
+    @pytest.mark.parametrize("kind", ["optimized", "reference"])
+    def test_table1_hand_rolled_loops_match_invoke(self, kind, tmp_path):
+        """The Table 1 "without ML-EXray" snippets call each executor
+        through ``resolver.lookup``, outside any plan, with a hand-built
+        context: every layer they see and every output they return equals
+        ``Interpreter.invoke``'s byte for byte."""
+        import importlib.util
+        from pathlib import Path
+
+        from repro.runtime.resolver import make_resolver
+        from repro.zoo import eval_data, get_model
+
+        snippets = (Path(__file__).resolve().parents[1] / "benchmarks"
+                    / "loc_snippets" / "without_mlexray")
+        graph = get_model("micro_mobilenet_v2", "quantized")
+        x = np.ascontiguousarray(eval_data("micro_mobilenet_v2", 4)[0],
+                                 dtype=np.float32)
+        interp = Interpreter(graph, make_resolver(kind))
+        layers = {}
+        interp.add_observer(lambda rec: layers.__setitem__(
+            rec.node.name, np.array(rec.output)))
+        want = interp.invoke(x)
+        for name in ("quantization", "per_layer_latency"):
+            spec = importlib.util.spec_from_file_location(
+                name, snippets / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            out_dir = tmp_path / name
+            got = module.instrument(graph, make_resolver(kind),
+                                    {graph.inputs[0]: x}, out_dir)
+            assert got.keys() == want.keys()
+            for t, arr in want.items():
+                assert got[t].dtype == arr.dtype
+                assert got[t].tobytes() == arr.tobytes(), (name, t)
+        for position, node in enumerate(graph.nodes):
+            saved = np.load(tmp_path / "quantization"
+                            / f"layer_{position:04d}.npy")
+            assert saved.tobytes() == layers[node.name].tobytes(), node.name
+
     def test_missing_kernel_error(self, small_cnn):
         resolver = OpResolver()
         del resolver._registry[("softmax", False)]

@@ -98,8 +98,6 @@ NON_TEST_ROOTS = ("src", "bench", "benchmarks", "examples", "tools")
 TEST_ONLY_ALLOWLIST = {
     "rule_catalog": "the README library surface, and the source the "
                     "README rule-table sync test reads",
-    "BaseOpResolver.register": "the paper's custom-op hook, documented in "
-                               "README \"Kernel backends\"",
     "EdgeMLMonitor.detach": "the inverse of attach(); the only way to stop "
                             "a monitor observing a long-lived interpreter",
 }
@@ -371,8 +369,10 @@ class _Scope:
     module — reaches the ``f`` that module defines or re-exports, and no
     method.  Any other attribute reaches methods, and the top-level
     definitions of every module some file uses as a value (passes, assigns
-    or returns, not only dots through): ``qkernels=_qopt`` makes
-    ``ctx.qkernels.qconv2d(...)`` a call of ``_qopt.qconv2d``.
+    or returns, not only dots through): ``bench/tracing.py`` passes the
+    ``triage`` module to ``self._patch(triage, "triage_sweep", ...)``, so
+    an attribute ``owner.triage_sweep`` anywhere reaches
+    ``triage.triage_sweep``.
     """
 
     def __init__(self, trees):
