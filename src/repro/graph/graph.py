@@ -90,6 +90,7 @@ class Graph:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("tensors", "metadata"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "_param_bytes", self.param_bytes())
         object.__setattr__(self, "_frozen", True)
         return self
 
@@ -145,6 +146,8 @@ class Graph:
 
     def param_bytes(self) -> int:
         """Total parameter storage in bytes (respects quantized dtypes)."""
+        if "_param_bytes" in self.__dict__:
+            return self._param_bytes
         return sum(node.param_bytes() for node in self.nodes)
 
     @property

@@ -46,9 +46,22 @@ def tanh(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh approximation, as in BERT)."""
-    # The np.float64 constant promotes float32 inputs; cast back once.
-    y = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    """Gaussian error linear unit (tanh approximation, as in BERT).
+
+    The cube is ``x*x*x`` in float64 (``x**3`` costs ~100x), rounded once to
+    ``x``'s dtype, where ``x + 0.044715·x³`` is computed; the rest is float64.
+    """
+    y = np.array(x, dtype=np.float64)  # an array, so ``out=`` works on 0-d
+    y *= y
+    y *= x
+    inner = y.astype(x.dtype)
+    inner *= 0.044715
+    inner += x
+    np.multiply(inner, np.sqrt(2.0 / np.pi), out=y)
+    np.tanh(y, out=y)
+    y += 1.0
+    np.multiply(x, 0.5, out=inner)
+    y *= inner
     return y.astype(x.dtype, copy=False)
 
 

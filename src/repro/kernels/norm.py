@@ -36,7 +36,10 @@ def layer_norm(
     beta: np.ndarray,
     eps: float = 1e-6,
 ) -> np.ndarray:
-    """Layer normalization over the last axis (transformer blocks)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    """Layer normalization over the last axis (transformer blocks).
+
+    Runs in ``x``'s dtype (``gamma``/``beta`` promote); its variance is
+    byte for byte ``x.var``'s, from the one centered input."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / np.sqrt(var + eps) * gamma + beta

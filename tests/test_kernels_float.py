@@ -242,11 +242,65 @@ class TestActivations:
 
     def test_gelu_midpoint(self):
         assert K.gelu(np.array([0.0]))[0] == 0.0
+        assert K.gelu(np.zeros(3, np.float32)).tolist() == [0.0] * 3
+        assert K.gelu(np.float64(0.0)) == 0.0
 
     def test_registry_complete(self):
         for name in ("relu", "relu6", "hard_swish", "hard_sigmoid", "sigmoid",
                      "tanh", "gelu", "linear"):
             assert name in K.ACTIVATIONS
+
+
+def gelu_oracle(x, cube):
+    """``gelu`` as written before its cube became a product, with the cube
+    passed in: numpy's ``x**3`` gives the old kernel."""
+    y = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * cube)))
+    return y.astype(x.dtype, copy=False)
+
+
+class TestGeluContract:
+    """The rounding contract of ``K.gelu``: only the cube step differs from
+    the pow-based kernel, and it is the float64 product rounded once."""
+
+    GRID = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
+
+    @staticmethod
+    def _cube(x):
+        x64 = x.astype(np.float64)
+        return (x64 * x64 * x64).astype(x.dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    def test_keeps_dtype_and_shape(self, rng, dtype, shape):
+        x = np.asarray(rng.normal(size=shape) * 3, dtype=dtype)
+        before = x.copy()
+        out = K.gelu(x)
+        assert out.dtype == dtype and out.shape == shape
+        assert np.array_equal(x, before)  # the input is not overwritten
+
+    def test_float64_scalar_gives_float64_value(self):
+        out = K.gelu(np.float64(-0.75))
+        assert np.asarray(out).dtype == np.float64 and np.ndim(out) == 0
+        assert float(out) == pytest.approx(-0.17004, abs=1e-5)
+
+    def test_cube_is_rounded_float64_product(self, rng):
+        x = (rng.normal(size=(32, 16, 48)) * 3).astype(np.float32)
+        for sample in (x, self.GRID):
+            got = K.gelu(sample)
+            want = gelu_oracle(sample, self._cube(sample))
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_less_accurate_than_pow(self):
+        x64 = self.GRID.astype(np.float64)
+        exact = 0.5 * x64 * (1.0 + np.tanh(
+            np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64 * x64 * x64)))
+        new_err = np.abs(K.gelu(self.GRID) - exact).max()
+        pow_err = np.abs(gelu_oracle(self.GRID, self.GRID**3) - exact).max()
+        assert new_err <= pow_err
+
+    def test_dataflow_gelu_minimum_unchanged(self):
+        from repro.analysis.dataflow import _GELU_MIN
+        assert _GELU_MIN == -0.17014075049698085
 
 
 class TestElementwise:
@@ -302,6 +356,55 @@ class TestNorm:
         x = rng.normal(5, 3, size=(6, 10))
         out = K.layer_norm(x, np.ones(10), np.zeros(10))
         np.testing.assert_allclose(out.mean(-1), 0, atol=1e-5)
+
+
+def layer_norm_oracle(x, gamma, beta, eps=1e-6):
+    """``layer_norm`` as written before it centered its input once: the
+    byte-for-byte oracle of the kernel."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+
+
+class TestLayerNormContract:
+    @pytest.fixture(scope="class")
+    def bert_layer_norm_cases(self):
+        """(input, gamma, beta, eps) of every micro_bert layer-norm node on
+        playback inputs at batch 1, 7 and 32."""
+        import repro.zoo as zoo
+        from repro.runtime import Interpreter
+
+        graph = zoo.get_model("micro_bert", "mobile")
+        ids, _ = zoo.playback_data("micro_bert", 32)
+        norms = [n for n in graph.nodes if n.op == "layer_norm"]
+        wanted = {n.inputs[0] for n in norms}
+        cases = []
+        for batch in (1, 7, 32):
+            seen = {}
+            interp = Interpreter(graph)
+            interp.add_observer(lambda r: seen.update(
+                {t: np.array(r.output) for t in r.node.outputs if t in wanted}))
+            interp.invoke(ids[:batch])
+            cases += [(seen[n.inputs[0]], n.weights["gamma"], n.weights["beta"],
+                       n.attrs.get("eps", 1e-6)) for n in norms]
+        return cases
+
+    def test_matches_oracle_on_micro_bert(self, bert_layer_norm_cases):
+        assert len(bert_layer_norm_cases) == 12
+        for x, gamma, beta, eps in bert_layer_norm_cases:
+            assert x.dtype == np.float32
+            got = K.layer_norm(x, gamma, beta, eps=eps)
+            assert got.tobytes() == layer_norm_oracle(x, gamma, beta,
+                                                      eps).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 16, 48), (32, 16, 48), (7, 100)])
+    def test_matches_oracle_on_random_float32(self, rng, shape):
+        x = (rng.normal(2.0, 5.0, size=shape)).astype(np.float32)
+        gamma = rng.normal(size=shape[-1]).astype(np.float32)
+        beta = rng.normal(size=shape[-1]).astype(np.float32)
+        got = K.layer_norm(x, gamma, beta)
+        assert got.dtype == np.float32
+        assert got.tobytes() == layer_norm_oracle(x, gamma, beta).tobytes()
 
 
 class TestAttention:

@@ -1,7 +1,8 @@
 """Repo-rule tests for ``tools/check_repo_rules.py``.
 
 Each rule is pinned on synthetic sources and on the real tree: executor
-view annotations, no ``np.pad`` in runtime code, dangling ``__all__``
+view annotations, no ``np.pad`` and no slow integer powers in runtime
+code, dangling ``__all__``
 entries, test-only definitions, and dead knobs. For the dead-knob rule, a
 defaulted ``src/`` parameter must be passed by some non-test call — by
 keyword, by position or through a ``*``/``**`` splat, with something other
@@ -317,6 +318,62 @@ class TestNoNpPadRule:
         for sub in ("kernels", "runtime", "pipelines"):
             for path in sorted((root / "src/repro" / sub).rglob("*.py")):
                 rel = str(path.relative_to(root))
+                checked += 1
+                assert rules.check_source(rel, path.read_text()) == [], rel
+        assert checked > 10
+
+
+# ------------------------------------ repo rule: no slow integer powers
+
+class TestNoSlowPowerRule:
+    SOURCE = ("import numpy as np\n"
+              "def f(x, n):\n"
+              "    a = x ** 3\n"
+              "    b = np.power(x, -3)\n"
+              "    c = (x + 1) ** 4\n"
+              "    return a, b, c, x ** 2, x ** -1, x ** 0.5, x ** n\n")
+
+    def test_flagged_in_runtime_modules(self):
+        rules = _repo_rules()
+        for module in ("src/repro/kernels/activations.py",
+                       "src/repro/runtime/interpreter.py",
+                       "src/repro/pipelines/preprocess.py"):
+            violations = rules.check_source(module, self.SOURCE)
+            assert [line for _, line, _ in violations] == [3, 4, 5], module
+            assert all("65 ns" in msg and "0.6 ns" in msg
+                       for _, _, msg in violations)
+
+    def test_other_modules_clean(self):
+        rules = _repo_rules()
+        assert rules.check_source("src/repro/autograd/ops.py",
+                                  self.SOURCE) == []
+        assert rules.check_source("src/repro/zoo/backends.py",
+                                  self.SOURCE) == []
+
+    def test_constant_bases_clean(self):
+        source = ("import numpy as np\n"
+                  "def f(bits):\n"
+                  "    return (2 ** 24, 2 ** (bits - 1), (-2) ** 5,\n"
+                  "            2.0 ** 3, np.power(10, 3))\n")
+        assert _repo_rules().check_source("src/repro/kernels/x.py",
+                                          source) == []
+
+    def test_parent_gelu_cube_flagged(self):
+        source = ("import numpy as np\n"
+                  "def gelu(x):\n"
+                  "    y = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)"
+                  " * (x + 0.044715 * x**3)))\n"
+                  "    return y.astype(x.dtype, copy=False)\n")
+        violations = _repo_rules().check_source(
+            "src/repro/kernels/activations.py", source)
+        assert [line for _, line, _ in violations] == [3]
+
+    def test_real_runtime_modules_clean(self):
+        rules = _repo_rules()
+        checked = 0
+        for sub in ("kernels", "runtime", "pipelines"):
+            for path in sorted((REPO / "src/repro" / sub).rglob("*.py")):
+                rel = str(path.relative_to(REPO))
                 checked += 1
                 assert rules.check_source(rel, path.read_text()) == [], rel
         assert checked > 10

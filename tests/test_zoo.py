@@ -376,6 +376,24 @@ class TestBuildMemo:
                    for n in graph.nodes)
         assert canon(graph) == canon(uncached_build(name, "quantized"))
 
+    @pytest.mark.parametrize("name", sorted(EXPECTED_MODELS))
+    def test_frozen_graph_counts_param_bytes_once(self, name, monkeypatch):
+        """Monitors read ``weights_bytes`` on every window; a frozen graph
+        answers from the total ``freeze`` counted, never walking its nodes
+        again, and the total equals an editable copy's."""
+        from repro.graph.node import Node
+
+        for stage in buildable_stages(name):
+            graph = get_model(name, stage)
+            want = copy.deepcopy(graph).param_bytes()
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(Node, "param_bytes",
+                              lambda node: calls.append(node) or 0)
+                assert graph.param_bytes() == want > 0
+                assert Interpreter(graph).weights_bytes() == want
+            assert calls == [], stage
+
     def test_every_call_hands_out_the_same_graph(self):
         for stage in ("checkpoint", "mobile", "quantized"):
             assert get_model("micro_mobilenet_v1", stage) \
@@ -553,6 +571,32 @@ class TestBatchInvariance:
                         assert (row.dtype, row.shape) == (out.dtype, out.shape)
                         assert row.tobytes() == out.tobytes(), (
                             stage, resolver.__name__, layer, i)
+
+
+class TestTrainingForwardParity:
+    """A deployed float model computes what training computed: the mobile
+    graph's interpreter outputs lie within 1e-4 of the training framework's
+    forward pass (``repro.zoo.train.predict``) on playback inputs."""
+
+    @pytest.mark.parametrize("name", ["micro_mobilenet_v1", "speech_cnn_a",
+                                      "micro_bert"])
+    def test_mobile_matches_training_forward(self, name):
+        from repro.pipelines import make_preprocess
+        from repro.zoo.backends import ParamStore
+        from repro.zoo.train import predict
+
+        graph = get_model(name, "mobile")
+        raw = playback_data(name, 32)[0]
+        x = np.asarray(make_preprocess(graph.metadata["pipeline"])(raw))
+        params, state, _ = get_trained(name)
+        store = ParamStore(registry.SEED)
+        store.load_arrays(params)
+        store.state = state
+        for batch in (1, 32):
+            want = predict(get_entry(name).arch_fn(), store, x[:batch])
+            got = Interpreter(graph).invoke_single(x[:batch])
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
 
 
 IMAGE_BUG_OVERRIDES = ({"channel_order": "bgr"}, {"normalization": "[0,1]"},

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-level AST lint: conventions the test suite can't see.
 
-Eight rules:
+Nine rules:
 
 * **no-numpy-random** (kernel modules only): kernels must never reach into
   ``numpy.random`` directly.  Kernels are supposed to be pure array
@@ -33,6 +33,13 @@ Eight rules:
   ``repro.kernels.common.pad_spatial``, one preallocated fill plus a slice
   assignment; ``np.pad``'s fixed per-call cost is about ten times that at
   batch 1, where a streamed edge frame pads on every depthwise layer.
+* **no-slow-power** (same roots as no-np-pad): no ``base ** k`` or
+  ``np.power(base, k)`` with a constant integer ``k`` outside numpy's fast
+  paths (-1, 0, 1, 2) and a non-constant base.  Numpy computes any other
+  integer power with its elementwise pow, about 65 ns per float32 element
+  against about 0.6 ns for ``x * x * x``; ``gelu``'s cube once took 90% of
+  its time.  Constant folds such as ``2 ** 24`` and non-constant exponents
+  such as ``2 ** (bits - 1)`` are not flagged.
 * **test-only-definition** (whole tree, when a root named ``src`` is
   checked): every undecorated top-level ``def``, ``class`` or assignment
   in ``src/`` must be referenced — by a ``Name`` or ``Attribute`` node
@@ -90,8 +97,9 @@ from pathlib import Path
 
 SRC_ROOT = Path("src")
 KERNEL_ROOT = Path("src/repro/kernels")
-PAD_HELPER_ROOTS = (KERNEL_ROOT, Path("src/repro/runtime"),
-                    Path("src/repro/pipelines"))
+RUNTIME_ROOTS = (KERNEL_ROOT, Path("src/repro/runtime"),
+                 Path("src/repro/pipelines"))
+FAST_POWERS = (-1, 0, 1, 2)
 SANCTIONED = "repro.util.rng"
 
 NON_TEST_ROOTS = ("src", "bench", "benchmarks", "examples", "tools")
@@ -198,6 +206,33 @@ def _check_no_np_pad(path: str, tree: ast.AST) -> list[tuple[str, int, str]]:
                 and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
             violations.append((path, node.lineno, message))
+    return violations
+
+
+def _check_no_slow_power(path: str,
+                         tree: ast.AST) -> list[tuple[str, int, str]]:
+    """Runtime-only rule: no integer power numpy has no fast path for."""
+    aliases = _numpy_aliases(tree)
+    violations: list[tuple[str, int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, exponent = node.left, node.right
+        elif (isinstance(node, ast.Call) and len(node.args) == 2
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "power"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in aliases):
+            base, exponent = node.args
+        else:
+            continue
+        power = _literal(exponent)
+        if (power is not None and power[0] is int
+                and power[1] not in FAST_POWERS and _literal(base) is None):
+            violations.append((
+                path, node.lineno,
+                f"integer power {power[1]} in a runtime module; numpy's "
+                "elementwise pow costs ~65 ns per element against ~0.6 ns "
+                "for multiplies: write the product (x * x * x)"))
     return violations
 
 
@@ -804,8 +839,9 @@ def check_source(path: str, text: str) -> list[tuple[str, int, str]]:
     parents = Path(path).parents
     if KERNEL_ROOT in parents:
         violations += _check_numpy_random(path, tree)
-    if any(root in parents for root in PAD_HELPER_ROOTS):
+    if any(root in parents for root in RUNTIME_ROOTS):
         violations += _check_no_np_pad(path, tree)
+        violations += _check_no_slow_power(path, tree)
     if Path(path).name.startswith("executors") and path.endswith(".py"):
         violations += _check_executor_view_annotations(path, tree)
     return sorted(violations, key=lambda v: v[1])
